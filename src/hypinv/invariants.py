@@ -359,7 +359,7 @@ def place_report_from_graph(label, graph, log_nv=1.0):
     """Assemble a PlaceReport from a reduction graph (d via edge counts)."""
     counts, _ = node_counts_from_graph(graph)
     d = d_from_counts(counts)
-    eps = metgraph.epsilon(graph)
+    eps, ph = metgraph.epsilon_phi(graph)
     dlt = metgraph.delta(graph)
     return PlaceReport(
         label=label,
@@ -368,6 +368,6 @@ def place_report_from_graph(label, graph, log_nv=1.0):
         d=d,
         eps=eps,
         delta=dlt,
-        phi=metgraph.phi(graph),
+        phi=ph,
         chi=chi_nonarch(graph.total_genus, d, eps, dlt),
     )

@@ -1,12 +1,24 @@
 """Exact potential theory on metrized reduction graphs.
 
 Vertices carry genus markings, edges carry positive rational lengths (loops
-and multi-edges allowed).  Effective resistance is computed by exact rational
-Laplacian solves; interior points of edges are handled by subdivision.
+and multi-edges allowed).  Each public computation makes a single exact
+rational solve: the inverse of the grounded Laplacian on the graph's
+vertices, which gives the effective resistance r(a, b) between any two
+vertices.  Everything else has a closed form in those resistances:
+
+- the canonical measure has density (L - r(u, v)) / L^2 on an edge of length
+  L from u to v: Foster's coefficient (Chinburg-Rumely, "The capacity
+  pairing", 1993);
+- a point y_s at arc length s from u on that edge has
+  r(x, y_s) = (1 - s/L) r(x, u) + (s/L) r(x, v) + s (L - s) (L - r(u, v)) / L^2
+  for any x off the edge, and two points of the edge a distance t apart
+  have resistance t - t^2 (L - r(u, v)) / L^2 (Baker-Faber, "Metrized
+  graphs, Laplacian operators, and electrical networks", 2006).
+
 For a fixed measure mu (point masses at vertices plus a constant density per
-edge) the potential x -> integral of r(x, .) d mu is quadratic on every edge,
-so Simpson's rule on endpoint/midpoint values integrates it exactly.  All
-invariants (epsilon, phi, delta) come out as exact rationals.
+edge) the potential x -> integral of r(x, .) d mu is therefore quadratic on
+every edge, so Simpson's rule on endpoint/midpoint values integrates it
+exactly.  All invariants (epsilon, phi, delta) come out as exact rationals.
 
 Points are addressed either by vertex id or as a pair (edge index, offset)
 with a rational offset strictly between 0 and the edge length; offsets equal
@@ -195,113 +207,58 @@ def _invert(matrix):
     return [row[n:] for row in aug]
 
 
-class _Network:
-    """Resistor network on a graph with chosen interior subdivision points.
+class _Resistances:
+    """Effective resistances on one graph from one grounded-Laplacian inverse.
 
-    Conductance of a segment is the reciprocal of its length.  Effective
-    resistances are read off the inverse of the grounded Laplacian, computed
-    lazily per connected component.
+    The Laplacian has conductance 1/length per edge.  Vertex-to-vertex
+    resistances are read off its inverse on demand; resistances to interior
+    points of edges follow from them in closed form (Baker-Faber).
     """
 
-    def __init__(self, graph, offsets=None, drop_edge=None):
-        offsets = offsets or {}
-        self.nodes = [("v", v) for v in graph.genus]
-        index = {node: i for i, node in enumerate(self.nodes)}
-        segments = []
-        for e in graph.edges:
-            if e.eid == drop_edge:
-                continue
-            cuts = sorted(set(offsets.get(e.eid, ())))
-            chain = [("v", e.u)]
-            prev = Fraction(0)
-            lengths = []
-            for s in cuts:
-                node = ("e", e.eid, s)
-                chain.append(node)
-                lengths.append(s - prev)
-                prev = s
-            chain.append(("v", e.v))
-            lengths.append(e.length - prev)
-            for node in chain[1:-1]:
-                if node not in index:
-                    index[node] = len(self.nodes)
-                    self.nodes.append(node)
-            for a, b, seg in zip(chain, chain[1:], lengths):
-                if seg <= 0:
-                    raise ValueError("subdivision offsets must be distinct")
-                segments.append((index[a], index[b], seg))
-        self.index = index
-        n = len(self.nodes)
-        # component labels (loops and parallel segments are fine)
-        comp = list(range(n))
-
-        def find(i):
-            while comp[i] != i:
-                comp[i] = comp[comp[i]]
-                i = comp[i]
-            return i
-
+    def __init__(self, graph):
+        self.graph = graph
+        self._index = {v: i for i, v in enumerate(graph.genus)}
+        n = len(self._index)
         lap = [[Fraction(0)] * n for _ in range(n)]
-        for a, b, seg in segments:
-            if a == b:
-                continue  # a loop segment carries no net current
-            c = 1 / seg
+        for e in graph.edges:
+            if e.is_loop:
+                continue  # a loop carries no net current
+            a, b, c = self._index[e.u], self._index[e.v], 1 / e.length
             lap[a][a] += c
             lap[b][b] += c
             lap[a][b] -= c
             lap[b][a] -= c
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                comp[ra] = rb
-        self._comp = [find(i) for i in range(n)]
-        self._lap = lap
-        self._green = {}  # component root -> (local index map, inverse)
+        # grounded at the first vertex, whose row and column stay 0
+        inv = _invert([row[1:] for row in lap[1:]])
+        self._inv = [[Fraction(0)] * n] + [[Fraction(0)] + row for row in inv]
+        self._density = {}
 
-    def component(self, node):
-        return self._comp[self.index[node]]
+    def vertex(self, a, b):
+        """r(a, b) between two vertices."""
+        i, j, inv = self._index[a], self._index[b], self._inv
+        return inv[i][i] + inv[j][j] - 2 * inv[i][j]
 
-    def _green_for(self, root):
-        if root not in self._green:
-            members = [i for i in range(len(self.nodes)) if self._comp[i] == root]
-            local = {i: k for k, i in enumerate(members)}
-            reduced = [
-                [self._lap[i][j] for j in members[1:]] for i in members[1:]
-            ]
-            inv = _invert(reduced) if reduced else []
-            self._green[root] = (local, inv)
-        return self._green[root]
+    def density(self, e):
+        """Canonical density (L - r(u, v)) / L^2 of edge ``e`` (Foster)."""
+        if e.eid not in self._density:
+            length = e.length
+            self._density[e.eid] = (length - self.vertex(e.u, e.v)) / length**2
+        return self._density[e.eid]
 
-    def resistance(self, a, b):
-        """Effective resistance between nodes; None if disconnected."""
-        ia, ib = self.index[a], self.index[b]
-        if ia == ib:
-            return Fraction(0)
-        ra, rb = self._comp[ia], self._comp[ib]
-        if ra != rb:
-            return None
-        local, inv = self._green_for(ra)
-        ka, kb = local[ia] - 1, local[ib] - 1  # -1: ground is members[0]
-
-        def g(r, c):
-            if r < 0 or c < 0:
-                return Fraction(0)
-            return inv[r][c]
-
-        return g(ka, ka) + g(kb, kb) - 2 * g(ka, kb)
-
-
-def _standard_offsets(graph, extra=()):
-    """Quarter/half/three-quarter cuts per edge, plus the interior points in
-    ``extra`` together with their Simpson half-splits."""
-    offsets = {
-        e.eid: {e.length / 4, e.length / 2, 3 * e.length / 4}
-        for e in graph.edges
-    }
-    for kind, eid, s in extra:
-        assert kind == "e"
-        length = graph.edges[eid].length
-        offsets[eid].update({s, s / 2, (s + length) / 2})
-    return offsets
+    def between(self, x, y):
+        """r(x, y) between two normalized points."""
+        if x[0] == "v":
+            x, y = y, x
+        if x[0] == "v":
+            return self.vertex(x[1], y[1])
+        e, s = self.graph.edges[x[1]], x[2]
+        if y[0] == "e" and y[1] == e.eid:
+            t = abs(s - y[2])
+            return t - t * t * self.density(e)
+        length = e.length
+        ru, rv = self.between(y, ("v", e.u)), self.between(y, ("v", e.v))
+        bulge = s * (length - s) * self.density(e)
+        return ((length - s) * ru + s * rv) / length + bulge
 
 
 class _Kernel:
@@ -312,52 +269,39 @@ class _Kernel:
     g(x, y) = (phi(x) + phi(y) - r(x, y) - c) / 2.
     """
 
-    def __init__(self, graph, mu, extra_points=()):
-        if mu.total_mass(graph) != 1:
+    def __init__(self, mu, res):
+        self.graph = res.graph
+        if mu.total_mass(self.graph) != 1:
             raise ValueError("measure must have total mass 1")
-        self.graph = graph
         self.mu = mu
-        extras = [p for p in extra_points if p[0] == "e"]
-        self.net = _Network(graph, _standard_offsets(graph, extras))
+        self.res = res
         self._phi = {}
-
-    def _res(self, x, y):
-        return self.net.resistance(x, y)
 
     def phi(self, x):
         if x in self._phi:
             return self._phi[x]
-        g, mu = self.graph, self.mu
+        g, mu, res = self.graph, self.mu, self.res
+        to_vertex = {v: res.between(x, ("v", v)) for v in g.genus}
         total = Fraction(0)
-        for v in g.genus:
+        for v, r in to_vertex.items():
             m = mu.mass(v)
             if m:
-                total += m * self._res(x, ("v", v))
+                total += m * r
         for e in g.edges:
             d = mu.density(e.eid)
-            if not d:
-                continue
-            total += d * self._edge_integral(x, e)
+            if d:
+                total += d * self._edge_integral(x, e, to_vertex)
         self._phi[x] = total
         return total
 
-    def _edge_integral(self, x, e):
-        # int over e of r(x, zeta) dzeta; r(x, .) is quadratic on e except
-        # for a break where x itself sits on e, handled by a split Simpson
-        length = e.length
-        u, v = ("v", e.u), ("v", e.v)
+    def _edge_integral(self, x, e, to_vertex):
+        # int over e of r(x, zeta) dzeta, integrating the closed forms of
+        # r(x, .) on e; to_vertex maps each vertex w to r(x, w)
+        length, k = e.length, self.res.density(e)
         if x[0] == "e" and x[1] == e.eid:
-            s = x[2]
-            left = s / 6 * (self._res(x, u) + 4 * self._res(x, ("e", e.eid, s / 2)))
-            right = (length - s) / 6 * (
-                4 * self._res(x, ("e", e.eid, (s + length) / 2))
-                + self._res(x, v)
-            )
-            return left + right
-        mid = ("e", e.eid, length / 2)
-        return length / 6 * (
-            self._res(x, u) + 4 * self._res(x, mid) + self._res(x, v)
-        )
+            s, t = x[2], length - x[2]
+            return (s * s + t * t) / 2 - k * (s**3 + t**3) / 3
+        return length / 2 * (to_vertex[e.u] + to_vertex[e.v]) + k * length**3 / 6
 
     @property
     def c(self):
@@ -382,7 +326,7 @@ class _Kernel:
         return self._c
 
     def green(self, x, y):
-        return (self.phi(x) + self.phi(y) - self._res(x, y) - self.c) / 2
+        return (self.phi(x) + self.phi(y) - self.res.between(x, y) - self.c) / 2
 
     def gdiag(self, x):
         return self.phi(x) - self.c / 2
@@ -404,35 +348,26 @@ def canonical_divisor(graph):
 def resistance(graph, x, y):
     """Effective resistance between two points, exact."""
     px, py = _norm_point(graph, x), _norm_point(graph, y)
-    offsets = {}
-    for p in (px, py):
-        if p[0] == "e":
-            offsets.setdefault(p[1], set()).add(p[2])
-    net = _Network(graph, offsets)
-    return net.resistance(px, py)
+    return _Resistances(graph).between(px, py)
 
 
 def canonical_measure(graph):
     """The mass-1 measure whose Green's function has constant diagonal.
 
-    Vertex masses 1 - valence/2; density 1/(length + R_e) per edge, where
-    R_e is the resistance between the endpoints with the edge removed
-    (0 for loops; bridges get density 0).
+    Vertex masses 1 - valence/2; density (L - r(u, v)) / L^2 on an edge of
+    length L between u and v, with r(u, v) the effective resistance in the
+    whole graph (Foster's coefficient; Chinburg-Rumely, "The capacity
+    pairing", 1993).  That is 1/L on a loop and 0 on a bridge.  Foster's
+    identity, sum over edges of (1 - r(u, v)/L) = betti, makes the mass 1.
     """
+    return _canonical(graph, _Resistances(graph))
+
+
+def _canonical(graph, res):
     masses = {
         v: 1 - Fraction(graph.valence(v), 2) for v in graph.genus
     }
-    densities = {}
-    for e in graph.edges:
-        if e.is_loop:
-            densities[e.eid] = 1 / e.length
-            continue
-        net = _Network(graph, drop_edge=e.eid)
-        r_e = net.resistance(("v", e.u), ("v", e.v))
-        if r_e is None:  # bridge
-            densities[e.eid] = Fraction(0)
-        else:
-            densities[e.eid] = 1 / (e.length + r_e)
+    densities = {e.eid: res.density(e) for e in graph.edges}
     return Measure(masses, densities)
 
 
@@ -444,9 +379,13 @@ def _require_genus(graph):
 def admissible_measure(graph):
     """(delta_K + 2 mu_can) / (2 total_genus); total mass 1."""
     _require_genus(graph)
+    return _admissible(graph, _Resistances(graph))
+
+
+def _admissible(graph, res):
     g2 = 2 * graph.total_genus
     k = canonical_divisor(graph)
-    can = canonical_measure(graph)
+    can = _canonical(graph, res)
     masses = {
         v: Fraction(k[v] + 2 * can.mass(v), 1) / g2 for v in graph.genus
     }
@@ -459,13 +398,12 @@ def admissible_measure(graph):
 def green(graph, mu, x, y):
     """Green's function g_mu(x, y) for a total-mass-1 measure, exact."""
     px, py = _norm_point(graph, x), _norm_point(graph, y)
-    kernel = _Kernel(graph, mu, extra_points=(px, py))
-    return kernel.green(px, py)
+    return _Kernel(mu, _Resistances(graph)).green(px, py)
 
 
 def green_diagonal(graph, mu):
     """x -> g_mu(x, x) as an exact per-edge quadratic."""
-    kernel = _Kernel(graph, mu)
+    kernel = _Kernel(mu, _Resistances(graph))
     vertex_values = {v: kernel.gdiag(("v", v)) for v in graph.genus}
     coeffs = {}
     for e in graph.edges:
@@ -497,14 +435,15 @@ def _integrate_gdiag(graph, kernel, vertex_weight, density_weight):
 
 
 def epsilon_phi(graph):
-    """Both graph invariants from a single exact Green's-function pass.
+    """Both graph invariants from one Laplacian solve on the vertices.
 
     epsilon = int gdiag d((2g-2) mu_ad + delta_K);
     phi = -delta/4 + (1/4) int gdiag d((10g+2) mu_ad - delta_K).
     """
     _require_genus(graph)
-    mu = admissible_measure(graph)
-    kernel = _Kernel(graph, mu)
+    res = _Resistances(graph)
+    mu = _admissible(graph, res)
+    kernel = _Kernel(mu, res)
     k = canonical_divisor(graph)
     g_hat = graph.total_genus
     eps = _integrate_gdiag(
@@ -553,7 +492,7 @@ def verify_admissible(graph, mu):
     Exactly 0 iff mu is the admissible measure (checked at vertices and edge
     midpoints, which pins the per-edge quadratics).
     """
-    kernel = _Kernel(graph, mu)
+    kernel = _Kernel(mu, _Resistances(graph))
     k = canonical_divisor(graph)
     values = []
     for y in kernel.eval_points():
@@ -567,7 +506,7 @@ def verify_admissible(graph, mu):
 
 def verify_canonical(graph, mu):
     """Max deviation of the diagonal g_mu(y, y) from its best constant."""
-    kernel = _Kernel(graph, mu)
+    kernel = _Kernel(mu, _Resistances(graph))
     return _spread([kernel.gdiag(y) for y in kernel.eval_points()])
 
 

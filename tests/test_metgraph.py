@@ -1,3 +1,5 @@
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -215,3 +217,108 @@ def test_point_graph_rejected():
         epsilon_phi(MetrizedGraph({"v": 1}, []))
     # genus-2 point graph: no edges, so no admissible integrals either
     assert delta(g) == 0
+
+
+# ------------------------------------------- independent formulas, random graphs
+
+
+def random_graph(seed):
+    """Connected genus-marked multigraph, total genus >= 2, with whatever
+    loops, parallel edges and bridges the seed gives."""
+    rng = random.Random(f"metgraph-random:{seed}")
+    nv = rng.randint(2, 5)
+    verts = [f"v{i}" for i in range(nv)]
+
+    def length():
+        return F(rng.randint(1, 5), rng.randint(1, 4))
+
+    edges = [(verts[rng.randrange(i)], verts[i], length()) for i in range(1, nv)]
+    for _ in range(rng.randint(0, 4)):
+        edges.append((rng.choice(verts), rng.choice(verts), length()))
+    genus = {v: rng.choice((0, 0, 1)) for v in verts}
+    betti = len(edges) - nv + 1
+    genus["v0"] += max(0, 2 - betti - sum(genus.values()))
+    return MetrizedGraph(genus, edges)
+
+
+RANDOM = [random_graph(seed) for seed in range(12)]
+
+
+def spanning_tree_weight(vertices, edges):
+    """Weighted Kirchhoff count: sum over spanning trees of the product of
+    the conductances 1/length, by enumerating edge subsets."""
+    edges = [e for e in edges if e[0] != e[1]]
+    total = F(0)
+    for subset in itertools.combinations(edges, len(vertices) - 1):
+        root = {v: v for v in vertices}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        weight = F(1)
+        for u, v, length in subset:
+            a, b = find(u), find(v)
+            if a == b:
+                break
+            root[a] = b
+            weight /= length
+        else:
+            total += weight
+    return total
+
+
+def is_bridge(graph, eid):
+    e = graph.edges[eid]
+    reached, frontier = {e.u}, [e.u]
+    while frontier:
+        w = frontier.pop()
+        for other in graph.edges:
+            if other.eid != eid and w in (other.u, other.v):
+                x = other.v if other.u == w else other.u
+                if x not in reached:
+                    reached.add(x)
+                    frontier.append(x)
+    return e.v not in reached
+
+
+@pytest.mark.parametrize("graph", RANDOM)
+def test_resistance_is_matrix_tree_ratio(graph):
+    # r(a, b) = tau(G / ab) / tau(G) (Kirchhoff)
+    edges = [(e.u, e.v, e.length) for e in graph.edges]
+    tau = spanning_tree_weight(graph.vertices, edges)
+    for a, b in itertools.combinations(graph.vertices, 2):
+        merged = [(a if u == b else u, a if v == b else v, L) for u, v, L in edges]
+        rest = [v for v in graph.vertices if v != b]
+        assert resistance(graph, a, b) == spanning_tree_weight(rest, merged) / tau
+
+
+@pytest.mark.parametrize("graph", RANDOM)
+def test_foster_identity_gives_mass_one(graph):
+    foster = sum(1 - resistance(graph, e.u, e.v) / e.length for e in graph.edges)
+    assert foster == graph.betti
+    assert canonical_measure(graph).total_mass(graph) == 1
+    assert admissible_measure(graph).total_mass(graph) == 1
+
+
+@pytest.mark.parametrize("graph", RANDOM)
+def test_canonical_density_vanishes_exactly_on_bridges(graph):
+    mu = canonical_measure(graph)
+    for e in graph.edges:
+        if is_bridge(graph, e.eid):
+            assert mu.density(e.eid) == 0
+        else:
+            assert mu.density(e.eid) > 0
+
+
+@pytest.mark.parametrize("seed", range(len(RANDOM)))
+def test_subdivision_and_scaling_invariance_random(seed):
+    graph = RANDOM[seed]
+    rng = random.Random(f"metgraph-invariance:{seed}")
+    eps, ph = epsilon_phi(graph)
+    e = rng.choice(graph.edges)
+    sub = subdivide(graph, e.eid, e.length * F(rng.randint(1, 6), 7))
+    assert epsilon_phi(sub) == (eps, ph)
+    t = F(rng.randint(1, 9), rng.randint(1, 9))
+    assert epsilon_phi(scale(graph, t)) == (t * eps, t * ph)
