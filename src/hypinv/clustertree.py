@@ -9,6 +9,16 @@ of val(l_ijk) that is completely independent of the symroots code path:
 
     (2g-1)*(W_i - W_j, V_k) + (V_i - V_j, W_k) = 2g(g-1) * val(l_ijk).
 
+All of it reads one table of pairwise valuations V[r][s] = val(a_r - a_s)
+(``rational.valuation_table``), computed once per public call after the
+prime is checked once; ``build_tree`` keeps its table on the tree, where
+``mult_x``, ``v_mult`` and ``pairing_from_tree`` read it.  Nothing is
+memoized between calls.  The valuation is ultrametric, so for each level n
+the relation V[r][s] >= n is an equivalence and its classes are the residue
+classes mod p**n: ``build_tree`` splits the classes of the level above
+(single linkage) only at levels just past a value that occurs in V, and
+otherwise carries the previous level's classes down.
+
 The reduction of arbitrary configurations to normal form needs root
 extraction in field extensions and is not implemented; non-normal-form input
 is rejected with a diagnostic report.
@@ -20,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import require_odd_prime, val
+from .rational import require_odd_prime, valuation_table
 from .symroots import _check_triple, _require_finite
 
 
@@ -30,7 +40,7 @@ class ClusterNode:
 
     level: int
     members: frozenset  # root indices
-    representative: Fraction  # value of a chosen member
+    representative: Fraction  # value of the smallest-index member
 
     def __repr__(self):
         mem = ",".join(str(m) for m in sorted(self.members))
@@ -56,6 +66,8 @@ class ClusterTree:
     parent: dict  # ClusterNode -> ClusterNode, absent for the level-0 root
     node_of_root: dict  # root index -> deepest node containing it
     depth: dict  # root index r -> n_r = max_{s != r} val(a_r - a_s)
+    vals: list  # vals[r][s] = val(a_r - a_s), math.inf on the diagonal
+    wv: list = None  # wv[r][k] = (W_r, V_k), filled by build_tree
 
     def levels(self):
         out = {}
@@ -64,80 +76,97 @@ class ClusterTree:
         return out
 
 
-def check_normal_form(cfg, p):
-    """Check integrality, even pairwise valuations, >= 3 classes mod p."""
+def _normal_form(cfg, p):
+    """Check p once; return the normal-form violations and the table V."""
     require_odd_prime(p)
     _require_finite(cfg)
     a = cfg.roots
-    violations = []
-    for r, x in enumerate(a):
-        if val(x, p) < 0:
-            violations.append(f"root {r} = {x} is not integral at {p}")
+    vals = valuation_table(a, p)
+    violations = [
+        f"root {r} = {x} is not integral at {p}"
+        for r, x in enumerate(a)
+        if x.denominator % p == 0
+    ]
     if not violations:
         for r, s in itertools.combinations(range(len(a)), 2):
-            v = val(a[r] - a[s], p)
+            v = vals[r][s]
             if v % 2 != 0:
-                violations.append(
-                    f"val(a_{r} - a_{s}) = {v} is odd"
-                )
-        classes = {a[r] % p for r in range(len(a))}
+                violations.append(f"val(a_{r} - a_{s}) = {v} is odd")
+        classes = {x % p for x in a}
         if len(classes) < 3:
             violations.append(
                 f"roots lie in only {len(classes)} residue classes mod {p}"
             )
-    return NormalFormReport(tuple(violations))
+    return tuple(violations), vals
+
+
+def check_normal_form(cfg, p):
+    """Check integrality, even pairwise valuations, >= 3 classes mod p."""
+    return NormalFormReport(_normal_form(cfg, p)[0])
+
+
+def _split(members, vals, n):
+    """Classes of ``members`` (sorted) under V[r][s] >= n, each sorted."""
+    groups = []
+    for r in members:
+        for group in groups:
+            if vals[r][group[0]] >= n:
+                group.append(r)
+                break
+        else:
+            groups.append([r])
+    return groups
 
 
 def build_tree(cfg, p):
     """Build the leveled residue-class tree; rejects non-normal-form input."""
-    report = check_normal_form(cfg, p)
-    if not report.ok:
+    violations, vals = _normal_form(cfg, p)
+    if violations:
         raise ValueError(
-            "configuration is not in normal form: " + "; ".join(report.violations)
+            "configuration is not in normal form: " + "; ".join(violations)
         )
     a = cfg.roots
     n_roots = len(a)
     depth = {
-        r: max(val(a[r] - a[s], p) for s in range(n_roots) if s != r)
+        r: max(vals[r][s] for s in range(n_roots) if s != r)
         for r in range(n_roots)
     }
     max_level = max(depth.values())
+    # levels just past a value of V, where some class splits
+    splits = {vals[r][s] + 1 for r in range(n_roots) for s in range(r)}
     nodes = []
-    by_level = {}
-    for n in range(max_level + 1):
-        groups = {}
-        for r in range(n_roots):
-            # congruence mod p**n on rationals: val of the difference >= n
-            for key in groups:
-                if val(a[r] - a[key], p) >= n:
-                    groups[key].append(r)
-                    break
-            else:
-                groups[r] = [r]
-        level_nodes = []
-        for key, members in groups.items():
-            if len(members) >= 2:
-                level_nodes.append(
-                    ClusterNode(n, frozenset(members), Fraction(a[key]))
-                )
-        level_nodes.sort(key=lambda c: min(c.members))
-        by_level[n] = level_nodes
-        nodes.extend(level_nodes)
     parent = {}
-    for n in range(1, max_level + 1):
-        for child in by_level[n]:
-            for cand in by_level[n - 1]:
-                if child.members <= cand.members:
-                    parent[child] = cand
-                    break
     node_of_root = {}
-    for r in range(n_roots):
-        best = max(
-            (c for c in nodes if r in c.members), key=lambda c: c.level
-        )
-        node_of_root[r] = best
-        assert best.level == depth[r]
-    return ClusterTree(cfg, p, nodes, parent, node_of_root, depth)
+    classes = [(list(range(n_roots)), None)]  # (sorted members, parent node)
+    for n in range(max_level + 1):
+        if n in splits:
+            classes = sorted(
+                (
+                    (group, node)
+                    for members, node in classes
+                    for group in _split(members, vals, n)
+                    if len(group) >= 2
+                ),
+                key=lambda c: c[0][0],
+            )
+        level_nodes = []
+        for members, up in classes:
+            node = ClusterNode(n, frozenset(members), Fraction(a[members[0]]))
+            if up is not None:
+                parent[node] = up
+            for r in members:
+                if depth[r] == n:
+                    node_of_root[r] = node
+            level_nodes.append((members, node))
+        nodes.extend(node for _, node in level_nodes)
+        classes = level_nodes
+    tree = ClusterTree(cfg, p, nodes, parent, node_of_root, depth, vals)
+    rows = {
+        node: [v_mult(tree, k, node) for k in range(n_roots)]
+        for node in set(node_of_root.values())
+    }
+    tree.wv = [rows[node_of_root[r]] for r in range(n_roots)]
+    return tree
 
 
 def mult_x(tree, node, r):
@@ -145,13 +174,13 @@ def mult_x(tree, node, r):
 
     min{n_C, val(a_C - a_r)}; independent of the representative choice.
     """
-    d = val(tree.config.roots[r] - node.representative, tree.prime)
-    return min(node.level, d)
+    return min(node.level, tree.vals[r][min(node.members)])
 
 
 def mult_y(tree, node):
     """Multiplicity of y along the component: half the sum of mult_x over r."""
-    total = sum(mult_x(tree, node, r) for r in range(len(tree.config.roots)))
+    level = node.level
+    total = sum(min(level, v) for v in tree.vals[min(node.members)])
     return Fraction(total, 2)
 
 
@@ -163,12 +192,11 @@ def v_mult(tree, k, node):
     carrying the k-th root.
     """
     g = tree.config.genus
-    a = tree.config.roots
-    p = tree.prime
+    vals_k = tree.vals[k]
     n_c = node.level
     n_k = tree.depth[k]
-    m = min(n_c, val(a[k] - node.representative, p))
-    tail = sum(val(a[k] - a[r], p) for r in range(len(a)) if r != k)
+    m = min(n_c, vals_k[min(node.members)])
+    tail = sum(v for r, v in enumerate(vals_k) if r != k)
     return (
         (g - 1) * m
         - mult_y(tree, node)
@@ -178,26 +206,17 @@ def v_mult(tree, k, node):
     )
 
 
-def _v_mult_cached(tree, k, node):
-    cache = tree.__dict__.setdefault("_vm_cache", {})
-    key = (k, node)
-    if key not in cache:
-        cache[key] = v_mult(tree, k, node)
-    return cache[key]
-
-
 def pairing_from_tree(tree, i, j, k):
     """(2g-1)*(W_i - W_j, V_k) + (V_i - V_j, W_k) on an already-built tree.
 
-    (W_r, V_s) is the V_s-multiplicity at the component carrying root r.
+    (W_r, V_s) is the V_s-multiplicity at the component carrying root r,
+    read from ``tree.wv``.
     """
     _check_triple(tree.config, i, j, k)
     g = tree.config.genus
-    c_i = tree.node_of_root[i]
-    c_j = tree.node_of_root[j]
-    c_k = tree.node_of_root[k]
-    w_term = _v_mult_cached(tree, k, c_i) - _v_mult_cached(tree, k, c_j)
-    v_term = _v_mult_cached(tree, i, c_k) - _v_mult_cached(tree, j, c_k)
+    wv = tree.wv
+    w_term = wv[i][k] - wv[j][k]
+    v_term = wv[k][i] - wv[k][j]
     return (2 * g - 1) * w_term + v_term
 
 

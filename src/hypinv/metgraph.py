@@ -102,7 +102,14 @@ class MetrizedGraph:
 
     @classmethod
     def from_json(cls, doc):
-        genus = {v["id"]: v.get("genus", 0) for v in doc["vertices"]}
+        genus = {}
+        for v in doc["vertices"]:
+            vid, g = str(v["id"]), v.get("genus", 0)
+            if vid in genus:
+                raise ValueError(f"duplicate vertex id: {vid!r}")
+            if isinstance(g, bool) or not isinstance(g, int):
+                raise ValueError(f"genus of vertex {vid!r} is not an integer: {g!r}")
+            genus[vid] = g
         edges = [
             (e["u"], e["v"], parse_rat(e["length"])) for e in doc["edges"]
         ]

@@ -5,6 +5,13 @@ denominator).  Valuations are plain Python integers, with ``math.inf``
 standing in for the valuation of zero.  All pairing-type quantities are kept
 in "nu units", i.e. as rational multiples of the log of the residue size;
 scaling by an actual real logarithm happens only at the CLI boundary.
+
+The p-adic order of an integer is found by repeated squaring of p, so a
+valuation v costs O(log v) big-integer divisions.  The public ``val`` checks
+that p is prime on every call; ``val_diff`` and ``valuation_table`` do not,
+so that the p-adic modules check the prime once per public call and then
+work on integers.  ``valuation_table`` is the one table of pairwise
+valuations per (configuration, prime); nothing is memoized between calls.
 """
 
 from __future__ import annotations
@@ -67,11 +74,18 @@ def require_odd_prime(p):
 
 
 def _int_val(n, p):
-    # p-adic order of a nonzero integer
+    """p-adic order of a nonzero integer, by repeated squaring of p."""
+    if n % p:
+        return 0
+    powers = [p]  # powers[i] = p**(2**i), each dividing n
+    while n % (sq := powers[-1] * powers[-1]) == 0:
+        powers.append(sq)
     v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
+    for i in range(len(powers) - 1, -1, -1):
+        q, rem = divmod(n, powers[i])
+        if rem == 0:
+            n = q
+            v += 1 << i
     return v
 
 
@@ -82,6 +96,35 @@ def val(q, p):
     if q == 0:
         return math.inf
     return _int_val(q.numerator, p) - _int_val(q.denominator, p)
+
+
+def val_diff(x, y, p):
+    """val(x - y) for distinct rationals x, y; the caller has checked p.
+
+    Computed as val(n_x d_y - n_y d_x) - val(d_x) - val(d_y), without
+    forming the difference as a ``Fraction``.
+    """
+    dx, dy = x.denominator, y.denominator
+    n = x.numerator * dy - y.numerator * dx
+    v = _int_val(n, p) if n % p == 0 else 0
+    if dx % p == 0:
+        v -= _int_val(dx, p)
+    if dy % p == 0:
+        v -= _int_val(dy, p)
+    return v
+
+
+def valuation_table(roots, p):
+    """The matrix V[r][s] = val(a_r - a_s) of pairwise-distinct rationals.
+
+    The diagonal is ``math.inf``; the caller has checked p.
+    """
+    n = len(roots)
+    table = [[math.inf] * n for _ in range(n)]
+    for r in range(n):
+        for s in range(r + 1, n):
+            table[r][s] = table[s][r] = val_diff(roots[r], roots[s], p)
+    return table
 
 
 def log_abs(q, p):

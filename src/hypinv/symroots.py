@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import INF, is_finite, mobius, require_odd_prime, val
+from .rational import INF, is_finite, mobius, require_odd_prime, val_diff
 
 
 @dataclass(frozen=True)
@@ -101,19 +101,22 @@ def symroot_pow(cfg, i, j, k):
 
 
 def symroot_val(cfg, p, i, j, k):
-    """val(l_ijk) at the odd prime p, an exact (possibly non-integer) rational."""
+    """val(l_ijk) at the odd prime p, an exact (possibly non-integer) rational.
+
+    O(n) integer valuations per call, read from the roots themselves.
+    """
     require_odd_prime(p)
     _require_finite(cfg)
     _check_triple(cfg, i, j, k)
     a = cfg.roots
     g2 = 2 * cfg.genus
-    total = Fraction(val(a[i] - a[k], p) - val(a[j] - a[k], p))
+    total = val_diff(a[i], a[k], p) - val_diff(a[j], a[k], p)
     s = 0
     for r in range(len(a)):
         if r in (i, j):
             continue
-        s += val(a[j] - a[r], p) - val(a[i] - a[r], p)
-    return total + Fraction(s, g2)
+        s += val_diff(a[j], a[r], p) - val_diff(a[i], a[r], p)
+    return Fraction(total * g2 + s, g2)
 
 
 def cross_ratio(cfg, i, j, k, r):
@@ -164,5 +167,13 @@ def pairing_cross_ratio(cfg, p, i, j, k, r):
     Always equals pairing_difference(i,j,k) - pairing_difference(i,j,r).
     """
     require_odd_prime(p)
-    mu = cross_ratio(cfg, i, j, k, r)
-    return Fraction(val(mu, p), 2)
+    _require_finite(cfg)
+    _check_triple(cfg, i, j, k, r)
+    a = cfg.roots
+    v = (
+        val_diff(a[i], a[k], p)
+        - val_diff(a[j], a[k], p)
+        + val_diff(a[j], a[r], p)
+        - val_diff(a[i], a[r], p)
+    )
+    return Fraction(v, 2)

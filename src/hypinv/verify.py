@@ -81,6 +81,7 @@ class _Tally:
             "failed": 0,
             "skipped": 0,
             "failures": [],
+            "skips": [],
         }
 
     def check(self, ok, label):
@@ -92,6 +93,7 @@ class _Tally:
 
     def skip(self, label):
         self.doc["skipped"] += 1
+        self.doc["skips"].append(label)
 
 
 def _suite_identities(tally, rng, configs_per_genus=100, mobius_maps=5):

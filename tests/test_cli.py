@@ -209,6 +209,27 @@ def test_bad_graph_schema(tmp_path, capsys):
     assert code == 1
 
 
+def test_graph_duplicate_vertex_id(tmp_path, capsys):
+    doc = {
+        "vertices": [{"id": "a", "genus": 1}, {"id": "a", "genus": 5}],
+        "edges": [{"u": "a", "v": "a", "length": "1"}],
+    }
+    code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", doc))
+    assert code == 1
+    assert "duplicate vertex id" in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("genus", [1.9, 1.0, True, "1", None])
+def test_graph_non_integer_genus(tmp_path, capsys, genus):
+    doc = {
+        "vertices": [{"id": "v", "genus": genus}],
+        "edges": [{"u": "v", "v": "v", "length": "1"}],
+    }
+    code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", doc))
+    assert code == 1
+    assert "not an integer" in json.loads(out)["detail"]
+
+
 def test_bad_subcommand(capsys):
     code, out = run(capsys, "bogus")
     assert code == 1

@@ -24,6 +24,16 @@ def test_cluster_suite_small():
     assert doc["passed"] + doc["skipped"] == 24
 
 
+def test_cluster_suite_records_skip_reasons():
+    doc = verify.run_suite("cluster-vs-symroots", 3, n_configs=40)
+    assert doc["skipped"] > 0
+    assert len(doc["skips"]) == doc["skipped"]
+    assert all(
+        label.endswith(": precondition (not normal form)") for label in doc["skips"]
+    )
+    assert doc["skips"][0].startswith("case=9:")
+
+
 def test_genus2_table_suite():
     doc = verify.run_suite("genus2-table", 0)
     assert doc["failed"] == 0
