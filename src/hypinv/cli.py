@@ -162,17 +162,19 @@ def _cmd_genus2(args):
     if args.graph_check:
         graph = invariants.genus2_graph(args.type, params)
         eps, ph = metgraph.epsilon_phi(graph)
+        dlt = metgraph.delta(graph)
         counts, warnings = invariants.node_counts_from_graph(graph)
+        d = invariants.d_from_counts(counts)
         out["graph_check"] = {
             "epsilon": format_rat(eps),
             "phi": format_rat(ph),
-            "delta": format_rat(metgraph.delta(graph)),
-            "d_half": format_rat(invariants.d_from_counts(counts) / 2),
+            "delta": format_rat(dlt),
+            "d_half": format_rat(d / 2),
             "matches_table": (
                 eps == row.eps
                 and ph == row.chi
-                and metgraph.delta(graph) == row.delta
-                and invariants.d_from_counts(counts) == 2 * row.d_half
+                and dlt == row.delta
+                and d == 2 * row.d_half
             ),
             "warnings": warnings,
         }

@@ -92,10 +92,10 @@ def _normal_form(cfg, p):
             v = vals[r][s]
             if v % 2 != 0:
                 violations.append(f"val(a_{r} - a_{s}) = {v} is odd")
-        classes = {x % p for x in a}
-        if len(classes) < 3:
+        classes = len(_split(list(range(len(a))), vals, 1))
+        if classes < 3:
             violations.append(
-                f"roots lie in only {len(classes)} residue classes mod {p}"
+                f"roots lie in only {classes} residue classes mod {p}"
             )
     return tuple(violations), vals
 

@@ -132,8 +132,9 @@ class Genus2Row:
     chi: Fraction
 
 
-def genus2_row(fiber_type, params=()):
-    """Closed-form (d/2, delta, epsilon, chi) for a genus-2 fiber type."""
+def _genus2_params(fiber_type, params):
+    """Check the type, the arity and positivity; return the params as
+    Fractions."""
     if fiber_type not in GENUS2_ARITY:
         raise ValueError(f"unknown genus-2 type: {fiber_type}")
     params = tuple(Fraction(x) for x in params)
@@ -144,6 +145,12 @@ def genus2_row(fiber_type, params=()):
         )
     if any(x <= 0 for x in params):
         raise ValueError("thickness parameters must be positive")
+    return params
+
+
+def genus2_row(fiber_type, params=()):
+    """Closed-form (d/2, delta, epsilon, chi) for a genus-2 fiber type."""
+    params = _genus2_params(fiber_type, params)
     zero = Fraction(0)
     if fiber_type == "I":
         return Genus2Row(zero, zero, zero, zero)
@@ -182,13 +189,7 @@ def genus2_graph(fiber_type, params=()):
     loop; V(a, b): two loops at one vertex; VI(a, b, c): genus-1 vertex
     joined to a two-edge banana; VII(a, b, c): theta graph.
     """
-    if fiber_type not in GENUS2_ARITY:
-        raise ValueError(f"unknown genus-2 type: {fiber_type}")
-    params = tuple(Fraction(x) for x in params)
-    if len(params) != GENUS2_ARITY[fiber_type]:
-        raise ValueError(
-            f"type {fiber_type} takes {GENUS2_ARITY[fiber_type]} parameters"
-        )
+    params = _genus2_params(fiber_type, params)
     if fiber_type == "I":
         return MetrizedGraph({"v": 2}, [])
     if fiber_type == "II":
@@ -258,30 +259,10 @@ def node_counts_from_graph(graph):
 def _bridge_side_genus(graph, edge):
     # total genus of the component containing edge.u when `edge` is removed;
     # None if the edge is non-separating
-    if edge.is_loop:
-        return None
-    adj = {}
-    for e in graph.edges:
-        if e.eid == edge.eid:
-            continue
-        adj.setdefault(e.u, []).append((e.v, e.eid))
-        adj.setdefault(e.v, []).append((e.u, e.eid))
-    reached = {edge.u}
-    frontier = [edge.u]
-    edge_count = 0
-    seen_edges = set()
-    while frontier:
-        w = frontier.pop()
-        for x, eid in adj.get(w, ()):
-            if eid not in seen_edges:
-                seen_edges.add(eid)
-                edge_count += 1
-            if x not in reached:
-                reached.add(x)
-                frontier.append(x)
+    reached, eids = graph.reach(edge.u, skip=edge.eid)
     if edge.v in reached:
         return None
-    b1 = edge_count - len(reached) + 1
+    b1 = len(eids) - len(reached) + 1
     return b1 + sum(graph.genus[v] for v in reached)
 
 

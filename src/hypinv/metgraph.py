@@ -16,9 +16,17 @@ vertices.  Everything else has a closed form in those resistances:
   graphs, Laplacian operators, and electrical networks", 2006).
 
 For a fixed measure mu (point masses at vertices plus a constant density per
-edge) the potential x -> integral of r(x, .) d mu is therefore quadratic on
-every edge, so Simpson's rule on endpoint/midpoint values integrates it
-exactly.  All invariants (epsilon, phi, delta) come out as exact rationals.
+edge) the potential phi_mu(x) = integral of r(x, .) d mu is therefore
+quadratic on every edge, so Simpson's rule on endpoint/midpoint values gives
+c = double integral of r d mu d mu exactly.  With mu the admissible measure,
+Zhang's invariants ("Gross-Schoen cycles and dualising sheaves", 2010) are
+
+    epsilon = sum over vertices v of K(v) phi_mu(v),
+    phi = (6 g c - epsilon - delta) / 4,
+
+both exact rationals.  Zhang defines both by integrals of
+g_mu(x, x) = phi_mu(x) - c/2, which reduce to these because mu has mass 1 and
+K has degree 2g - 2.
 
 Points are addressed either by vertex id or as a pair (edge index, offset)
 with a rational offset strictly between 0 and the edge length; offsets equal
@@ -69,20 +77,25 @@ class MetrizedGraph:
             raise ValueError("graph must be connected")
 
     def _is_connected(self):
-        verts = list(self.genus)
-        reached = {verts[0]}
-        frontier = [verts[0]]
+        return len(self.reach(next(iter(self.genus)))[0]) == len(self.genus)
+
+    def reach(self, start, skip=None):
+        """Vertices and edge ids reachable from vertex ``start`` without
+        crossing the edge with id ``skip``."""
         adj = {}
         for e in self.edges:
-            adj.setdefault(e.u, set()).add(e.v)
-            adj.setdefault(e.v, set()).add(e.u)
+            if e.eid != skip:
+                adj.setdefault(e.u, []).append(e)
+                adj.setdefault(e.v, []).append(e)
+        vertices, eids, frontier = {start}, set(), [start]
         while frontier:
-            w = frontier.pop()
-            for x in adj.get(w, ()):
-                if x not in reached:
-                    reached.add(x)
-                    frontier.append(x)
-        return len(reached) == len(self.genus)
+            for e in adj.get(frontier.pop(), ()):
+                eids.add(e.eid)
+                for x in (e.u, e.v):
+                    if x not in vertices:
+                        vertices.add(x)
+                        frontier.append(x)
+        return vertices, eids
 
     @property
     def vertices(self):
@@ -161,11 +174,6 @@ class PiecewisePoly:
             s = Fraction(s)
             return c0 + c1 * s + c2 * s * s
         return self.vertex_values[point]
-
-    def edge_integral(self, eid, length):
-        c0, c1, c2 = self.edge_coeffs[eid]
-        length = Fraction(length)
-        return c0 * length + c1 * length**2 / 2 + c2 * length**3 / 3
 
 
 def _fit_quadratic(f0, fm, f1, length):
@@ -283,6 +291,21 @@ class _Kernel:
         self.mu = mu
         self.res = res
         self._phi = {}
+        # c = int int r dmu dmu = int phi dmu; phi is quadratic per edge
+        c = Fraction(0)
+        for v in self.graph.genus:
+            m = mu.mass(v)
+            if m:
+                c += m * self.phi(("v", v))
+        for e in self.graph.edges:
+            d = mu.density(e.eid)
+            if d:
+                c += d * e.length / 6 * (
+                    self.phi(("v", e.u))
+                    + 4 * self.phi(("e", e.eid, e.length / 2))
+                    + self.phi(("v", e.v))
+                )
+        self.c = c
 
     def phi(self, x):
         if x in self._phi:
@@ -309,28 +332,6 @@ class _Kernel:
             s, t = x[2], length - x[2]
             return (s * s + t * t) / 2 - k * (s**3 + t**3) / 3
         return length / 2 * (to_vertex[e.u] + to_vertex[e.v]) + k * length**3 / 6
-
-    @property
-    def c(self):
-        # int int r dmu dmu = int phi dmu; phi is quadratic per edge
-        if not hasattr(self, "_c"):
-            g, mu = self.graph, self.mu
-            total = Fraction(0)
-            for v in g.genus:
-                m = mu.mass(v)
-                if m:
-                    total += m * self.phi(("v", v))
-            for e in g.edges:
-                d = mu.density(e.eid)
-                if not d:
-                    continue
-                total += d * e.length / 6 * (
-                    self.phi(("v", e.u))
-                    + 4 * self.phi(("e", e.eid, e.length / 2))
-                    + self.phi(("v", e.v))
-                )
-            self._c = total
-        return self._c
 
     def green(self, x, y):
         return (self.phi(x) + self.phi(y) - self.res.between(x, y) - self.c) / 2
@@ -421,51 +422,24 @@ def green_diagonal(graph, mu):
     return PiecewisePoly(vertex_values, coeffs)
 
 
-def _integrate_gdiag(graph, kernel, vertex_weight, density_weight):
-    """int gdiag d(nu) with nu = sum vertex_weight(v) delta_v
-    + density_weight(e) dx per edge; gdiag is quadratic per edge."""
-    total = Fraction(0)
-    for v in graph.genus:
-        w = vertex_weight(v)
-        if w:
-            total += w * kernel.gdiag(("v", v))
-    for e in graph.edges:
-        w = density_weight(e)
-        if not w:
-            continue
-        total += w * e.length / 6 * (
-            kernel.gdiag(("v", e.u))
-            + 4 * kernel.gdiag(("e", e.eid, e.length / 2))
-            + kernel.gdiag(("v", e.v))
-        )
-    return total
-
-
 def epsilon_phi(graph):
-    """Both graph invariants from one Laplacian solve on the vertices.
+    """Zhang's epsilon and phi from one Laplacian solve on the vertices.
 
-    epsilon = int gdiag d((2g-2) mu_ad + delta_K);
-    phi = -delta/4 + (1/4) int gdiag d((10g+2) mu_ad - delta_K).
+    With mu the admissible measure, phi_mu(x) = int r(x, .) dmu and
+    c = int int r dmu dmu (S.-W. Zhang, "Gross-Schoen cycles and dualising
+    sheaves", 2010):
+
+    epsilon = int int r(x, y) d delta_K(x) dmu(y) = sum_v K(v) phi_mu(v);
+    phi = (6 g c - epsilon - delta) / 4.
     """
     _require_genus(graph)
     res = _Resistances(graph)
-    mu = _admissible(graph, res)
-    kernel = _Kernel(mu, res)
+    kernel = _Kernel(_admissible(graph, res), res)
     k = canonical_divisor(graph)
-    g_hat = graph.total_genus
-    eps = _integrate_gdiag(
-        graph,
-        kernel,
-        lambda v: (2 * g_hat - 2) * mu.mass(v) + k[v],
-        lambda e: (2 * g_hat - 2) * mu.density(e.eid),
+    eps = sum(
+        (k[v] * kernel.phi(("v", v)) for v in graph.genus if k[v]), Fraction(0)
     )
-    integral = _integrate_gdiag(
-        graph,
-        kernel,
-        lambda v: (10 * g_hat + 2) * mu.mass(v) - k[v],
-        lambda e: (10 * g_hat + 2) * mu.density(e.eid),
-    )
-    ph = -delta(graph) / 4 + integral / 4
+    ph = (6 * graph.total_genus * kernel.c - eps - delta(graph)) / 4
     return eps, ph
 
 

@@ -34,6 +34,15 @@ def test_normal_form_too_few_classes():
     assert any("residue classes" in v for v in report.violations)
 
 
+def test_normal_form_counts_classes_of_non_integer_roots_mod_p():
+    # 1/2 = 5 = 163/2 = 2 mod 3, though 1/2 % 3 and 5 % 3 differ as Fractions
+    cfg = RootConfig(2, tuple(Fraction(x) for x in ("0", "9", "81", "1/2", "5", "163/2")))
+    report = check_normal_form(cfg, 3)
+    assert report.violations == ("roots lie in only 2 residue classes mod 3",)
+    with pytest.raises(ValueError, match="only 2 residue classes"):
+        build_tree(cfg, 3)
+
+
 def test_normal_form_nonintegral():
     cfg = RootConfig(
         2, (Fraction(1, 3),) + tuple(Fraction(x) for x in (0, 1, 2, 9, 11))

@@ -94,12 +94,15 @@ def test_genus2_rows():
 
 
 def test_genus2_row_errors():
-    with pytest.raises(ValueError):
-        genus2_row("VIII")
-    with pytest.raises(ValueError):
-        genus2_row("II", (1, 2))
-    with pytest.raises(ValueError):
-        genus2_row("II", (-1,))
+    for build in (genus2_row, genus2_graph):
+        with pytest.raises(ValueError, match="unknown genus-2 type"):
+            build("VIII")
+        with pytest.raises(ValueError, match="takes 1 parameters, got 2"):
+            build("II", (1, 2))
+        with pytest.raises(ValueError, match="must be positive"):
+            build("II", (-1,))
+        with pytest.raises(ValueError, match="must be positive"):
+            build("VII", (1, 0, 2))
 
 
 def test_genus2_graphs_have_genus_two():

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypinv import invariants
 from hypinv.metgraph import (
     Measure,
     MetrizedGraph,
@@ -322,3 +323,73 @@ def test_subdivision_and_scaling_invariance_random(seed):
     assert epsilon_phi(sub) == (eps, ph)
     t = F(rng.randint(1, 9), rng.randint(1, 9))
     assert epsilon_phi(scale(graph, t)) == (t * eps, t * ph)
+
+
+def zhang_integral(graph, mu, poly, a, b):
+    """int g_mu(x, x) d(a mu + b delta_K), integrating the public per-edge
+    quadratic of ``green_diagonal`` by its exact antiderivative."""
+    k = canonical_divisor(graph)
+    total = sum(
+        ((a * mu.mass(v) + b * k[v]) * poly.vertex_values[v] for v in graph.genus),
+        F(0),
+    )
+    for e in graph.edges:
+        c0, c1, c2 = poly.edge_coeffs[e.eid]
+        L = e.length
+        total += a * mu.density(e.eid) * (c0 * L + c1 * L**2 / 2 + c2 * L**3 / 3)
+    return total
+
+
+@pytest.mark.parametrize("graph", RANDOM)
+def test_epsilon_phi_equal_zhang_integrals(graph):
+    # Zhang (2010): eps = int g_mu(x, x) d((2g-2) mu + delta_K) and
+    # phi = -delta/4 + (1/4) int g_mu(x, x) d((10g+2) mu - delta_K)
+    g = graph.total_genus
+    mu = admissible_measure(graph)
+    poly = green_diagonal(graph, mu)
+    eps = zhang_integral(graph, mu, poly, 2 * g - 2, 1)
+    ph = -delta(graph) / 4 + zhang_integral(graph, mu, poly, 10 * g + 2, -1) / 4
+    assert epsilon_phi(graph) == (eps, ph)
+
+
+def side_genera(graph):
+    """eid -> total genus of the side of edge.u when the edge is a bridge,
+    None otherwise, by union-find over the other edges."""
+    out = {}
+    for edge in graph.edges:
+        root = {v: v for v in graph.genus}
+
+        def find(v):
+            while root[v] != v:
+                v = root[v]
+            return v
+
+        rest = [e for e in graph.edges if e.eid != edge.eid]
+        for e in rest:
+            root[find(e.u)] = find(e.v)
+        side = find(edge.u)
+        if side == find(edge.v):
+            out[edge.eid] = None
+            continue
+        verts = [v for v in graph.genus if find(v) == side]
+        n_edges = sum(find(e.u) == side for e in rest)
+        out[edge.eid] = n_edges - len(verts) + 1 + sum(graph.genus[v] for v in verts)
+    return out
+
+
+@pytest.mark.parametrize("graph", RANDOM)
+def test_node_counts_classify_bridges(graph):
+    g = graph.total_genus
+    density = canonical_measure(graph).density
+    sides = side_genera(graph)
+    for e in graph.edges:
+        assert invariants._bridge_side_genus(graph, e) == sides[e.eid]
+        assert (density(e.eid) > 0) == (sides[e.eid] is None)
+    delta_i = [F(0)] * (g // 2)
+    for e in graph.edges:
+        side = sides[e.eid]
+        if side is not None and min(side, g - side) > 0:
+            delta_i[min(side, g - side) - 1] += e.length
+    counts, _ = invariants.node_counts_from_graph(graph)
+    assert counts.xi0 == sum((e.length for e in graph.edges if density(e.eid) > 0), F(0))
+    assert counts.delta_i == tuple(delta_i)
