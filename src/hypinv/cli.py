@@ -96,15 +96,13 @@ def _cmd_cluster(args):
     prime = args.prime if args.prime is not None else doc.get("prime")
     if prime is None:
         raise ValueError("cluster requires --prime (or a prime in the curve JSON)")
-    report = clustertree.check_normal_form(cfg, prime)
-    out = {
-        "genus": cfg.genus,
-        "prime": prime,
-        "checks": list(report.violations) or ["ok"],
-    }
-    if not report.ok:
+    out = {"genus": cfg.genus, "prime": prime}
+    try:
+        tree = clustertree.build_tree(cfg, prime)
+    except clustertree.NormalFormError as err:
+        out["checks"] = list(err.report.violations)
         return out
-    tree = clustertree.build_tree(cfg, prime)
+    out["checks"] = ["ok"]
     out["tree"] = {
         "nodes": [
             {

@@ -12,16 +12,20 @@ of val(l_ijk) that is completely independent of the symroots code path:
 All of it reads one table of pairwise valuations V[r][s] = val(a_r - a_s)
 (``rational.valuation_table``), computed once per public call after the
 prime is checked once; ``build_tree`` keeps its table on the tree, where
-``mult_x``, ``v_mult`` and ``pairing_from_tree`` read it.  Nothing is
-memoized between calls.  The valuation is ultrametric, so for each level n
-the relation V[r][s] >= n is an equivalence and its classes are the residue
-classes mod p**n: ``build_tree`` splits the classes of the level above
-(single linkage) only at levels just past a value that occurs in V, and
-otherwise carries the previous level's classes down.
+``mult_x`` and ``v_mult`` read it, together with the integer matrix
+2 * (W_r, V_k) that ``pairing_from_tree`` reads, so a pairing is four
+integer lookups and one ``Fraction``.  Nothing is memoized between calls.
+The valuation is ultrametric, so for each level n the relation
+V[r][s] >= n is an equivalence and its classes are the residue classes mod
+p**n: ``build_tree`` splits the classes of the level above (single linkage)
+only at levels just past a value that occurs in V, and otherwise carries
+the previous level's classes down.
 
 The reduction of arbitrary configurations to normal form needs root
 extraction in field extensions and is not implemented; non-normal-form input
-is rejected with a diagnostic report.
+is rejected with a diagnostic report: ``build_tree`` raises
+``NormalFormError``, which carries the same report as ``check_normal_form``,
+so a caller that wants both the report and the tree builds one table.
 """
 
 from __future__ import annotations
@@ -58,6 +62,16 @@ class NormalFormReport:
         return not self.violations
 
 
+class NormalFormError(ValueError):
+    """``build_tree`` input not in normal form; ``report`` lists why."""
+
+    def __init__(self, report):
+        super().__init__(
+            "configuration is not in normal form: " + "; ".join(report.violations)
+        )
+        self.report = report
+
+
 @dataclass
 class ClusterTree:
     config: object  # RootConfig
@@ -67,7 +81,7 @@ class ClusterTree:
     node_of_root: dict  # root index -> deepest node containing it
     depth: dict  # root index r -> n_r = max_{s != r} val(a_r - a_s)
     vals: list  # vals[r][s] = val(a_r - a_s), math.inf on the diagonal
-    wv: list = None  # wv[r][k] = (W_r, V_k), filled by build_tree
+    wv2: list = None  # wv2[r][k] = 2 * (W_r, V_k), an int; set by build_tree
 
     def levels(self):
         out = {}
@@ -119,12 +133,13 @@ def _split(members, vals, n):
 
 
 def build_tree(cfg, p):
-    """Build the leveled residue-class tree; rejects non-normal-form input."""
+    """Build the leveled residue-class tree.
+
+    Raises ``NormalFormError``, a ``ValueError``, on non-normal-form input.
+    """
     violations, vals = _normal_form(cfg, p)
     if violations:
-        raise ValueError(
-            "configuration is not in normal form: " + "; ".join(violations)
-        )
+        raise NormalFormError(NormalFormReport(violations))
     a = cfg.roots
     n_roots = len(a)
     depth = {
@@ -162,10 +177,10 @@ def build_tree(cfg, p):
         classes = level_nodes
     tree = ClusterTree(cfg, p, nodes, parent, node_of_root, depth, vals)
     rows = {
-        node: [v_mult(tree, k, node) for k in range(n_roots)]
+        node: [_twice_v_mult(tree, k, node) for k in range(n_roots)]
         for node in set(node_of_root.values())
     }
-    tree.wv = [rows[node_of_root[r]] for r in range(n_roots)]
+    tree.wv2 = [rows[node_of_root[r]] for r in range(n_roots)]
     return tree
 
 
@@ -177,11 +192,31 @@ def mult_x(tree, node, r):
     return min(node.level, tree.vals[r][min(node.members)])
 
 
+def _twice_mult_y(tree, node):
+    """2 * mult_y(tree, node): the sum of mult_x over r, an integer."""
+    level = node.level
+    return sum(min(level, v) for v in tree.vals[min(node.members)])
+
+
 def mult_y(tree, node):
     """Multiplicity of y along the component: half the sum of mult_x over r."""
-    level = node.level
-    total = sum(min(level, v) for v in tree.vals[min(node.members)])
-    return Fraction(total, 2)
+    return Fraction(_twice_mult_y(tree, node), 2)
+
+
+def _twice_v_mult(tree, k, node):
+    """2 * v_mult(tree, k, node), an integer."""
+    g = tree.config.genus
+    vals_k = tree.vals[k]
+    n_c = node.level
+    m = min(n_c, vals_k[min(node.members)])
+    tail = sum(v for r, v in enumerate(vals_k) if r != k)
+    return (
+        2 * (g - 1) * m
+        - _twice_mult_y(tree, node)
+        + 2 * n_c
+        - (2 * g - 1) * tree.depth[k]
+        + tail
+    )
 
 
 def v_mult(tree, k, node):
@@ -191,33 +226,22 @@ def v_mult(tree, k, node):
     + (1/2)*sum_{r != k} val(a_k - a_r).  Vanishes on the component
     carrying the k-th root.
     """
-    g = tree.config.genus
-    vals_k = tree.vals[k]
-    n_c = node.level
-    n_k = tree.depth[k]
-    m = min(n_c, vals_k[min(node.members)])
-    tail = sum(v for r, v in enumerate(vals_k) if r != k)
-    return (
-        (g - 1) * m
-        - mult_y(tree, node)
-        + n_c
-        - Fraction(2 * g - 1, 2) * n_k
-        + Fraction(tail, 2)
-    )
+    return Fraction(_twice_v_mult(tree, k, node), 2)
 
 
 def pairing_from_tree(tree, i, j, k):
     """(2g-1)*(W_i - W_j, V_k) + (V_i - V_j, W_k) on an already-built tree.
 
-    (W_r, V_s) is the V_s-multiplicity at the component carrying root r,
-    read from ``tree.wv``.
+    (W_r, V_s) is the V_s-multiplicity at the component carrying root r;
+    the integers 2 * (W_r, V_s) are read from ``tree.wv2``, so each call
+    builds one ``Fraction``.
     """
     _check_triple(tree.config, i, j, k)
     g = tree.config.genus
-    wv = tree.wv
-    w_term = wv[i][k] - wv[j][k]
-    v_term = wv[k][i] - wv[k][j]
-    return (2 * g - 1) * w_term + v_term
+    wv2 = tree.wv2
+    w_term = wv2[i][k] - wv2[j][k]
+    v_term = wv2[k][i] - wv2[k][j]
+    return Fraction((2 * g - 1) * w_term + v_term, 2)
 
 
 def pairing_combination(cfg, p, i, j, k):

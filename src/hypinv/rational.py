@@ -8,9 +8,9 @@ scaling by an actual real logarithm happens only at the CLI boundary.
 
 The p-adic order of an integer is found by repeated squaring of p, so a
 valuation v costs O(log v) big-integer divisions.  The public ``val`` checks
-that p is prime on every call; ``val_diff`` and ``valuation_table`` do not,
-so that the p-adic modules check the prime once per public call and then
-work on integers.  ``valuation_table`` is the one table of pairwise
+that p is prime on every call; ``_int_val``, ``val_diff`` and
+``valuation_table`` do not, so that the p-adic modules check the prime once
+per public call and then work on integers.  ``valuation_table`` is the one table of pairwise
 valuations per (configuration, prime); nothing is memoized between calls.
 """
 

@@ -10,6 +10,28 @@ used by the tests.
 
 Admissible-pairing values on differences of branch points are returned in nu
 units: (w_i - w_j, w_k) = val(l_ijk) / 2.
+
+Every formula is evaluated fraction-free on the roots' numerators n_r and
+denominators d_r.  With X_rs = n_r d_s - n_s d_r = d_r d_s (a_r - a_s) and
+P_i = prod_{r != i,j} X_ir, the denominators cancel from each quotient:
+
+    l_ijk**(2g) = X_ik**(2g) P_j / (X_jk**(2g) P_i),
+    2g val(l_ijk) = 2g (val X_ik - val X_jk) + val P_j - val P_i,
+
+so ``symroot_pow`` builds one ``Fraction`` and ``symroot_val`` takes four
+integer valuations, whatever the genus (its products leave out the factors
+that are p-adic units); ``pairing_cross_ratio`` is val(X_ik X_jr) -
+val(X_jk X_ir) over 2.  The symmetric discriminant has the
+closed form
+
+    d_ij = (-1)**g (a_i - a_j)**(2g(2g-1)) Delta_ij**2
+           / prod_{r != i,j} ((a_i - a_r)(a_j - a_r))**(2g-1),
+
+with Delta_ij = prod_{r < s; r, s not in {i, j}} (a_r - a_s); it follows from
+m_r - m_s = (a_i - a_j)(a_r - a_s) / ((a_j - a_r)(a_j - a_s)) for
+m_r = (a_i - a_r)/(a_j - a_r).  In terms of X the denominators cancel here
+too: d_ij = (-1)**g X_ij**(2g(2g-1)) prod_{r<s} X_rs**2 / prod_r (X_ir
+X_jr)**(2g-1).
 """
 
 from __future__ import annotations
@@ -18,7 +40,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import INF, is_finite, mobius, require_odd_prime, val_diff
+from .rational import INF, _int_val, is_finite, mobius, require_odd_prime
 
 
 @dataclass(frozen=True)
@@ -81,42 +103,65 @@ def normalize_finite(cfg):
     return RootConfig(cfg.genus, roots, note=f"applied x -> 1/(x - {c})")
 
 
+def _cross(x, y):
+    """X = n_x d_y - n_y d_x, the integer d_x d_y (x - y)."""
+    return x.numerator * y.denominator - y.numerator * x.denominator
+
+
+def _cross_products(a, i, j, p):
+    """(P_i, P_j), P_i = prod_{r != i,j} X_ir, over the factors divisible by p.
+
+    p = 1 keeps every factor.  For a prime p the left-out factors are p-adic
+    units, so the valuations of the products do not change and the integers
+    stay small.
+    """
+    ni, di = a[i].numerator, a[i].denominator
+    nj, dj = a[j].numerator, a[j].denominator
+    prod_i = prod_j = 1
+    for r, x in enumerate(a):
+        if r != i and r != j:
+            n, d = x.numerator, x.denominator
+            x_i = ni * d - n * di
+            if x_i % p == 0:
+                prod_i *= x_i
+            x_j = nj * d - n * dj
+            if x_j % p == 0:
+                prod_j *= x_j
+    return prod_i, prod_j
+
+
 def symroot_pow(cfg, i, j, k):
     """l_ijk**(2g), exactly.
 
     Equals ((a_i - a_k)/(a_j - a_k))**(2g) * prod_{r != i,j}
-    (a_j - a_r)/(a_i - a_r).
+    (a_j - a_r)/(a_i - a_r) = X_ik**(2g) P_j / (X_jk**(2g) P_i), built as
+    one ``Fraction``.
     """
     _require_finite(cfg)
     _check_triple(cfg, i, j, k)
     a = cfg.roots
     g2 = 2 * cfg.genus
-    ratio = (a[i] - a[k]) / (a[j] - a[k])
-    prod = Fraction(1)
-    for r in range(len(a)):
-        if r in (i, j):
-            continue
-        prod *= (a[j] - a[r]) / (a[i] - a[r])
-    return ratio**g2 * prod
+    prod_i, prod_j = _cross_products(a, i, j, 1)
+    return Fraction(
+        _cross(a[i], a[k]) ** g2 * prod_j, _cross(a[j], a[k]) ** g2 * prod_i
+    )
 
 
 def symroot_val(cfg, p, i, j, k):
     """val(l_ijk) at the odd prime p, an exact (possibly non-integer) rational.
 
-    O(n) integer valuations per call, read from the roots themselves.
+    (2g (val X_ik - val X_jk) + val P_j - val P_i) / 2g: two integer
+    products of the non-unit factors and four integer valuations per call,
+    read from the roots themselves.
     """
     require_odd_prime(p)
     _require_finite(cfg)
     _check_triple(cfg, i, j, k)
     a = cfg.roots
     g2 = 2 * cfg.genus
-    total = val_diff(a[i], a[k], p) - val_diff(a[j], a[k], p)
-    s = 0
-    for r in range(len(a)):
-        if r in (i, j):
-            continue
-        s += val_diff(a[j], a[r], p) - val_diff(a[i], a[r], p)
-    return Fraction(total * g2 + s, g2)
+    prod_i, prod_j = _cross_products(a, i, j, p)
+    outer = _int_val(_cross(a[i], a[k]), p) - _int_val(_cross(a[j], a[k]), p)
+    return Fraction(g2 * outer + _int_val(prod_j, p) - _int_val(prod_i, p), g2)
 
 
 def cross_ratio(cfg, i, j, k, r):
@@ -133,23 +178,23 @@ def sym_discriminant(cfg, i, j):
     With m_r = (a_i - a_r)/(a_j - a_r) and t a 2g-th root of
     P = prod_{r != i,j} (a_j - a_r)/(a_i - a_r), one has l_ijr = m_r * t and
     d_ij = prod_{r != s} (l_ijr - l_ijs) = P**(2g-1) * prod_{r != s}
-    (m_r - m_s); the root-of-unity ambiguity in t cancels.
+    (m_r - m_s); the root-of-unity ambiguity in t cancels.  Evaluated in the
+    closed form (-1)**g X_ij**(2g(2g-1)) prod_{r<s} X_rs**2 / prod_r (X_ir
+    X_jr)**(2g-1) over the other roots r, s, as one ``Fraction``.
     """
     _require_finite(cfg)
     _check_triple(cfg, i, j)
     a = cfg.roots
     g2 = 2 * cfg.genus
-    others = [r for r in range(len(a)) if r not in (i, j)]
-    m = {r: (a[i] - a[r]) / (a[j] - a[r]) for r in others}
-    big_p = Fraction(1)
-    for r in others:
-        big_p *= (a[j] - a[r]) / (a[i] - a[r])
-    prod = Fraction(1)
-    for r, s in itertools.permutations(others, 2):
-        prod *= m[r] - m[s]
-    if prod == 0:
-        raise ValueError("degenerate configuration")
-    return big_p ** (g2 - 1) * prod
+    others = [a[r] for r in range(len(a)) if r not in (i, j)]
+    delta = 1
+    for x, y in itertools.combinations(others, 2):
+        delta *= _cross(x, y)
+    den = 1
+    for x in others:
+        den *= _cross(a[i], x) * _cross(a[j], x)
+    num = (-1) ** cfg.genus * _cross(a[i], a[j]) ** (g2 * (g2 - 1)) * delta**2
+    return Fraction(num, den ** (g2 - 1))
 
 
 def pairing_difference(cfg, p, i, j, k):
@@ -165,15 +210,13 @@ def pairing_cross_ratio(cfg, p, i, j, k, r):
     """(w_i - w_j, w_k - w_r) in nu units: val of the cross-ratio over 2.
 
     Always equals pairing_difference(i,j,k) - pairing_difference(i,j,r).
+    The cross-ratio is X_ik X_jr / (X_jk X_ir): the denominators cancel, so
+    this is two integer valuations.
     """
     require_odd_prime(p)
     _require_finite(cfg)
     _check_triple(cfg, i, j, k, r)
     a = cfg.roots
-    v = (
-        val_diff(a[i], a[k], p)
-        - val_diff(a[j], a[k], p)
-        + val_diff(a[j], a[r], p)
-        - val_diff(a[i], a[r], p)
-    )
-    return Fraction(v, 2)
+    num = _cross(a[i], a[k]) * _cross(a[j], a[r])
+    den = _cross(a[j], a[k]) * _cross(a[i], a[r])
+    return Fraction(_int_val(num, p) - _int_val(den, p), 2)

@@ -91,10 +91,6 @@ class _Tally:
             self.doc["failed"] += 1
             self.doc["failures"].append(label)
 
-    def skip(self, label):
-        self.doc["skipped"] += 1
-        self.doc["skips"].append(label)
-
 
 def _suite_identities(tally, rng, configs_per_genus=100, mobius_maps=5):
     for g in (2, 3, 4):
@@ -139,15 +135,24 @@ def _suite_cluster_vs_symroots(tally, rng, n_configs=200):
     for case in range(n_configs):
         p = primes[case % len(primes)]
         g = 2 if case % 2 == 0 else 3
+        tag = f"case={case} p={p} g={g}"
         if case % 10 == 9:
-            # deliberately unconstrained config: usually not in normal form
+            # deliberately unconstrained config, usually not in normal form:
+            # build_tree must raise exactly when check_normal_form reports
+            # violations, and the cross-check runs when it does not
             cfg = random_config(rng, g, lo=-10 * p * p, hi=10 * p * p)
-            if not clustertree.check_normal_form(cfg, p).ok:
-                tally.skip(f"case={case}: precondition (not normal form)")
+            report = clustertree.check_normal_form(cfg, p)
+            try:
+                tree = clustertree.build_tree(cfg, p)
+            except ValueError:
+                tree = None
+            if tree is None or not report.ok:
+                rejected = tree is None and not report.ok
+                tally.check(rejected, f"normal-form-rejection {tag}")
                 continue
         else:
             cfg = random_normal_form_config(rng, g, p)
-        tree = clustertree.build_tree(cfg, p)
+            tree = clustertree.build_tree(cfg, p)
         factor = 2 * g * (g - 1)
         n = len(cfg.roots)
         ok = True
@@ -157,7 +162,7 @@ def _suite_cluster_vs_symroots(tally, rng, n_configs=200):
             if lhs != rhs:
                 ok = False
                 break
-        tally.check(ok, f"cluster-vs-symroots case={case} p={p} g={g}")
+        tally.check(ok, f"cluster-vs-symroots {tag}")
 
 
 def _genus2_sweep():

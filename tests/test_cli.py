@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypinv import cli, metgraph
+from hypinv import cli, clustertree, metgraph, rational
 
 LOOP1 = {
     "vertices": [{"id": "v", "genus": 1}],
@@ -110,6 +110,38 @@ def test_cluster_rejects_bad_form(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["checks"] != ["ok"]
     assert "tree" not in doc
+
+
+def _count_valuation_tables(monkeypatch):
+    calls = []
+    real = rational.valuation_table
+
+    def counted(roots, p):
+        calls.append(p)
+        return real(roots, p)
+
+    monkeypatch.setattr(rational, "valuation_table", counted)
+    monkeypatch.setattr(clustertree, "valuation_table", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    ("roots", "checks"),
+    [
+        (["0", "9", "1", "10", "2", "11"], ["ok"]),
+        (
+            ["0", "3", "1", "4", "2", "5"],
+            [f"val(a_{r} - a_{r + 1}) = 1 is odd" for r in (0, 2, 4)],
+        ),
+    ],
+)
+def test_cluster_builds_one_valuation_table(tmp_path, capsys, monkeypatch, roots, checks):
+    curve = write(tmp_path, "c.json", {"genus": 2, "roots": roots})
+    calls = _count_valuation_tables(monkeypatch)
+    code, out = run(capsys, "cluster", "--curve", curve, "--prime", "3", "--all-triples")
+    assert code == 0
+    assert calls == [3]
+    assert json.loads(out)["checks"] == checks
 
 
 def test_genus2(capsys):

@@ -1,10 +1,13 @@
 import cmath
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from hypinv import rational, verify
 from hypinv.rational import INF
 from hypinv.symroots import (
     RootConfig,
@@ -159,3 +162,125 @@ def test_symroot_requires_finite():
     cfg = RootConfig(2, (INF,) + tuple(Fraction(x) for x in range(1, 6)))
     with pytest.raises(ValueError):
         symroot_pow(cfg, 0, 1, 2)
+
+
+# --- seeded random rational configurations of genus 2-6 -------------------
+
+
+def random_rational_config(rng, g):
+    """2g+2 distinct rationals, some with 3, 5 or 9 in the denominator."""
+    roots = []
+    while len(roots) < 2 * g + 2:
+        x = Fraction(rng.randint(-30, 30), rng.choice((1, 2, 3, 5, 9)))
+        if x not in roots:
+            roots.append(x)
+    return RootConfig(g, tuple(roots))
+
+
+RANDOM_CFGS = [
+    random_rational_config(random.Random(100 * g + case), g)
+    for g in range(2, 7)
+    for case in range(3)
+]
+RANDOM_IDS = [f"g{cfg.genus}-{k}" for k, cfg in enumerate(RANDOM_CFGS)]
+
+
+def _triples(cfg, count, seed):
+    triples = list(itertools.permutations(range(len(cfg.roots)), 3))
+    return random.Random(seed).sample(triples, min(count, len(triples)))
+
+
+@pytest.mark.parametrize("cfg", RANDOM_CFGS, ids=RANDOM_IDS)
+def test_cocycle_random(cfg):
+    for i, j, k in _triples(cfg, 30, 1):
+        prod = (
+            symroot_pow(cfg, i, j, k)
+            * symroot_pow(cfg, j, k, i)
+            * symroot_pow(cfg, k, i, j)
+        )
+        assert prod == -1
+
+
+@pytest.mark.parametrize("cfg", RANDOM_CFGS, ids=RANDOM_IDS)
+def test_disc_product_one_random(cfg):
+    n = len(cfg.roots)
+    for i in range(n):
+        prod = Fraction(1)
+        for m in range(n):
+            if m != i:
+                prod *= sym_discriminant(cfg, i, m)
+        assert prod == 1
+
+
+@pytest.mark.parametrize("cfg", RANDOM_CFGS, ids=RANDOM_IDS)
+def test_disc_ratio_identity_random(cfg):
+    g2 = 2 * cfg.genus
+    for i, j, k in _triples(cfg, 20, 2):
+        lhs = sym_discriminant(cfg, i, k) / sym_discriminant(cfg, j, k)
+        assert lhs == -symroot_pow(cfg, i, j, k) ** (g2 + 1)
+
+
+@pytest.mark.parametrize("cfg", RANDOM_CFGS, ids=RANDOM_IDS)
+def test_disc_numeric_oracle_random(cfg):
+    # the floating path of test_disc_numeric_oracle in logarithms, so that
+    # products of up to 2g(2g-1) factors neither overflow nor underflow:
+    # sum cmath.log(l_r - l_s) over r != s against log d_ij
+    g2 = 2 * cfg.genus
+    a = [complex(x) for x in cfg.roots]
+    pairs = list(itertools.permutations(range(len(a)), 2))
+    for i, j in random.Random(3).sample(pairs, 6):
+        others = [r for r in range(len(a)) if r not in (i, j)]
+        m = {r: (a[i] - a[r]) / (a[j] - a[r]) for r in others}
+        log_p = sum(cmath.log((a[j] - a[r]) / (a[i] - a[r])) for r in others)
+        t = cmath.exp(log_p / g2)  # one 2g-th root of P
+        log_num = sum(
+            cmath.log(m[r] * t - m[s] * t) for r, s in itertools.permutations(others, 2)
+        )
+        exact = sym_discriminant(cfg, i, j)
+        log_abs = math.log(abs(exact.numerator)) - math.log(exact.denominator)
+        assert math.isclose(log_num.real, log_abs, rel_tol=1e-9, abs_tol=1e-9)
+        phase = math.pi if exact < 0 else 0.0
+        turns = (log_num.imag - phase) / (2 * math.pi)
+        assert abs(turns - round(turns)) < 1e-9
+
+
+# --- cost guard: integer valuations per call ---------------------------------
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of ``rational.<name>`` under every hypinv name for it."""
+    real = getattr(rational, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "hypinv" or mod_name.startswith("hypinv."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls
+
+
+def test_valuations_per_call_do_not_grow_with_genus(monkeypatch):
+    int_vals = _count_calls(monkeypatch, "_int_val")
+    val_diffs = _count_calls(monkeypatch, "val_diff")
+    per_call = {}
+    for g in range(2, 9):
+        rng = random.Random(g)
+        cfg = verify.random_normal_form_config(rng, g, 3)
+        cfg = RootConfig(g, cfg.roots[:-1] + (Fraction(1, 9),))
+        quads = list(itertools.permutations(range(2 * g + 2), 4))
+        for quad in rng.sample(quads, 40):
+            for name, call in (
+                ("symroot_val", lambda: symroot_val(cfg, 3, *quad[:3])),
+                ("pairing_cross_ratio", lambda: pairing_cross_ratio(cfg, 3, *quad)),
+            ):
+                int_vals.clear()
+                call()
+                per_call.setdefault(name, set()).add(len(int_vals))
+    assert val_diffs == []
+    assert max(per_call["symroot_val"]) <= 4
+    assert max(per_call["pairing_cross_ratio"]) <= 2

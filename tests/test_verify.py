@@ -1,6 +1,6 @@
 import pytest
 
-from hypinv import verify
+from hypinv import clustertree, verify
 
 
 def test_suite_names_exposed():
@@ -24,14 +24,22 @@ def test_cluster_suite_small():
     assert doc["passed"] + doc["skipped"] == 24
 
 
-def test_cluster_suite_records_skip_reasons():
+def test_cluster_suite_checks_unconstrained_cases(monkeypatch):
+    # every tenth case is an unconstrained configuration; it is checked
+    # (build_tree raises exactly when check_normal_form reports violations),
+    # never skipped
     doc = verify.run_suite("cluster-vs-symroots", 3, n_configs=40)
-    assert doc["skipped"] > 0
-    assert len(doc["skips"]) == doc["skipped"]
-    assert all(
-        label.endswith(": precondition (not normal form)") for label in doc["skips"]
+    assert (doc["passed"], doc["failed"], doc["skipped"]) == (40, 0, 0)
+    assert doc["skips"] == []
+    # a report that misses the violations makes exactly those cases fail
+    monkeypatch.setattr(
+        clustertree, "check_normal_form", lambda cfg, p: clustertree.NormalFormReport(())
     )
-    assert doc["skips"][0].startswith("case=9:")
+    doc = verify.run_suite("cluster-vs-symroots", 3, n_configs=40)
+    assert doc["failures"] == [
+        f"normal-form-rejection case={c} p={(3, 5, 7)[c % 3]} g=3"
+        for c in (9, 19, 29, 39)
+    ]
 
 
 def test_genus2_table_suite():
