@@ -17,7 +17,7 @@ import sys
 from . import clustertree, invariants, metgraph, symroots, verify
 from .invariants import PlaceReport
 from .metgraph import MetrizedGraph
-from .rational import format_rat, parse_point, parse_rat
+from .rational import format_rat, parse_point, parse_rat, require_int
 from .symroots import RootConfig
 
 
@@ -41,7 +41,8 @@ def _load_curve(doc):
     if "genus" not in doc or "roots" not in doc:
         raise ValueError('curve JSON requires "genus" and "roots"')
     cfg = RootConfig(
-        int(doc["genus"]), tuple(parse_point(r) for r in doc["roots"])
+        require_int(doc["genus"], "curve genus"),
+        tuple(parse_point(r) for r in doc["roots"]),
     )
     return symroots.normalize_finite(cfg)
 
@@ -200,10 +201,11 @@ def _cmd_global(args):
             raise ValueError(f"bad place record: {exc}") from exc
         if missing := {"genus", "logNv", "d", "eps", "delta", "phi", "chi"} - set(rec):
             raise ValueError(f"place record missing keys: {sorted(missing)}")
+        label = str(rec.get("label", len(places)))
         places.append(
             PlaceReport(
-                label=str(rec.get("label", len(places))),
-                genus=int(rec["genus"]),
+                label=label,
+                genus=require_int(rec["genus"], f"genus of place {label!r}"),
                 log_nv=float(rec["logNv"]),
                 d=parse_rat(rec["d"]),
                 eps=parse_rat(rec["eps"]),

@@ -1,44 +1,49 @@
 """Exact potential theory on metrized reduction graphs.
 
 Vertices carry genus markings, edges carry positive rational lengths (loops
-and multi-edges allowed).  Each public computation makes a single exact
-rational solve: the inverse of the grounded Laplacian on the graph's
-vertices, which gives the effective resistance r(a, b) between any two
-vertices.  Everything else has a closed form in those resistances:
+and multi-edges allowed).  Each public computation makes one exact solve:
+fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) of the
+grounded Laplacian on the vertices, scaled to integers, gives its inverse
+G = s adj / det with one common denominator and the vertex resistances
+r(a, b) = G_aa + G_bb - 2 G_ab.  An edge e of length L from u to v has
+canonical density k_e = (L - r(u, v)) / L^2 (Foster; Chinburg-Rumely, "The
+capacity pairing", 1993); the point y_s at arc length s on it has
+r(x, y_s) = ((L - s) r(x, u) + s r(x, v)) / L + s (L - s) k_e for x off the
+edge, and resistance t - t^2 k_e to a point of the edge a distance t away
+(Baker-Faber, "Metrized graphs, Laplacian operators, and electrical
+networks", 2006).
 
-- the canonical measure has density (L - r(u, v)) / L^2 on an edge of length
-  L from u to v: Foster's coefficient (Chinburg-Rumely, "The capacity
-  pairing", 1993);
-- a point y_s at arc length s from u on that edge has
-  r(x, y_s) = (1 - s/L) r(x, u) + (s/L) r(x, v) + s (L - s) (L - r(u, v)) / L^2
-  for any x off the edge, and two points of the edge a distance t apart
-  have resistance t - t^2 (L - r(u, v)) / L^2 (Baker-Faber, "Metrized
-  graphs, Laplacian operators, and electrical networks", 2006).
+A mass-1 measure mu with vertex masses m_v and edge densities d_e has the
+potential phi_mu(x) = integral of r(x, .) d mu.  With M_v = m_v + the sum of
+d_e L_e / 2 over the edges at v (a loop counts twice), at a vertex w
 
-For a fixed measure mu (point masses at vertices plus a constant density per
-edge) the potential phi_mu(x) = integral of r(x, .) d mu is therefore
-quadratic on every edge, so Simpson's rule on endpoint/midpoint values gives
-c = double integral of r d mu d mu exactly.  With mu the admissible measure,
-Zhang's invariants ("Gross-Schoen cycles and dualising sheaves", 2010) are
+    phi_mu(w) = G_ww + sum_v M_v G_vv - 2 (G M)_w + sum_e d_e k_e L_e^3 / 6,
 
-    epsilon = sum over vertices v of K(v) phi_mu(v),
-    phi = (6 g c - epsilon - delta) / 4,
+one matrix-vector product.  On an edge phi_mu'' = 2 (d_e - k_e), so
 
-both exact rationals.  Zhang defines both by integrals of
-g_mu(x, x) = phi_mu(x) - c/2, which reduce to these because mu has mass 1 and
-K has degree 2g - 2.
+    phi_mu(y_s) = ((L - s) phi_mu(u) + s phi_mu(v)) / L + s (L - s) (k_e - d_e),
 
-Points are addressed either by vertex id or as a pair (edge index, offset)
-with a rational offset strictly between 0 and the edge length; offsets equal
-to 0 or the full length normalize to the corresponding endpoint.
+and c = double integral of r d mu d mu = sum_v M_v phi_mu(v) +
+sum_e d_e (k_e - d_e) L_e^3 / 6.  With mu the admissible measure, Zhang's
+invariants ("Gross-Schoen cycles and dualising sheaves", 2010) are
+
+    epsilon = sum_v K(v) phi_mu(v),    phi = (6 g c - epsilon - delta) / 4,
+
+since his integrals of g_mu(x, x) = phi_mu(x) - c/2 reduce to these: mu has
+mass 1 and K has degree 2g - 2.
+
+Points are addressed by vertex id or as a pair (edge index, offset) with a
+rational offset in [0, L]; offsets 0 and L normalize to the endpoints.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import format_rat, parse_rat
+from .rational import format_rat, parse_rat, require_int
 
 
 @dataclass(frozen=True)
@@ -120,9 +125,7 @@ class MetrizedGraph:
             vid, g = str(v["id"]), v.get("genus", 0)
             if vid in genus:
                 raise ValueError(f"duplicate vertex id: {vid!r}")
-            if isinstance(g, bool) or not isinstance(g, int):
-                raise ValueError(f"genus of vertex {vid!r} is not an integer: {g!r}")
-            genus[vid] = g
+            genus[vid] = require_int(g, f"genus of vertex {vid!r}")
         edges = [
             (e["u"], e["v"], parse_rat(e["length"])) for e in doc["edges"]
         ]
@@ -176,14 +179,6 @@ class PiecewisePoly:
         return self.vertex_values[point]
 
 
-def _fit_quadratic(f0, fm, f1, length):
-    # quadratic through (0, f0), (length/2, fm), (length, f1)
-    c0 = f0
-    c1 = (-3 * f0 + 4 * fm - f1) / length
-    c2 = (2 * f0 - 4 * fm + 2 * f1) / length**2
-    return (c0, c1, c2)
-
-
 def _norm_point(graph, x):
     """Normalize a point spec to ("v", id) or ("e", eid, offset)."""
     if isinstance(x, tuple) and len(x) == 3 and x[0] in ("v", "e"):
@@ -206,52 +201,70 @@ def _norm_point(graph, x):
 
 
 def _invert(matrix):
-    # Gauss-Jordan inverse of a square Fraction matrix
-    n = len(matrix)
-    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    """(adj, det) of a positive definite integer matrix, adj = det * inverse,
+    by fraction-free Gauss-Jordan elimination in place (Bareiss 1968).  The
+    pivots are the leading principal minors, all positive, so no row is
+    exchanged; every entry stays a minor, so each division is exact."""
+    a = [row[:] for row in matrix]
+    prev = 1
+    for k, pivot_row in enumerate(a):
+        pivot = pivot_row[k]
+        for i, row in enumerate(a):
+            if i != k:
+                f = row[k]
+                row[:] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
+                row[k] = -f
+        pivot_row[k] = prev
+        prev = pivot
+    return a, prev
 
 
 class _Resistances:
-    """Effective resistances on one graph from one grounded-Laplacian inverse.
+    """Effective resistances on one graph from one grounded-Laplacian solve.
 
-    The Laplacian has conductance 1/length per edge.  Vertex-to-vertex
-    resistances are read off its inverse on demand; resistances to interior
-    points of edges follow from them in closed form (Baker-Faber).
+    Conductance 1/length per edge, scaled by the lcm s of the length
+    numerators to integers; grounded at the first vertex the Laplacian is
+    positive definite, with adjugate adj and determinant det: G = s adj / det.
     """
 
     def __init__(self, graph):
         self.graph = graph
         self._index = {v: i for i, v in enumerate(graph.genus)}
         n = len(self._index)
-        lap = [[Fraction(0)] * n for _ in range(n)]
-        for e in graph.edges:
-            if e.is_loop:
-                continue  # a loop carries no net current
-            a, b, c = self._index[e.u], self._index[e.v], 1 / e.length
+        links = [e for e in graph.edges if not e.is_loop]  # loops carry no current
+        # *list, not *generator: a resized argument tuple stays on CPython's free list
+        self._scale = math.lcm(*[e.length.numerator for e in links])
+        lap = [[0] * n for _ in range(n)]
+        for e in links:
+            a, b = self._index[e.u], self._index[e.v]
+            c = self._scale // e.length.numerator * e.length.denominator
             lap[a][a] += c
             lap[b][b] += c
             lap[a][b] -= c
             lap[b][a] -= c
         # grounded at the first vertex, whose row and column stay 0
-        inv = _invert([row[1:] for row in lap[1:]])
-        self._inv = [[Fraction(0)] * n] + [[Fraction(0)] + row for row in inv]
+        adj, self._det = _invert([row[1:] for row in lap[1:]])
+        self._adj = [[0] * n] + [[0] + row for row in adj]
         self._density = {}
 
     def vertex(self, a, b):
         """r(a, b) between two vertices."""
-        i, j, inv = self._index[a], self._index[b], self._inv
-        return inv[i][i] + inv[j][j] - 2 * inv[i][j]
+        i, j, adj = self._index[a], self._index[b], self._adj
+        r = adj[i][i] + adj[j][j] - 2 * adj[i][j]
+        return Fraction(self._scale * r, self._det)
+
+    def potentials(self, mass, shift):
+        """v -> shift + sum_w M_w r(v, w) for vertex masses M of total 1, that
+        is shift + G_vv + sum_w M_w G_ww - 2 (G M)_v: one integer product."""
+        den = math.lcm(*[m.denominator for m in mass.values()])
+        m = [mass[v].numerator * (den // mass[v].denominator) for v in self._index]
+        adj, scale, det = self._adj, self._scale, self._det * den
+        diag = sum(x * row[i] for i, (x, row) in enumerate(zip(m, adj)))
+        phi = {}
+        for v, i in self._index.items():
+            dot = sum(map(operator.mul, adj[i], m))
+            phi[v] = shift + Fraction(scale * (den * adj[i][i] + diag - 2 * dot), det)
+        return phi
 
     def density(self, e):
         """Canonical density (L - r(u, v)) / L^2 of edge ``e`` (Foster)."""
@@ -281,57 +294,38 @@ class _Kernel:
 
     Exposes the potential phi(x) = int r(x, .) dmu, the double integral
     c = int int r dmu dmu, and the Green's function
-    g(x, y) = (phi(x) + phi(y) - r(x, y) - c) / 2.
+    g(x, y) = (phi(x) + phi(y) - r(x, y) - c) / 2, by the closed forms above.
     """
 
     def __init__(self, mu, res):
-        self.graph = res.graph
-        if mu.total_mass(self.graph) != 1:
-            raise ValueError("measure must have total mass 1")
-        self.mu = mu
-        self.res = res
-        self._phi = {}
-        # c = int int r dmu dmu = int phi dmu; phi is quadratic per edge
-        c = Fraction(0)
-        for v in self.graph.genus:
-            m = mu.mass(v)
-            if m:
-                c += m * self.phi(("v", v))
-        for e in self.graph.edges:
+        graph = self.graph = res.graph
+        if mu.total_mass(graph) != 1 or not mu.vertex_mass.keys() <= graph.genus.keys():
+            raise ValueError("measure must have total mass 1 on the graph's points")
+        self.mu, self.res = mu, res
+        mass = {v: mu.mass(v) for v in graph.genus}  # M_v
+        shift = c_edges = Fraction(0)
+        for e in graph.edges:
             d = mu.density(e.eid)
             if d:
-                c += d * e.length / 6 * (
-                    self.phi(("v", e.u))
-                    + 4 * self.phi(("e", e.eid, e.length / 2))
-                    + self.phi(("v", e.v))
-                )
-        self.c = c
+                half, cube = d * e.length / 2, d * e.length**3 / 6
+                mass[e.u] += half
+                mass[e.v] += half
+                shift += cube * res.density(e)
+                c_edges += cube * self.bend(e)
+        self._phi = res.potentials(mass, shift)
+        self.c = sum((m * self._phi[v] for v, m in mass.items()), c_edges)
+
+    def bend(self, e):
+        """k_e - d_e on edge ``e``, where phi'' = -2 (k_e - d_e)."""
+        return self.res.density(e) - self.mu.density(e.eid)
 
     def phi(self, x):
-        if x in self._phi:
-            return self._phi[x]
-        g, mu, res = self.graph, self.mu, self.res
-        to_vertex = {v: res.between(x, ("v", v)) for v in g.genus}
-        total = Fraction(0)
-        for v, r in to_vertex.items():
-            m = mu.mass(v)
-            if m:
-                total += m * r
-        for e in g.edges:
-            d = mu.density(e.eid)
-            if d:
-                total += d * self._edge_integral(x, e, to_vertex)
-        self._phi[x] = total
-        return total
-
-    def _edge_integral(self, x, e, to_vertex):
-        # int over e of r(x, zeta) dzeta, integrating the closed forms of
-        # r(x, .) on e; to_vertex maps each vertex w to r(x, w)
-        length, k = e.length, self.res.density(e)
-        if x[0] == "e" and x[1] == e.eid:
-            s, t = x[2], length - x[2]
-            return (s * s + t * t) / 2 - k * (s**3 + t**3) / 3
-        return length / 2 * (to_vertex[e.u] + to_vertex[e.v]) + k * length**3 / 6
+        if x[0] == "v":
+            return self._phi[x[1]]
+        e, s = self.graph.edges[x[1]], x[2]
+        length = e.length
+        chord = ((length - s) * self._phi[e.u] + s * self._phi[e.v]) / length
+        return chord + s * (length - s) * self.bend(e)
 
     def green(self, x, y):
         return (self.phi(x) + self.phi(y) - self.res.between(x, y) - self.c) / 2
@@ -410,16 +404,14 @@ def green(graph, mu, x, y):
 
 
 def green_diagonal(graph, mu):
-    """x -> g_mu(x, x) as an exact per-edge quadratic."""
+    """x -> g_mu(x, x) = phi_mu(x) - c/2 as an exact per-edge quadratic."""
     kernel = _Kernel(mu, _Resistances(graph))
-    vertex_values = {v: kernel.gdiag(("v", v)) for v in graph.genus}
+    values = {v: kernel.gdiag(("v", v)) for v in graph.genus}
     coeffs = {}
     for e in graph.edges:
-        f0 = vertex_values[e.u]
-        fm = kernel.gdiag(("e", e.eid, e.length / 2))
-        f1 = vertex_values[e.v]
-        coeffs[e.eid] = _fit_quadratic(f0, fm, f1, e.length)
-    return PiecewisePoly(vertex_values, coeffs)
+        bend, c0 = kernel.bend(e), values[e.u]
+        coeffs[e.eid] = (c0, (values[e.v] - c0) / e.length + e.length * bend, -bend)
+    return PiecewisePoly(values, coeffs)
 
 
 def epsilon_phi(graph):

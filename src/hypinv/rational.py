@@ -164,6 +164,13 @@ def is_finite(x):
     return x is not INF
 
 
+def require_int(value, what):
+    """``value`` if it is an ``int`` and not a ``bool``; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} is not an integer: {value!r}")
+    return value
+
+
 def mobius(x, a, b, c, d):
     """Apply the fractional-linear map t -> (a*t + b)/(c*t + d) to ``x``.
 

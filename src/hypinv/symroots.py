@@ -50,6 +50,7 @@ class RootConfig:
     genus: int
     roots: tuple
     note: str = field(default="", compare=False)
+    all_finite: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.genus < 2:
@@ -66,10 +67,7 @@ class RootConfig:
         finite = [r for r in roots if r is not INF]
         if len(set(finite)) != len(finite):
             raise ValueError("roots must be pairwise distinct")
-
-    @property
-    def all_finite(self):
-        return all(is_finite(r) for r in self.roots)
+        object.__setattr__(self, "all_finite", len(finite) == len(roots))
 
 
 def _require_finite(cfg):

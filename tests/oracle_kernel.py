@@ -15,12 +15,40 @@ from fractions import Fraction
 from hypinv.metgraph import (
     Measure,
     PiecewisePoly,
-    _fit_quadratic,
-    _invert,
     _norm_point,
     canonical_divisor,
     delta,
 )
+
+# The Fraction Gauss-Jordan inverse and the three-point quadratic fit of the
+# same kernel, copied here so that the oracle does not share them with the
+# code it checks.
+
+
+def _fit_quadratic(f0, fm, f1, length):
+    # quadratic through (0, f0), (length/2, fm), (length, f1)
+    c0 = f0
+    c1 = (-3 * f0 + 4 * fm - f1) / length
+    c2 = (2 * f0 - 4 * fm + 2 * f1) / length**2
+    return (c0, c1, c2)
+
+
+def _invert(matrix):
+    # Gauss-Jordan inverse of a square Fraction matrix
+    n = len(matrix)
+    aug = [row[:] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = 1 / aug[col][col]
+        aug[col] = [x * inv_p for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
 
 class _Network:
     """Resistor network on a graph with chosen interior subdivision points.

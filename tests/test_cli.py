@@ -262,6 +262,27 @@ def test_graph_non_integer_genus(tmp_path, capsys, genus):
     assert "not an integer" in json.loads(out)["detail"]
 
 
+@pytest.mark.parametrize("genus", [2.9, 2.0, True, "2", None])
+@pytest.mark.parametrize("command", ["symroots", "cluster"])
+def test_curve_non_integer_genus(tmp_path, capsys, command, genus):
+    curve = write(tmp_path, "c.json", {**CURVE3, "genus": genus})
+    code, out = run(capsys, command, "--curve", curve, "--triple", "0,1,2")
+    assert code == 1
+    assert "curve genus is not an integer" in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("genus", [2.7, 2.0, False, "2", None])
+def test_global_non_integer_genus(tmp_path, capsys, genus):
+    place = {
+        "label": "3", "genus": genus, "logNv": 1.0, "d": "6",
+        "eps": "5/9", "delta": "3", "phi": "1/9", "chi": "1/9",
+    }
+    path = write(tmp_path, "places.json", [place])
+    code, out = run(capsys, "global", "--places", path)
+    assert code == 1
+    assert "genus of place '3' is not an integer" in json.loads(out)["detail"]
+
+
 def test_bad_subcommand(capsys):
     code, out = run(capsys, "bogus")
     assert code == 1

@@ -155,6 +155,13 @@ def test_green_requires_mass_one():
         green(g, Measure({"v": F(1, 2)}, {}), "v", "v")
 
 
+@pytest.mark.parametrize("call", [green_diagonal, verify_admissible, verify_canonical])
+def test_measure_with_mass_off_the_graph_rejected(call):
+    # mass 1 in total, but half of it on a vertex the graph does not have
+    with pytest.raises(ValueError, match="on the graph's points"):
+        call(theta(), Measure({"v1": F(1, 2), "elsewhere": F(1, 2)}, {}))
+
+
 def test_green_diagonal_matches_pointwise():
     g = theta(1, 2, 3)
     mu = admissible_measure(g)
