@@ -137,11 +137,13 @@ def _cmd_graph(args):
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad graph JSON: {exc}") from exc
     eps, ph = metgraph.epsilon_phi(graph)
+    _, warnings = invariants.node_counts_from_graph(graph)
     return {
         "epsilon": format_rat(eps),
         "phi": format_rat(ph),
         "delta": format_rat(metgraph.delta(graph)),
         "genus": str(graph.total_genus),
+        "warnings": warnings,
     }
 
 

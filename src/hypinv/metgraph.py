@@ -32,6 +32,17 @@ invariants ("Gross-Schoen cycles and dualising sheaves", 2010) are
 since his integrals of g_mu(x, x) = phi_mu(x) - c/2 reduce to these: mu has
 mass 1 and K has degree 2g - 2.
 
+The same product with masses of any total gives the potential of delta_K,
+psi_K(y) = sum_v K(v) r(v, y): with D = 2g - 2,
+
+    psi_K(w) = D G_ww + sum_v K(v) G_vv - 2 (G K)_w
+
+at a vertex, and on an edge the chord between its endpoint values plus
+D s (L - s) k_e.  The admissibility check f(y) = g_mu(y, y) +
+sum_v K(v) g_mu(v, y) is then, with no Green's function per vertex,
+
+    f(y) = ((D + 2) phi_mu(y) + sum_v K(v) phi_mu(v) - (D + 1) c - psi_K(y)) / 2.
+
 Points are addressed by vertex id or as a pair (edge index, offset) with a
 rational offset in [0, L]; offsets 0 and L normalize to the endpoints.
 """
@@ -122,10 +133,12 @@ class MetrizedGraph:
     def from_json(cls, doc):
         genus = {}
         for v in doc["vertices"]:
-            vid, g = str(v["id"]), v.get("genus", 0)
+            vid = str(v["id"])
             if vid in genus:
                 raise ValueError(f"duplicate vertex id: {vid!r}")
-            genus[vid] = require_int(g, f"genus of vertex {vid!r}")
+            if "genus" not in v:
+                raise ValueError(f"vertex {vid!r} has no genus")
+            genus[vid] = require_int(v["genus"], f"genus of vertex {vid!r}")
         edges = [
             (e["u"], e["v"], parse_rat(e["length"])) for e in doc["edges"]
         ]
@@ -254,16 +267,18 @@ class _Resistances:
         return Fraction(self._scale * r, self._det)
 
     def potentials(self, mass, shift):
-        """v -> shift + sum_w M_w r(v, w) for vertex masses M of total 1, that
-        is shift + G_vv + sum_w M_w G_ww - 2 (G M)_v: one integer product."""
+        """v -> shift + sum_w M_w r(v, w) for rational vertex masses M of any
+        total D, that is shift + D G_vv + sum_w M_w G_ww - 2 (G M)_v: one
+        integer product.  With M the canonical divisor K this is psi_K."""
         den = math.lcm(*[m.denominator for m in mass.values()])
         m = [mass[v].numerator * (den // mass[v].denominator) for v in self._index]
         adj, scale, det = self._adj, self._scale, self._det * den
+        total = sum(m)  # D * den
         diag = sum(x * row[i] for i, (x, row) in enumerate(zip(m, adj)))
         phi = {}
         for v, i in self._index.items():
             dot = sum(map(operator.mul, adj[i], m))
-            phi[v] = shift + Fraction(scale * (den * adj[i][i] + diag - 2 * dot), det)
+            phi[v] = shift + Fraction(scale * (total * adj[i][i] + diag - 2 * dot), det)
         return phi
 
     def density(self, e):
@@ -460,20 +475,35 @@ def _spread(values):
 
 
 def verify_admissible(graph, mu):
-    """Max deviation of g_mu(K, y) + g_mu(y, y) from its best constant.
+    """Max deviation of f(y) = g_mu(y, y) + sum_v K(v) g_mu(v, y) from its
+    best constant.
 
     Exactly 0 iff mu is the admissible measure (checked at vertices and edge
-    midpoints, which pins the per-edge quadratics).
+    midpoints, which pins the per-edge quadratics).  With D = deg K = 2g - 2
+    and psi_K(y) = sum_v K(v) r(v, y) the potential of delta_K,
+
+        f(y) = ((D + 2) phi_mu(y) + sum_v K(v) phi_mu(v) - (D + 1) c - psi_K(y)) / 2,
+
+    where psi_K(w) = D G_ww + sum_v K(v) G_vv - 2 (G K)_w at a vertex is one
+    more product with the adjugate, and on an edge psi_K is the chord
+    between its endpoint values plus D s (L - s) k_e.
     """
-    kernel = _Kernel(mu, _Resistances(graph))
+    res = _Resistances(graph)
+    kernel = _Kernel(mu, res)
     k = canonical_divisor(graph)
+    d = sum(k.values())
+    psi = res.potentials(k, 0)
+    const = sum(k[v] * kernel.phi(("v", v)) for v in graph.genus) - (d + 1) * kernel.c
     values = []
     for y in kernel.eval_points():
-        f = kernel.gdiag(y)
-        for v in graph.genus:
-            if k[v]:
-                f += k[v] * kernel.green(("v", v), y)
-        values.append(f)
+        if y[0] == "v":
+            psi_y = psi[y[1]]
+        else:
+            e, s = graph.edges[y[1]], y[2]
+            length = e.length
+            chord = ((length - s) * psi[e.u] + s * psi[e.v]) / length
+            psi_y = chord + d * s * (length - s) * res.density(e)
+        values.append(((d + 2) * kernel.phi(y) + const - psi_y) / 2)
     return _spread(values)
 
 

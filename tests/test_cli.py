@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypinv import cli, clustertree, metgraph, rational
+from hypinv import cli, clustertree, invariants, metgraph, rational
 
 LOOP1 = {
     "vertices": [{"id": "v", "genus": 1}],
@@ -68,7 +68,28 @@ def test_graph_eval(tmp_path, capsys):
         "phi": "1/12",
         "delta": "1",
         "genus": "2",
+        "warnings": [],
     }
+
+
+@pytest.mark.parametrize("fiber_type", invariants.GENUS2_ARITY)
+def test_graph_eval_no_warnings_at_genus_2(tmp_path, capsys, fiber_type):
+    params = (1, 2, 3)[: invariants.GENUS2_ARITY[fiber_type]]
+    doc = invariants.genus2_graph(fiber_type, params).to_json()
+    code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", doc))
+    assert code == 0
+    assert json.loads(out)["warnings"] == []
+
+
+def test_graph_eval_warns_per_non_separating_edge(tmp_path, capsys):
+    # genus-3 banana: four parallel edges, none of them a bridge
+    banana = metgraph.MetrizedGraph({"a": 0, "b": 0}, [("a", "b", n) for n in (1, 2, 3, 4)])
+    assert banana.total_genus == 3
+    code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", banana.to_json()))
+    assert code == 0
+    warnings = json.loads(out)["warnings"]
+    assert len(warnings) == 4
+    assert [w.split(":")[0] for w in warnings] == [f"edge {i}" for i in range(4)]
 
 
 def test_graph_eval_deterministic(tmp_path, capsys):
@@ -249,6 +270,16 @@ def test_graph_duplicate_vertex_id(tmp_path, capsys):
     code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", doc))
     assert code == 1
     assert "duplicate vertex id" in json.loads(out)["detail"]
+
+
+def test_graph_missing_genus(tmp_path, capsys):
+    doc = {
+        "vertices": [{"id": "v", "genus": 2}, {"id": "w"}],
+        "edges": [{"u": "v", "v": "w", "length": "1"}],
+    }
+    code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", doc))
+    assert code == 1
+    assert "'w' has no genus" in json.loads(out)["detail"]
 
 
 @pytest.mark.parametrize("genus", [1.9, 1.0, True, "1", None])

@@ -90,7 +90,44 @@ def test_measures_have_mass_one_and_admissible_is_admissible(graph):
     assert metgraph.canonical_measure(graph).total_mass(graph) == 1
     mu = metgraph.admissible_measure(graph)
     assert mu.total_mass(graph) == 1
-    assert metgraph.verify_admissible(graph, mu) == 0
+    assert metgraph.verify_admissible(graph, mu) == old.verify_admissible(graph, mu) == 0
+
+
+@PROPERTY
+@given(graphs(), st.data())
+def test_verify_admissible_matches_oracle_off_the_admissible_measure(graph, data):
+    mu = metgraph.admissible_measure(graph)
+    wrong = []
+    if len(graph.genus) >= 2:
+        a, b = data.draw(st.permutations(graph.vertices))[:2]
+        moved = metgraph.Measure(dict(mu.vertex_mass), dict(mu.edge_density))
+        moved.vertex_mass[a] += F(1, 7)
+        moved.vertex_mass[b] -= F(1, 7)
+        wrong.append(moved)
+    spread = [e for e in graph.edges if mu.density(e.eid)]
+    if spread:
+        e = data.draw(st.sampled_from(spread))
+        t = data.draw(st.fractions(0, 3, max_denominator=4).filter(lambda t: t != 1))
+        w = data.draw(st.sampled_from(graph.vertices))
+        scaled = metgraph.Measure(dict(mu.vertex_mass), dict(mu.edge_density))
+        scaled.edge_density[e.eid] *= t
+        scaled.vertex_mass[w] = scaled.mass(w) + (1 - t) * mu.density(e.eid) * e.length
+        wrong.append(scaled)
+    for nu in wrong:
+        assert nu.total_mass(graph) == 1
+        assert metgraph.verify_admissible(graph, nu) == old.verify_admissible(graph, nu) > 0
+
+
+@PROPERTY
+@given(graphs())
+def test_potentials_of_the_canonical_divisor(graph):
+    # psi_K(w) = sum_v K(v) r(v, w), masses of total 2g - 2
+    k = metgraph.canonical_divisor(graph)
+    assert sum(k.values()) == 2 * graph.total_genus - 2
+    res = metgraph._Resistances(graph)
+    psi = res.potentials(k, 0)
+    for w in graph.vertices:
+        assert psi[w] == sum(k[v] * res.vertex(v, w) for v in graph.vertices)
 
 
 @PROPERTY
@@ -201,8 +238,9 @@ def test_larger_graphs_match_oracle(name):
     [
         lambda g, mu: metgraph.epsilon_phi(g),
         lambda g, mu: metgraph.green_diagonal(g, mu),
+        lambda g, mu: metgraph.verify_admissible(g, mu),
     ],
-    ids=["epsilon_phi", "green_diagonal"],
+    ids=["epsilon_phi", "green_diagonal", "verify_admissible"],
 )
 def test_no_per_point_vertex_resistances(monkeypatch, call):
     # the potentials come from one product with the adjugate: a vertex
