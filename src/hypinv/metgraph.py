@@ -3,11 +3,16 @@
 Vertices carry genus markings, edges carry positive rational lengths (loops
 and multi-edges allowed).  Each public computation makes one exact solve:
 fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) of the
-grounded Laplacian on the vertices, scaled to integers, gives its inverse
-G = s adj / det with one common denominator and the vertex resistances
-r(a, b) = G_aa + G_bb - 2 G_ab.  An edge e of length L from u to v has
-canonical density k_e = (L - r(u, v)) / L^2 (Foster; Chinburg-Rumely, "The
-capacity pairing", 1993); the point y_s at arc length s on it has
+grounded Laplacian on the vertices, scaled to integers by the lcm s of the
+length numerators, gives its inverse G = s adj / det with one common
+denominator and the vertex resistances r(a, b) = G_aa + G_bb - 2 G_ab.  An
+edge e of length L = a_e / b_e from u to v has canonical density
+k_e = (L - r(u, v)) / L^2 (Foster; Chinburg-Rumely, "The capacity pairing",
+1993), that is k_e = b_e N_e / (a_e^2 det) with the integer
+
+    N_e = a_e det - b_e s R_e,    R_e = adj_uu + adj_vv - 2 adj_uv,
+
+which is 0 exactly on bridges.  The point y_s at arc length s on the edge has
 r(x, y_s) = ((L - s) r(x, u) + s r(x, v)) / L + s (L - s) k_e for x off the
 edge, and resistance t - t^2 k_e to a point of the edge a distance t away
 (Baker-Faber, "Metrized graphs, Laplacian operators, and electrical
@@ -31,6 +36,24 @@ invariants ("Gross-Schoen cycles and dualising sheaves", 2010) are
 
 since his integrals of g_mu(x, x) = phi_mu(x) - c/2 reduce to these: mu has
 mass 1 and K has degree 2g - 2.
+
+For the admissible measure all of this is integers over one common
+denominator.  Its vertex masses are genus(v) / g, because
+K(v) + 2 (1 - valence(v) / 2) = 2 genus(v), and its densities k_e / g.  With
+A the lcm of the a_e over the edges with N_e != 0 and Q = 2 g det A,
+
+    (MQ)_v = M_v Q = 2 det A genus(v) + sum over edges e at v of N_e A / a_e
+
+is an integer, and sum_v (MQ)_v = Q is Foster's identity.  With
+S = sum_e N_e^2 / (a_e b_e) / (6 g det^2), the edge terms are S in phi_mu and
+(g - 1) S / g in c; the integer potentials
+
+    P_w = Q adj_ww + sum_v (MQ)_v adj_vv - 2 (adj MQ)_w
+
+give phi_mu(w) = S + s P_w / (det Q), and two integer dot products give
+
+    epsilon = (2g - 2) S + s (K . P) / (det Q),
+    c = (2g - 1) S / g + s (MQ . P) / (det Q^2).
 
 The same product with masses of any total gives the potential of delta_K,
 psi_K(y) = sum_v K(v) r(v, y): with D = 2g - 2,
@@ -260,26 +283,35 @@ class _Resistances:
         self._adj = [[0] * n] + [[0] + row for row in adj]
         self._density = {}
 
+    def _r(self, a, b):
+        """det r(a, b) / s, an integer."""
+        i, j, adj = self._index[a], self._index[b], self._adj
+        return adj[i][i] + adj[j][j] - 2 * adj[i][j]
+
     def vertex(self, a, b):
         """r(a, b) between two vertices."""
-        i, j, adj = self._index[a], self._index[b], self._adj
-        r = adj[i][i] + adj[j][j] - 2 * adj[i][j]
-        return Fraction(self._scale * r, self._det)
+        return Fraction(self._scale * self._r(a, b), self._det)
 
-    def potentials(self, mass, shift):
-        """v -> shift + sum_w M_w r(v, w) for rational vertex masses M of any
-        total D, that is shift + D G_vv + sum_w M_w G_ww - 2 (G M)_v: one
-        integer product.  With M the canonical divisor K this is psi_K."""
-        den = math.lcm(*[m.denominator for m in mass.values()])
-        m = [mass[v].numerator * (den // mass[v].denominator) for v in self._index]
-        adj, scale, det = self._adj, self._scale, self._det * den
-        total = sum(m)  # D * den
+    def foster(self, e):
+        """N_e = a det - b s R_e for ``e`` of length a / b, so that
+        k_e = b N_e / (a^2 det); 0 exactly on bridges."""
+        length = e.length
+        r = self._r(e.u, e.v)
+        return length.numerator * self._det - length.denominator * self._scale * r
+
+    def potentials(self, mass):
+        """v -> P_v = D adj_vv + sum_w m_w adj_ww - 2 (adj m)_v for integer
+        vertex masses m of any total D: one integer product, and
+        sum_w m_w r(v, w) = s P_v / det.  With m the canonical divisor K this
+        is psi_K."""
+        m = [mass[v] for v in self._index]
+        adj = self._adj
+        total = sum(m)
         diag = sum(x * row[i] for i, (x, row) in enumerate(zip(m, adj)))
-        phi = {}
-        for v, i in self._index.items():
-            dot = sum(map(operator.mul, adj[i], m))
-            phi[v] = shift + Fraction(scale * (total * adj[i][i] + diag - 2 * dot), det)
-        return phi
+        return {
+            v: total * adj[i][i] + diag - 2 * sum(map(operator.mul, adj[i], m))
+            for v, i in self._index.items()
+        }
 
     def density(self, e):
         """Canonical density (L - r(u, v)) / L^2 of edge ``e`` (Foster)."""
@@ -314,6 +346,10 @@ class _Kernel:
 
     def __init__(self, mu, res):
         graph = self.graph = res.graph
+        unknown = mu.edge_density.keys() - {e.eid for e in graph.edges}
+        if unknown:
+            unknown = sorted(unknown, key=str)
+            raise ValueError(f"measure has densities on unknown edges: {unknown}")
         if mu.total_mass(graph) != 1 or not mu.vertex_mass.keys() <= graph.genus.keys():
             raise ValueError("measure must have total mass 1 on the graph's points")
         self.mu, self.res = mu, res
@@ -327,7 +363,13 @@ class _Kernel:
                 mass[e.v] += half
                 shift += cube * res.density(e)
                 c_edges += cube * self.bend(e)
-        self._phi = res.potentials(mass, shift)
+        # *list, not *generator: a resized argument tuple stays on CPython's free list
+        den = math.lcm(*[m.denominator for m in mass.values()])
+        p = res.potentials(
+            {v: m.numerator * (den // m.denominator) for v, m in mass.items()}
+        )
+        scale, det = res._scale, res._det * den
+        self._phi = {v: shift + Fraction(scale * x, det) for v, x in p.items()}
         self.c = sum((m * self._phi[v] for v, m in mass.items()), c_edges)
 
     def bend(self, e):
@@ -357,9 +399,11 @@ class _Kernel:
 
 def canonical_divisor(graph):
     """K(v) = valence(v) - 2 + 2 genus(v); total degree 2*total_genus - 2."""
-    return {
-        v: graph.valence(v) - 2 + 2 * graph.genus[v] for v in graph.genus
-    }
+    k = {v: 2 * h - 2 for v, h in graph.genus.items()}
+    for e in graph.edges:  # loops count twice
+        k[e.u] += 1
+        k[e.v] += 1
+    return k
 
 
 def resistance(graph, x, y):
@@ -377,10 +421,7 @@ def canonical_measure(graph):
     pairing", 1993).  That is 1/L on a loop and 0 on a bridge.  Foster's
     identity, sum over edges of (1 - r(u, v)/L) = betti, makes the mass 1.
     """
-    return _canonical(graph, _Resistances(graph))
-
-
-def _canonical(graph, res):
+    res = _Resistances(graph)
     masses = {
         v: 1 - Fraction(graph.valence(v), 2) for v in graph.genus
     }
@@ -394,21 +435,15 @@ def _require_genus(graph):
 
 
 def admissible_measure(graph):
-    """(delta_K + 2 mu_can) / (2 total_genus); total mass 1."""
+    """(delta_K + 2 mu_can) / (2 total_genus); total mass 1.
+
+    That is mass genus(v) / g at v, since K(v) + 2 (1 - valence(v) / 2) =
+    2 genus(v), and the canonical density over g on each edge.
+    """
     _require_genus(graph)
-    return _admissible(graph, _Resistances(graph))
-
-
-def _admissible(graph, res):
-    g2 = 2 * graph.total_genus
-    k = canonical_divisor(graph)
-    can = _canonical(graph, res)
-    masses = {
-        v: Fraction(k[v] + 2 * can.mass(v), 1) / g2 for v in graph.genus
-    }
-    densities = {
-        e.eid: 2 * can.density(e.eid) / g2 for e in graph.edges
-    }
+    g, res = graph.total_genus, _Resistances(graph)
+    masses = {v: Fraction(h, g) for v, h in graph.genus.items()}
+    densities = {e.eid: res.density(e) / g for e in graph.edges}
     return Measure(masses, densities)
 
 
@@ -438,16 +473,50 @@ def epsilon_phi(graph):
 
     epsilon = int int r(x, y) d delta_K(x) dmu(y) = sum_v K(v) phi_mu(v);
     phi = (6 g c - epsilon - delta) / 4.
+
+    Both in integers over one common denominator (module docstring): with
+    N_e = a_e det - b_e s R_e, A the lcm of the a_e where N_e != 0 and
+    Q = 2 g det A, the masses (MQ)_v = 2 det A genus(v) + sum_{e at v} N_e A / a_e
+    have total Q, P_w = Q adj_ww + sum_v (MQ)_v adj_vv - 2 (adj MQ)_w and
+    S = sum_e N_e^2 / (a_e b_e) / (6 g det^2), and
+
+    epsilon = (2g - 2) S + s (K . P) / (det Q),
+    c = (2g - 1) S / g + s (MQ . P) / (det Q^2).
     """
     _require_genus(graph)
-    res = _Resistances(graph)
-    kernel = _Kernel(_admissible(graph, res), res)
+    g, res = graph.total_genus, _Resistances(graph)
+    det = res._det
+    spread = []  # (edge, a_e, b_e, N_e) where N_e != 0: not a bridge
+    for e in graph.edges:
+        n = res.foster(e)
+        if n:
+            spread.append((e, e.length.numerator, e.length.denominator, n))
+    # *list, not *generator: a resized argument tuple stays on CPython's free list
+    a_lcm = math.lcm(*[a for _, a, _, _ in spread])
+    ab_lcm = math.lcm(*[a * b for _, a, b, _ in spread])
+    q = 2 * g * det * a_lcm
+    mq = {v: 2 * det * a_lcm * gv for v, gv in graph.genus.items()}
+    t = 0  # S = t / (6 g det^2 ab_lcm)
+    for e, a, b, n in spread:
+        half = n * (a_lcm // a)
+        mq[e.u] += half
+        mq[e.v] += half
+        t += n * n * (ab_lcm // (a * b))
+    if sum(mq.values()) != q:
+        raise ValueError("Foster's identity fails: the masses do not sum to 1")
+    p = res.potentials(mq)
     k = canonical_divisor(graph)
-    eps = sum(
-        (k[v] * kernel.phi(("v", v)) for v in graph.genus if k[v]), Fraction(0)
+    kp = sum(k[v] * x for v, x in p.items())
+    mqp = sum(mq[v] * x for v, x in p.items())
+    # with h = ab_lcm / A: s / (det Q) = 3 h s / (6 g det^2 ab_lcm) and
+    # 6 g s / (det Q^2) = 3 h s / (2 g det^3 A ab_lcm)
+    h, s = ab_lcm // a_lcm, res._scale
+    eps = Fraction((2 * g - 2) * t + 3 * h * s * kp, 6 * g * det**2 * ab_lcm)
+    six_gc = Fraction(
+        2 * (2 * g - 1) * det * a_lcm * t + 3 * h * s * mqp,
+        2 * g * det**3 * a_lcm * ab_lcm,
     )
-    ph = (6 * graph.total_genus * kernel.c - eps - delta(graph)) / 4
-    return eps, ph
+    return eps, (six_gc - eps - delta(graph)) / 4
 
 
 def epsilon(graph):
@@ -465,7 +534,10 @@ def phi(graph):
 
 def delta(graph):
     """Total edge length (thickness-weighted singular-point count)."""
-    return sum((e.length for e in graph.edges), Fraction(0))
+    # *list, not *generator: a resized argument tuple stays on CPython's free list
+    den = math.lcm(*[e.length.denominator for e in graph.edges])
+    num = sum(e.length.numerator * (den // e.length.denominator) for e in graph.edges)
+    return Fraction(num, den)
 
 
 def _spread(values):
@@ -492,7 +564,7 @@ def verify_admissible(graph, mu):
     kernel = _Kernel(mu, res)
     k = canonical_divisor(graph)
     d = sum(k.values())
-    psi = res.potentials(k, 0)
+    psi = {v: Fraction(res._scale * x, res._det) for v, x in res.potentials(k).items()}
     const = sum(k[v] * kernel.phi(("v", v)) for v in graph.genus) - (d + 1) * kernel.c
     values = []
     for y in kernel.eval_points():

@@ -17,6 +17,7 @@ valuations per (configuration, prime); nothing is memoized between calls.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 
@@ -30,6 +31,9 @@ class _ProjectiveInfinity:
 
 
 INF = _ProjectiveInfinity()
+
+#: "n" or "n/d", the pattern of rationals in docs/schemas.
+_RATIONAL = r"(-?[0-9]+)(?:/([0-9]+))?"
 
 #: Witness bases making Miller-Rabin deterministic below 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -136,8 +140,19 @@ def log_abs(q, p):
 
 
 def parse_rat(s):
-    """Parse "n/d" or "n" into a reduced Fraction."""
-    return Fraction(str(s).strip())
+    """Parse "n/d" or "n" into a reduced Fraction.
+
+    Exactly ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, as in
+    ``docs/schemas``; anything else (decimals, exponents, "1/0") raises
+    ``ValueError``.
+    """
+    match = re.fullmatch(_RATIONAL, str(s))
+    if not match:
+        raise ValueError(f"not a rational 'n' or 'n/d': {s!r}")
+    num, den = match.groups()
+    if den is not None and int(den) == 0:
+        raise ValueError(f"zero denominator: {s!r}")
+    return Fraction(int(num), 1 if den is None else int(den))
 
 
 def format_rat(q):

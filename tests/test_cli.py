@@ -314,6 +314,33 @@ def test_global_non_integer_genus(tmp_path, capsys, genus):
     assert "genus of place '3' is not an integer" in json.loads(out)["detail"]
 
 
+@pytest.mark.parametrize("length", ["1/0", "0.5", "1.1e1", "1e400"])
+def test_graph_length_not_a_rational_string(tmp_path, capsys, length):
+    doc = {**LOOP1, "edges": [{"u": "v", "v": "v", "length": length}]}
+    code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", doc))
+    assert code == 1
+    assert json.loads(out)["error"] == "validation"
+
+
+@pytest.mark.parametrize("root", ["1/0", "0.5", "1e400"])
+def test_curve_root_not_a_rational_string(tmp_path, capsys, root):
+    curve = write(tmp_path, "c.json", {**CURVE6, "roots": ["0", "1", "2", "3", "4", root]})
+    code, out = run(capsys, "symroots", "--curve", curve, "--triple", "0,1,2")
+    assert code == 1
+    assert json.loads(out)["error"] == "validation"
+
+
+@pytest.mark.parametrize("d", ["1/0", "6.0", "1.1e1"])
+def test_invariants_chi_d_not_a_rational_string(capsys, d):
+    code, out = run(
+        capsys,
+        "invariants", "chi",
+        "--d", d, "--eps", "5/9", "--delta", "3", "--genus", "2",
+    )
+    assert code == 1
+    assert json.loads(out)["error"] == "validation"
+
+
 def test_bad_subcommand(capsys):
     code, out = run(capsys, "bogus")
     assert code == 1

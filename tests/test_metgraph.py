@@ -162,6 +162,24 @@ def test_measure_with_mass_off_the_graph_rejected(call):
         call(theta(), Measure({"v1": F(1, 2), "elsewhere": F(1, 2)}, {}))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, mu: green(g, mu, "v", "v"),
+        green_diagonal,
+        verify_admissible,
+    ],
+    ids=["green", "green_diagonal", "verify_admissible"],
+)
+def test_density_on_unknown_edge_rejected(call):
+    # the graph has one edge, id 0: a density on edge 7 is not silently dropped
+    g = loop1()
+    mu = admissible_measure(g)
+    mu.edge_density[7] = F(5)
+    with pytest.raises(ValueError, match=r"unknown edges: \[7\]"):
+        call(g, mu)
+
+
 def test_green_diagonal_matches_pointwise():
     g = theta(1, 2, 3)
     mu = admissible_measure(g)

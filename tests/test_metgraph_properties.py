@@ -125,9 +125,20 @@ def test_potentials_of_the_canonical_divisor(graph):
     k = metgraph.canonical_divisor(graph)
     assert sum(k.values()) == 2 * graph.total_genus - 2
     res = metgraph._Resistances(graph)
-    psi = res.potentials(k, 0)
+    psi = res.potentials(k)  # numerators over det / s
     for w in graph.vertices:
-        assert psi[w] == sum(k[v] * res.vertex(v, w) for v in graph.vertices)
+        psi_w = F(res._scale * psi[w], res._det)
+        assert psi_w == sum(k[v] * res.vertex(v, w) for v in graph.vertices)
+
+
+@PROPERTY
+@given(graphs())
+def test_epsilon_phi_matches_oracle_and_admissible_masses_are_genus_over_g(graph):
+    g = graph.total_genus
+    mu = metgraph.admissible_measure(graph)
+    assert mu.vertex_mass == {v: F(h, g) for v, h in graph.genus.items()}
+    assert mu == old.admissible_measure(graph)
+    assert metgraph.epsilon_phi(graph) == old.epsilon_phi(graph)
 
 
 @PROPERTY
@@ -234,18 +245,19 @@ def test_larger_graphs_match_oracle(name):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, vertex",
     [
-        lambda g, mu: metgraph.epsilon_phi(g),
-        lambda g, mu: metgraph.green_diagonal(g, mu),
-        lambda g, mu: metgraph.verify_admissible(g, mu),
+        (lambda g, mu: metgraph.epsilon_phi(g), lambda g: 0),
+        (lambda g, mu: metgraph.green_diagonal(g, mu), lambda g: len(g.edges)),
+        (lambda g, mu: metgraph.verify_admissible(g, mu), lambda g: len(g.edges)),
     ],
     ids=["epsilon_phi", "green_diagonal", "verify_admissible"],
 )
-def test_no_per_point_vertex_resistances(monkeypatch, call):
+def test_no_per_point_vertex_resistances(monkeypatch, call, vertex):
     # the potentials come from one product with the adjugate: a vertex
-    # resistance is read once per edge (for its canonical density), and no
-    # resistance to any point is evaluated
+    # resistance is read at most once per edge (for its canonical density;
+    # epsilon_phi reads the integer N_e instead), and no resistance to any
+    # point is evaluated
     graph = LARGE["necklace(8)"](random.Random("large:necklace(8)"))
     mu = metgraph.admissible_measure(graph)
     counts = {"vertex": 0, "between": 0}
@@ -258,7 +270,42 @@ def test_no_per_point_vertex_resistances(monkeypatch, call):
 
         monkeypatch.setattr(metgraph._Resistances, name, counting)
     call(graph, mu)
-    assert counts == {"vertex": len(graph.edges), "between": 0}
+    assert counts == {"vertex": vertex(graph), "between": 0}
+
+
+def test_epsilon_phi_builds_no_measure_or_kernel(monkeypatch):
+    # one solve, then integers: no Measure, no _Kernel, no second _invert
+    graph = LARGE["random(10, 15)"](random.Random("large:random(10, 15)"))
+    expected = old.epsilon_phi(graph)  # the oracle builds Measures of its own
+    counts = {"_invert": 0, "Measure": 0, "_Kernel": 0}
+    original_invert = metgraph._invert
+
+    def invert(matrix):
+        counts["_invert"] += 1
+        return original_invert(matrix)
+
+    monkeypatch.setattr(metgraph, "_invert", invert)
+    for name in ("Measure", "_Kernel"):
+        original = getattr(metgraph, name).__init__
+
+        def init(self, *args, _name=name, _original=original):
+            counts[_name] += 1
+            _original(self, *args)
+
+        monkeypatch.setattr(getattr(metgraph, name), "__init__", init)
+    assert metgraph.epsilon_phi(graph) == expected
+    assert counts == {"_invert": 1, "Measure": 0, "_Kernel": 0}
+
+
+def test_epsilon_phi_checks_fosters_identity(monkeypatch):
+    # the masses of a wrong solve do not sum to 1: raised, not asserted
+    graph = LARGE["necklace(8)"](random.Random("large:necklace(8)"))
+    original = metgraph._Resistances.foster
+    monkeypatch.setattr(
+        metgraph._Resistances, "foster", lambda self, e: original(self, e) + 1
+    )
+    with pytest.raises(ValueError, match="Foster's identity"):
+        metgraph.epsilon_phi(graph)
 
 
 def test_repeated_calls_hold_no_memory():

@@ -68,6 +68,26 @@ def test_rat_roundtrip(q):
     assert parse_rat(format_rat(q)) == q
 
 
+@pytest.mark.parametrize(
+    "text, value",
+    [("0", 0), ("-0", 0), ("7", 7), ("-3/4", Fraction(-3, 4)), ("006/8", Fraction(3, 4)),
+     (Fraction(5, 3), Fraction(5, 3)), (12, 12)],
+)
+def test_parse_rat_accepts_integer_ratios(text, value):
+    assert parse_rat(text) == value
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["0.5", "1.1e1", "1e400", "1/0", "-3/00", "", " 1", "1 ", "+1", "1/-2", "1/2/3",
+     "1_000", "nan", "inf", "\u0663", "1\n", 0.5],
+)
+def test_parse_rat_rejects_everything_else(text):
+    # the docs/schemas pattern -?[0-9]+(/[0-9]+)? with a nonzero denominator
+    with pytest.raises(ValueError):
+        parse_rat(text)
+
+
 def test_parse_point():
     assert parse_point("inf") is INF
     assert parse_point("-3/4") == Fraction(-3, 4)
