@@ -5,21 +5,22 @@ roots, even pairwise valuations, at least 3 residue classes mod p), the roots
 are grouped, for each level n >= 0, into residue classes mod p**n containing
 at least two of them.  These classes form a rooted tree whose nodes carry the
 multiplicity data of the components of the special fiber, giving a derivation
-of val(l_ijk) that is completely independent of the symroots code path:
+of val(l_ijk) through intersection numbers on the special fiber:
 
     (2g-1)*(W_i - W_j, V_k) + (V_i - V_j, W_k) = 2g(g-1) * val(l_ijk).
 
-All of it reads one table of pairwise valuations V[r][s] = val(a_r - a_s)
-(``rational.valuation_table``), computed once per public call after the
-prime is checked once; ``build_tree`` keeps its table on the tree, where
-``mult_x`` and ``v_mult`` read it, together with the integer matrix
-2 * (W_r, V_k) that ``pairing_from_tree`` reads, so a pairing is four
-integer lookups and one ``Fraction``.  Nothing is memoized between calls.
-The valuation is ultrametric, so for each level n the relation
+All of it reads the table V[r][s] = val(a_r - a_s) that the configuration
+builds once per prime (``symroots._valuations``), as ``symroot_val`` does;
+the ``cluster-vs-symroots`` verify suite also checks ``symroot_val`` against
+``symroot_pow``, which never reads the table.
+``build_tree`` keeps the table on the tree, where ``mult_x`` and ``v_mult``
+read it, together with the integer matrix 2 * (W_r, V_k) that
+``pairing_from_tree`` reads, so a pairing is four integer lookups and one
+``Fraction``.  The valuation is ultrametric, so for each level n the relation
 V[r][s] >= n is an equivalence and its classes are the residue classes mod
 p**n: ``build_tree`` splits the classes of the level above (single linkage)
 only at levels just past a value that occurs in V, and otherwise carries
-the previous level's classes down.
+the previous level's classes down, sharing their members and representative.
 
 The reduction of arbitrary configurations to normal form needs root
 extraction in field extensions and is not implemented; non-normal-form input
@@ -34,11 +35,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import require_odd_prime, valuation_table
-from .symroots import _check_triple, _require_finite
+from .symroots import _check_triple, _valuations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClusterNode:
     """A residue class mod p**level containing at least two roots."""
 
@@ -92,10 +92,8 @@ class ClusterTree:
 
 def _normal_form(cfg, p):
     """Check p once; return the normal-form violations and the table V."""
-    require_odd_prime(p)
-    _require_finite(cfg)
+    vals, _ = _valuations(cfg, p)
     a = cfg.roots
-    vals = valuation_table(a, p)
     violations = [
         f"root {r} = {x} is not integral at {p}"
         for r, x in enumerate(a)
@@ -142,19 +140,18 @@ def build_tree(cfg, p):
         raise NormalFormError(NormalFormReport(violations))
     a = cfg.roots
     n_roots = len(a)
-    depth = {
-        r: max(vals[r][s] for s in range(n_roots) if s != r)
-        for r in range(n_roots)
-    }
+    depth = {r: max(row[:r] + row[r + 1 :]) for r, row in enumerate(vals)}
     max_level = max(depth.values())
-    # levels just past a value of V, where some class splits
-    splits = {vals[r][s] + 1 for r in range(n_roots) for s in range(r)}
+    # level 0 and the levels just past a value of V, where some class splits
+    splits = {0} | {vals[r][s] + 1 for r in range(n_roots) for s in range(r)}
     nodes = []
     parent = {}
     node_of_root = {}
-    classes = [(list(range(n_roots)), None)]  # (sorted members, parent node)
+    # (sorted members, node of the level above); a None node only at level 0
+    classes = [(list(range(n_roots)), None)]
     for n in range(max_level + 1):
-        if n in splits:
+        split = n in splits
+        if split:
             classes = sorted(
                 (
                     (group, node)
@@ -166,7 +163,10 @@ def build_tree(cfg, p):
             )
         level_nodes = []
         for members, up in classes:
-            node = ClusterNode(n, frozenset(members), Fraction(a[members[0]]))
+            if split:
+                node = ClusterNode(n, frozenset(members), Fraction(a[members[0]]))
+            else:
+                node = ClusterNode(n, up.members, up.representative)
             if up is not None:
                 parent[node] = up
             for r in members:

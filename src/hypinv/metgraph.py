@@ -77,7 +77,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .rational import format_rat, parse_rat, require_int
+from .rational import format_rat, parse_rat, require_int, require_keys
 
 
 @dataclass(frozen=True)
@@ -154,17 +154,19 @@ class MetrizedGraph:
 
     @classmethod
     def from_json(cls, doc):
+        """The graph of a ``docs/schemas/graph.schema.json`` document."""
         genus = {}
-        for v in doc["vertices"]:
-            vid = str(v["id"])
+        for v in require_keys(doc, ("vertices", "edges"), "graph")["vertices"]:
+            vid = require_keys(v, ("id", "genus"), "vertex", ("id",))["id"]
             if vid in genus:
                 raise ValueError(f"duplicate vertex id: {vid!r}")
             if "genus" not in v:
                 raise ValueError(f"vertex {vid!r} has no genus")
             genus[vid] = require_int(v["genus"], f"genus of vertex {vid!r}")
-        edges = [
-            (e["u"], e["v"], parse_rat(e["length"])) for e in doc["edges"]
-        ]
+        edges = []
+        for e in doc["edges"]:
+            e = require_keys(e, ("u", "v", "length"), "edge", ("u", "v", "length"))
+            edges.append((e["u"], e["v"], parse_rat(e["length"])))
         return cls(genus, edges)
 
     def to_json(self):

@@ -8,10 +8,10 @@ scaling by an actual real logarithm happens only at the CLI boundary.
 
 The p-adic order of an integer is found by repeated squaring of p, so a
 valuation v costs O(log v) big-integer divisions.  The public ``val`` checks
-that p is prime on every call; ``_int_val``, ``val_diff`` and
-``valuation_table`` do not, so that the p-adic modules check the prime once
-per public call and then work on integers.  ``valuation_table`` is the one table of pairwise
-valuations per (configuration, prime); nothing is memoized between calls.
+that p is prime on every call; ``_int_val`` and ``valuation_table`` do not.
+``valuation_table`` is the table of pairwise valuations that
+``symroots.RootConfig`` keeps, built once per (configuration, prime) after
+the prime is checked; every p-adic function reads it.
 """
 
 from __future__ import annotations
@@ -102,32 +102,21 @@ def val(q, p):
     return _int_val(q.numerator, p) - _int_val(q.denominator, p)
 
 
-def val_diff(x, y, p):
-    """val(x - y) for distinct rationals x, y; the caller has checked p.
-
-    Computed as val(n_x d_y - n_y d_x) - val(d_x) - val(d_y), without
-    forming the difference as a ``Fraction``.
-    """
-    dx, dy = x.denominator, y.denominator
-    n = x.numerator * dy - y.numerator * dx
-    v = _int_val(n, p) if n % p == 0 else 0
-    if dx % p == 0:
-        v -= _int_val(dx, p)
-    if dy % p == 0:
-        v -= _int_val(dy, p)
-    return v
-
-
 def valuation_table(roots, p):
     """The matrix V[r][s] = val(a_r - a_s) of pairwise-distinct rationals.
 
-    The diagonal is ``math.inf``; the caller has checked p.
+    val(n_r d_s - n_s d_r) - val(d_r) - val(d_s), without forming the
+    differences as ``Fraction``s.  The diagonal is ``math.inf``; the caller
+    has checked p.
     """
     n = len(roots)
+    dvals = [_int_val(x.denominator, p) for x in roots]
     table = [[math.inf] * n for _ in range(n)]
-    for r in range(n):
+    for r, x in enumerate(roots):
         for s in range(r + 1, n):
-            table[r][s] = table[s][r] = val_diff(roots[r], roots[s], p)
+            y = roots[s]
+            diff = x.numerator * y.denominator - y.numerator * x.denominator
+            table[r][s] = table[s][r] = _int_val(diff, p) - dvals[r] - dvals[s]
     return table
 
 
@@ -164,19 +153,12 @@ def format_rat(q):
 
 
 def parse_point(s):
-    """Parse a projective-line value: "inf" or a rational string."""
-    s = str(s).strip()
-    if s.lower() == "inf":
-        return INF
-    return parse_rat(s)
+    """Parse a projective-line value: exactly "inf" or a ``parse_rat`` string."""
+    return INF if s == "inf" else parse_rat(s)
 
 
 def format_point(x):
     return "inf" if x is INF else format_rat(x)
-
-
-def is_finite(x):
-    return x is not INF
 
 
 def require_int(value, what):
@@ -184,6 +166,18 @@ def require_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} is not an integer: {value!r}")
     return value
+
+
+def require_keys(doc, keys, what, strings=()):
+    """``doc`` if it is a JSON object with no key outside ``keys`` and a
+    string under each key of ``strings`` that it has; ValueError otherwise."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} is not an object: {doc!r}")
+    if unknown := sorted(set(doc) - set(keys)):
+        raise ValueError(f"unknown {what} keys: {unknown}")
+    if bad := [doc[k] for k in strings if not isinstance(doc.get(k, ""), str)]:
+        raise ValueError(f"{what} fields {list(strings)} must be strings: {bad!r}")
+    return doc
 
 
 def mobius(x, a, b, c, d):

@@ -13,16 +13,17 @@ units: (w_i - w_j, w_k) = val(l_ijk) / 2.
 
 Every formula is evaluated fraction-free on the roots' numerators n_r and
 denominators d_r.  With X_rs = n_r d_s - n_s d_r = d_r d_s (a_r - a_s) and
-P_i = prod_{r != i,j} X_ir, the denominators cancel from each quotient:
+P_i = prod_{r != i,j} X_ir, ``symroot_pow`` builds the one ``Fraction``
+l_ijk**(2g) = X_ik**(2g) P_j / (X_jk**(2g) P_i).  The p-adic functions read
+the table V_rs = val(a_r - a_s) and its row sums S_r = sum_{s != r} V_rs,
+built once per (configuration, prime) by ``_valuations``.  As val X_rs =
+V_rs + val d_r + val d_s and exactly 2g roots lie outside {i, j}, the val d
+terms cancel from 2g (val X_ik - val X_jk) + val P_j - val P_i, leaving
 
-    l_ijk**(2g) = X_ik**(2g) P_j / (X_jk**(2g) P_i),
-    2g val(l_ijk) = 2g (val X_ik - val X_jk) + val P_j - val P_i,
+    2g val(l_ijk) = 2g (V_ik - V_jk) + S_j - S_i,
 
-so ``symroot_pow`` builds one ``Fraction`` and ``symroot_val`` takes four
-integer valuations, whatever the genus (its products leave out the factors
-that are p-adic units); ``pairing_cross_ratio`` is val(X_ik X_jr) -
-val(X_jk X_ir) over 2.  The symmetric discriminant has the
-closed form
+and ``pairing_cross_ratio`` is (V_ik + V_jr - V_jk - V_ir) / 2.  The
+symmetric discriminant has the closed form
 
     d_ij = (-1)**g (a_i - a_j)**(2g(2g-1)) Delta_ij**2
            / prod_{r != i,j} ((a_i - a_r)(a_j - a_r))**(2g-1),
@@ -40,7 +41,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import INF, _int_val, is_finite, mobius, require_odd_prime
+from .rational import INF, mobius, require_odd_prime, valuation_table
 
 
 @dataclass(frozen=True)
@@ -51,6 +52,8 @@ class RootConfig:
     roots: tuple
     note: str = field(default="", compare=False)
     all_finite: bool = field(init=False, repr=False, compare=False)
+    #: prime -> (V, S), filled by ``_valuations``; the roots never change.
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.genus < 2:
@@ -75,6 +78,23 @@ def _require_finite(cfg):
         raise ValueError("roots must be finite; apply normalize_finite first")
 
 
+def _valuations(cfg, p):
+    """(V, S) at the odd prime p: V = valuation_table(cfg.roots, p) and
+    S[r] = sum_{s != r} V[r][s].
+
+    Checks p and finiteness on every call, then builds the table on the
+    first call for p and keeps it on ``cfg``.
+    """
+    require_odd_prime(p)
+    _require_finite(cfg)
+    tables = cfg._tables.get(p)
+    if tables is None:
+        vals = valuation_table(cfg.roots, p)
+        sums = [sum(row[:r]) + sum(row[r + 1 :]) for r, row in enumerate(vals)]
+        tables = cfg._tables[p] = (vals, sums)
+    return tables
+
+
 def _check_triple(cfg, *indices):
     n = len(cfg.roots)
     if len(set(indices)) != len(indices):
@@ -93,7 +113,7 @@ def normalize_finite(cfg):
     """
     if cfg.all_finite:
         return cfg
-    finite = {r for r in cfg.roots if is_finite(r)}
+    finite = set(cfg.roots) - {INF}
     c = Fraction(0)
     while c in finite:
         c += 1
@@ -104,28 +124,6 @@ def normalize_finite(cfg):
 def _cross(x, y):
     """X = n_x d_y - n_y d_x, the integer d_x d_y (x - y)."""
     return x.numerator * y.denominator - y.numerator * x.denominator
-
-
-def _cross_products(a, i, j, p):
-    """(P_i, P_j), P_i = prod_{r != i,j} X_ir, over the factors divisible by p.
-
-    p = 1 keeps every factor.  For a prime p the left-out factors are p-adic
-    units, so the valuations of the products do not change and the integers
-    stay small.
-    """
-    ni, di = a[i].numerator, a[i].denominator
-    nj, dj = a[j].numerator, a[j].denominator
-    prod_i = prod_j = 1
-    for r, x in enumerate(a):
-        if r != i and r != j:
-            n, d = x.numerator, x.denominator
-            x_i = ni * d - n * di
-            if x_i % p == 0:
-                prod_i *= x_i
-            x_j = nj * d - n * dj
-            if x_j % p == 0:
-                prod_j *= x_j
-    return prod_i, prod_j
 
 
 def symroot_pow(cfg, i, j, k):
@@ -139,7 +137,11 @@ def symroot_pow(cfg, i, j, k):
     _check_triple(cfg, i, j, k)
     a = cfg.roots
     g2 = 2 * cfg.genus
-    prod_i, prod_j = _cross_products(a, i, j, 1)
+    prod_i = prod_j = 1  # P_i, P_j
+    for r, x in enumerate(a):
+        if r != i and r != j:
+            prod_i *= _cross(a[i], x)
+            prod_j *= _cross(a[j], x)
     return Fraction(
         _cross(a[i], a[k]) ** g2 * prod_j, _cross(a[j], a[k]) ** g2 * prod_i
     )
@@ -148,18 +150,13 @@ def symroot_pow(cfg, i, j, k):
 def symroot_val(cfg, p, i, j, k):
     """val(l_ijk) at the odd prime p, an exact (possibly non-integer) rational.
 
-    (2g (val X_ik - val X_jk) + val P_j - val P_i) / 2g: two integer
-    products of the non-unit factors and four integer valuations per call,
-    read from the roots themselves.
+    (2g (V_ik - V_jk) + S_j - S_i) / 2g, read from the configuration's
+    valuation table.
     """
-    require_odd_prime(p)
-    _require_finite(cfg)
+    vals, sums = _valuations(cfg, p)
     _check_triple(cfg, i, j, k)
-    a = cfg.roots
     g2 = 2 * cfg.genus
-    prod_i, prod_j = _cross_products(a, i, j, p)
-    outer = _int_val(_cross(a[i], a[k]), p) - _int_val(_cross(a[j], a[k]), p)
-    return Fraction(g2 * outer + _int_val(prod_j, p) - _int_val(prod_i, p), g2)
+    return Fraction(g2 * (vals[i][k] - vals[j][k]) + sums[j] - sums[i], g2)
 
 
 def cross_ratio(cfg, i, j, k, r):
@@ -208,13 +205,9 @@ def pairing_cross_ratio(cfg, p, i, j, k, r):
     """(w_i - w_j, w_k - w_r) in nu units: val of the cross-ratio over 2.
 
     Always equals pairing_difference(i,j,k) - pairing_difference(i,j,r).
-    The cross-ratio is X_ik X_jr / (X_jk X_ir): the denominators cancel, so
-    this is two integer valuations.
+    The cross-ratio is X_ik X_jr / (X_jk X_ir) and the denominators cancel,
+    so this is (V_ik + V_jr - V_jk - V_ir) / 2.
     """
-    require_odd_prime(p)
-    _require_finite(cfg)
+    vals, _ = _valuations(cfg, p)
     _check_triple(cfg, i, j, k, r)
-    a = cfg.roots
-    num = _cross(a[i], a[k]) * _cross(a[j], a[r])
-    den = _cross(a[j], a[k]) * _cross(a[i], a[r])
-    return Fraction(_int_val(num, p) - _int_val(den, p), 2)
+    return Fraction(vals[i][k] + vals[j][r] - vals[j][k] - vals[i][r], 2)

@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from . import clustertree, invariants, metgraph, symroots
-from .rational import mobius
+from .rational import mobius, val
 from .symroots import RootConfig
 
 SUITES = (
@@ -155,13 +155,16 @@ def _suite_cluster_vs_symroots(tally, rng, n_configs=200):
             tree = clustertree.build_tree(cfg, p)
         factor = 2 * g * (g - 1)
         n = len(cfg.roots)
-        ok = True
-        for i, j, k in itertools.permutations(range(n), 3):
-            lhs = clustertree.pairing_from_tree(tree, i, j, k)
-            rhs = factor * symroots.symroot_val(cfg, p, i, j, k)
-            if lhs != rhs:
-                ok = False
-                break
+        # symroot_pow reads no valuation table: an anchor independent of the tree
+        ok = all(
+            2 * g * symroots.symroot_val(cfg, p, *t)
+            == val(symroots.symroot_pow(cfg, *t), p)
+            for t in ((0, 1, 2), (n - 1, 0, 1))
+        ) and all(
+            clustertree.pairing_from_tree(tree, *t)
+            == factor * symroots.symroot_val(cfg, p, *t)
+            for t in itertools.permutations(range(n), 3)
+        )
         tally.check(ok, f"cluster-vs-symroots {tag}")
 
 

@@ -15,8 +15,25 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from hypinv.rational import require_odd_prime, val_diff
+from hypinv.rational import _int_val, require_odd_prime
 from hypinv.symroots import _check_triple, _require_finite
+
+
+def val_diff(x, y, p):
+    """val(x - y) for distinct rationals x, y; the caller has checked p.
+
+    Computed as val(n_x d_y - n_y d_x) - val(d_x) - val(d_y), without
+    forming the difference as a ``Fraction``.  This was ``rational.val_diff``
+    before ``rational.valuation_table`` took its body.
+    """
+    dx, dy = x.denominator, y.denominator
+    n = x.numerator * dy - y.numerator * dx
+    v = _int_val(n, p) if n % p == 0 else 0
+    if dx % p == 0:
+        v -= _int_val(dx, p)
+    if dy % p == 0:
+        v -= _int_val(dy, p)
+    return v
 
 
 def symroot_pow(cfg, i, j, k):

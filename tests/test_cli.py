@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypinv import cli, clustertree, invariants, metgraph, rational
+from hypinv import cli, invariants, metgraph, rational, symroots
 
 LOOP1 = {
     "vertices": [{"id": "v", "genus": 1}],
@@ -142,7 +142,7 @@ def _count_valuation_tables(monkeypatch):
         return real(roots, p)
 
     monkeypatch.setattr(rational, "valuation_table", counted)
-    monkeypatch.setattr(clustertree, "valuation_table", counted)
+    monkeypatch.setattr(symroots, "valuation_table", counted)
     return calls
 
 
@@ -328,6 +328,44 @@ def test_curve_root_not_a_rational_string(tmp_path, capsys, root):
     code, out = run(capsys, "symroots", "--curve", curve, "--triple", "0,1,2")
     assert code == 1
     assert json.loads(out)["error"] == "validation"
+
+
+@pytest.mark.parametrize("command", ["symroots", "cluster"])
+@pytest.mark.parametrize("root", [" 1 ", "INF", "Inf", " inf"])
+def test_curve_root_outside_the_schema_pattern(tmp_path, capsys, command, root):
+    # docs/schemas/curve.schema.json: ^(-?[0-9]+(/[0-9]+)?|inf)$, nothing stripped
+    curve = write(tmp_path, "c.json", {**CURVE6, "roots": ["6", "1", "2", "3", "4", root]})
+    code, out = run(capsys, command, "--curve", curve, "--prime", "3", "--triple", "0,1,2")
+    assert code == 1
+    assert json.loads(out)["error"] == "validation"
+
+
+@pytest.mark.parametrize("command", ["symroots", "cluster"])
+def test_curve_root_inf(tmp_path, capsys, command):
+    curve = write(tmp_path, "c.json", {**CURVE6, "roots": ["inf", "1", "2", "3", "4", "5"]})
+    code, out = run(capsys, command, "--curve", curve, "--prime", "3", "--triple", "0,1,2")
+    assert code == 0
+    assert "error" not in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    ("change", "detail"),
+    [
+        ({"note": "x"}, "unknown graph keys: ['note']"),
+        ({"vertices": [{"id": "v", "genus": 1, "label": "x"}]}, "unknown vertex keys"),
+        ({"edges": [{"u": "v", "v": "v", "length": "1", "w": 1}]}, "unknown edge keys"),
+        (
+            {"vertices": [{"id": 0, "genus": 1}], "edges": [{"u": 0, "v": 0, "length": "1"}]},
+            "must be strings",
+        ),
+        ({"edges": [{"u": "v", "v": "v", "length": 1}]}, "must be strings"),
+    ],
+)
+def test_graph_outside_the_schema(tmp_path, capsys, change, detail):
+    path = write(tmp_path, "g.json", {**LOOP1, **change})
+    code, out = run(capsys, "graph", "eval", "--in", path)
+    assert code == 1
+    assert detail in json.loads(out)["detail"]
 
 
 @pytest.mark.parametrize("d", ["1/0", "6.0", "1.1e1"])

@@ -68,6 +68,31 @@ def test_json_roundtrip():
     assert g2.to_json() == doc
 
 
+def _bad_docs():
+    """Graph documents that docs/schemas/graph.schema.json rejects."""
+    doc = loop1().to_json()
+    vertex, edge = doc["vertices"][0], doc["edges"][0]
+    yield "top-level key", {**doc, "note": "x"}
+    yield "vertex key", {**doc, "vertices": [{**vertex, "label": "x"}]}
+    yield "edge key", {**doc, "edges": [{**edge, "weight": 1}]}
+    yield "integer vertex id", {
+        "vertices": [{"id": 0, "genus": 1}],
+        "edges": [{"u": 0, "v": 0, "length": "1"}],
+    }
+    yield "integer endpoint", {**doc, "edges": [{**edge, "u": 0}]}
+    yield "numeric length", {**doc, "edges": [{**edge, "length": 1}]}
+    yield "vertex not an object", {**doc, "vertices": ["v"]}
+    yield "document not an object", [doc]
+
+
+@pytest.mark.parametrize(
+    ("what", "doc"), list(_bad_docs()), ids=[w for w, _ in _bad_docs()]
+)
+def test_from_json_rejects_what_the_schema_rejects(what, doc):
+    with pytest.raises(ValueError):
+        MetrizedGraph.from_json(doc)
+
+
 def test_canonical_divisor():
     assert canonical_divisor(loop1()) == {"v": 2}
     assert canonical_divisor(theta()) == {"v1": 1, "v2": 1}

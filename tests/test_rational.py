@@ -95,6 +95,13 @@ def test_parse_point():
     assert format_point(Fraction(5)) == "5"
 
 
+@pytest.mark.parametrize("text", ["INF", "Inf", " inf", "inf ", " 1 ", "1 ", "-inf", "0.5"])
+def test_parse_point_accepts_only_the_schema_pattern(text):
+    # docs/schemas/curve.schema.json: ^(-?[0-9]+(/[0-9]+)?|inf)$
+    with pytest.raises(ValueError):
+        parse_point(text)
+
+
 def test_mobius():
     assert mobius(Fraction(1), 1, 1, 0, 1) == 2
     assert mobius(INF, 2, 1, 1, 0) == 2  # x -> (2x+1)/x

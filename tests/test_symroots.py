@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypinv import rational, verify
+from hypinv import clustertree, rational, verify
 from hypinv.rational import INF
 from hypinv.symroots import (
     RootConfig,
@@ -244,7 +244,7 @@ def test_disc_numeric_oracle_random(cfg):
         assert abs(turns - round(turns)) < 1e-9
 
 
-# --- cost guard: integer valuations per call ---------------------------------
+# --- cost guard: one valuation table per (configuration, prime) --------------
 
 
 def _count_calls(monkeypatch, name):
@@ -265,22 +265,26 @@ def _count_calls(monkeypatch, name):
 
 
 def test_valuations_per_call_do_not_grow_with_genus(monkeypatch):
+    tables = _count_calls(monkeypatch, "valuation_table")
     int_vals = _count_calls(monkeypatch, "_int_val")
-    val_diffs = _count_calls(monkeypatch, "val_diff")
-    per_call = {}
     for g in range(2, 9):
         rng = random.Random(g)
-        cfg = verify.random_normal_form_config(rng, g, 3)
-        cfg = RootConfig(g, cfg.roots[:-1] + (Fraction(1, 9),))
-        quads = list(itertools.permutations(range(2 * g + 2), 4))
-        for quad in rng.sample(quads, 40):
-            for name, call in (
-                ("symroot_val", lambda: symroot_val(cfg, 3, *quad[:3])),
-                ("pairing_cross_ratio", lambda: pairing_cross_ratio(cfg, 3, *quad)),
-            ):
-                int_vals.clear()
-                call()
-                per_call.setdefault(name, set()).add(len(int_vals))
-    assert val_diffs == []
-    assert max(per_call["symroot_val"]) <= 4
-    assert max(per_call["pairing_cross_ratio"]) <= 2
+        normal = verify.random_normal_form_config(rng, g, 3)
+        # p in a denominator: not in normal form, build_tree raises
+        other = RootConfig(g, normal.roots[:-1] + (Fraction(1, 9),))
+        for cfg in (normal, other):
+            tables.clear()
+            report = clustertree.check_normal_form(cfg, 3)
+            try:
+                clustertree.build_tree(cfg, 3)
+            except clustertree.NormalFormError as err:
+                assert err.report == report
+            assert report.ok == (cfg is normal)
+            int_vals.clear()
+            n = len(cfg.roots)
+            for t in itertools.permutations(range(n), 3):
+                symroot_val(cfg, 3, *t)
+            for quad in rng.sample(list(itertools.permutations(range(n), 4)), 40):
+                pairing_cross_ratio(cfg, 3, *quad)
+            assert tables == [(cfg.roots, 3)]
+            assert int_vals == []

@@ -12,10 +12,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle_symroots as old
 from hypinv import clustertree, symroots, verify
-from hypinv.rational import INF
+from hypinv.rational import INF, val
 from hypinv.symroots import RootConfig
 from test_padic_oracle import chain_config
 
@@ -161,3 +163,58 @@ def test_errors_match_oracle():
         with pytest.raises(ValueError) as old_err:
             getattr(old, name)(*args)
         assert str(new_err.value) == str(old_err.value)
+
+
+# --- the per-configuration valuation table ---------------------------------
+
+
+@st.composite
+def configs_and_primes(draw):
+    """A configuration of genus 2-4 and an odd prime.  Roots may have p or a
+    unit in the denominator, and with one root at inf the configuration is
+    moved by ``normalize_finite``."""
+    g = draw(st.integers(2, 4))
+    p = draw(st.sampled_from(PRIMES))
+    at_inf = draw(st.booleans())
+    den = st.sampled_from((1, p, p**2, p + 1, p * (p + 1)))
+    root = st.builds(Fraction, st.integers(-(p**4), p**4), den)
+    count = 2 * g + 2 - at_inf
+    roots = draw(st.lists(root, min_size=count, max_size=count, unique=True))
+    if at_inf:
+        roots.insert(draw(st.integers(0, count)), INF)
+    return symroots.normalize_finite(RootConfig(g, tuple(roots))), p
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(configs_and_primes(), st.data())
+def test_symroot_val_from_the_table_matches_symroot_pow(cfg_p, data):
+    cfg, p = cfg_p
+    n, g2 = len(cfg.roots), 2 * cfg.genus
+    for _ in range(6):
+        quad = data.draw(st.permutations(range(n)))[:4]
+        t = quad[:3]
+        new = symroots.symroot_val(cfg, p, *t)
+        assert new == Fraction(val(symroots.symroot_pow(cfg, *t), p), g2)
+        assert new == old.symroot_val(cfg, p, *t)
+        assert symroots.pairing_cross_ratio(cfg, p, *quad) == old.pairing_cross_ratio(
+            cfg, p, *quad
+        )
+    assert list(cfg._tables) == [p]
+
+
+def test_bad_prime_and_infinite_root_raise_on_every_call():
+    cfg, p, _ = CONFIGS[0]
+    symroots.symroot_val(cfg, p, 0, 1, 2)  # the table for p now exists
+    with_inf = RootConfig(2, (INF,) + tuple(Fraction(x) for x in range(1, 6)))
+    calls = [
+        lambda c, q: symroots.symroot_val(c, q, 0, 1, 2),
+        lambda c, q: symroots.pairing_cross_ratio(c, q, 0, 1, 2, 3),
+        lambda c, q: clustertree.check_normal_form(c, q),
+    ]
+    # float(p) == p hashes like p, so it would find p's table
+    for c, q in [(cfg, 2), (cfg, 9), (cfg, float(p)), (with_inf, p)]:
+        for call in calls * 2:
+            with pytest.raises(ValueError):
+                call(c, q)
+    assert list(cfg._tables) == [p]
+    assert with_inf._tables == {}
