@@ -7,59 +7,23 @@ metrized-graph invariants epsilon, phi, delta and chi of reduction graphs,
 plus adelic aggregation across places.
 """
 
-from .clustertree import (
-    ClusterTree,
-    NormalFormReport,
-    build_tree,
-    check_normal_form,
-    pairing_combination,
-)
-from .invariants import (
-    GENUS2_ARITY,
-    Genus2Row,
-    NodeCounts,
-    PlaceReport,
-    aggregate_global,
-    chi_arch,
-    chi_from_pairings,
-    chi_nonarch,
-    d_from_counts,
-    genus2_graph,
-    genus2_row,
-    node_counts_from_graph,
-    noether_consistency,
-    place_report_from_graph,
-    yamaki_bound,
-)
-from .metgraph import (
-    Measure,
-    MetrizedGraph,
-    admissible_measure,
-    canonical_divisor,
-    canonical_measure,
-    delta,
-    epsilon,
-    epsilon_phi,
-    green,
-    green_diagonal,
-    phi,
-    resistance,
-    scale,
-    subdivide,
-    verify_admissible,
-)
-from .rational import INF, format_rat, is_prime, log_abs, parse_rat, val
-from .symroots import (
-    RootConfig,
-    cross_ratio,
-    normalize_finite,
-    pairing_cross_ratio,
-    pairing_difference,
-    sym_discriminant,
-    symroot_pow,
-    symroot_val,
-)
-from .verify import SUITES, run_suite
+#: home module -> the public names it defines; a layer is imported on first
+#: access to one of its names (PEP 562), so ``import hypinv`` loads none.
+_LAYERS = {
+    "clustertree": "ClusterTree NormalFormReport build_tree check_normal_form "
+    "pairing_combination",
+    "invariants": "GENUS2_ARITY Genus2Row NodeCounts PlaceReport aggregate_global "
+    "chi_arch chi_from_pairings chi_nonarch d_from_counts genus2_graph genus2_row "
+    "node_counts_from_graph noether_consistency place_report_from_graph yamaki_bound",
+    "metgraph": "Measure MetrizedGraph admissible_measure canonical_divisor "
+    "canonical_measure delta epsilon epsilon_phi green green_diagonal phi "
+    "resistance scale subdivide verify_admissible",
+    "rational": "INF format_rat is_prime log_abs parse_rat val",
+    "symroots": "RootConfig cross_ratio normalize_finite pairing_cross_ratio "
+    "pairing_difference sym_discriminant symroot_pow symroot_val",
+    "verify": "SUITES run_suite",
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names.split()}
 
 __version__ = "0.1.0"
 
@@ -116,3 +80,17 @@ __all__ = [
     "verify_admissible",
     "yamaki_bound",
 ]
+
+
+def __getattr__(name):
+    """``hypinv.X`` is ``X`` of its home module, read on every access."""
+    layer = name if name in _LAYERS else _HOME.get(name)
+    if layer is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{layer}")  # the import statement's path: -X importtime sees it
+    module = globals()[layer]
+    return module if layer == name else getattr(module, name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

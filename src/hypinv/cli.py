@@ -14,11 +14,9 @@ import json
 import math
 import sys
 
-from . import clustertree, invariants, metgraph, symroots, verify
-from .invariants import PlaceReport
-from .metgraph import MetrizedGraph
+# each handler imports the layers it runs, so a subcommand loads no other
+from . import verify
 from .rational import format_rat, parse_point, parse_rat, require_int
-from .symroots import RootConfig
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,13 +36,15 @@ def _load_json(path):
 
 
 def _load_curve(doc):
+    from .symroots import RootConfig, normalize_finite
+
     if "genus" not in doc or "roots" not in doc:
         raise ValueError('curve JSON requires "genus" and "roots"')
     cfg = RootConfig(
         require_int(doc["genus"], "curve genus"),
         tuple(parse_point(r) for r in doc["roots"]),
     )
-    return symroots.normalize_finite(cfg)
+    return normalize_finite(cfg)
 
 
 def _parse_triple(text, size):
@@ -63,6 +63,8 @@ def _triples(cfg, args):
 
 
 def _triple_record(cfg, prime, i, j, k):
+    from . import symroots
+
     rec = {"l_pow_2g": format_rat(symroots.symroot_pow(cfg, i, j, k))}
     if prime is not None:
         nu = symroots.symroot_val(cfg, prime, i, j, k)
@@ -92,6 +94,8 @@ def _cmd_symroots(args):
 
 
 def _cmd_cluster(args):
+    from . import clustertree, symroots
+
     doc = _load_json(args.curve)
     cfg = _load_curve(doc)
     prime = args.prime if args.prime is not None else doc.get("prime")
@@ -132,8 +136,10 @@ def _cmd_cluster(args):
 def _cmd_graph(args):
     if args.action != "eval":
         raise ValueError(f"unknown graph action: {args.action!r}")
+    from . import invariants, metgraph
+
     try:
-        graph = MetrizedGraph.from_json(_load_json(args.infile))
+        graph = metgraph.MetrizedGraph.from_json(_load_json(args.infile))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad graph JSON: {exc}") from exc
     eps, ph = metgraph.epsilon_phi(graph)
@@ -148,6 +154,8 @@ def _cmd_graph(args):
 
 
 def _cmd_genus2(args):
+    from . import invariants
+
     params = (
         tuple(parse_rat(x) for x in args.params.split(",")) if args.params else ()
     )
@@ -161,6 +169,8 @@ def _cmd_genus2(args):
         "chi": format_rat(row.chi),
     }
     if args.graph_check:
+        from . import metgraph
+
         graph = invariants.genus2_graph(args.type, params)
         eps, ph = metgraph.epsilon_phi(graph)
         dlt = metgraph.delta(graph)
@@ -185,6 +195,8 @@ def _cmd_genus2(args):
 def _cmd_invariants(args):
     if args.action != "chi":
         raise ValueError(f"unknown invariants action: {args.action!r}")
+    from . import invariants
+
     chi = invariants.chi_nonarch(
         args.genus, parse_rat(args.d), parse_rat(args.eps), parse_rat(args.delta)
     )
@@ -192,6 +204,8 @@ def _cmd_invariants(args):
 
 
 def _cmd_global(args):
+    from .invariants import PlaceReport, aggregate_global
+
     doc = _load_json(args.places)
     if not isinstance(doc, list):
         raise ValueError("places JSON must be a list of place records")
@@ -218,7 +232,7 @@ def _cmd_global(args):
         )
     return {
         "places": len(places),
-        "omega_omega_adm": str(invariants.aggregate_global(places)),
+        "omega_omega_adm": str(aggregate_global(places)),
     }
 
 

@@ -13,9 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import metgraph
-from .metgraph import MetrizedGraph
-
 
 @dataclass(frozen=True)
 class NodeCounts:
@@ -189,6 +186,8 @@ def genus2_graph(fiber_type, params=()):
     loop; V(a, b): two loops at one vertex; VI(a, b, c): genus-1 vertex
     joined to a two-edge banana; VII(a, b, c): theta graph.
     """
+    from .metgraph import MetrizedGraph
+
     params = _genus2_params(fiber_type, params)
     if fiber_type == "I":
         return MetrizedGraph({"v": 2}, [])
@@ -338,6 +337,8 @@ def noether_consistency(g, deg_lambda, omega_sq, sum_d, sum_delta, sum_eps):
 
 def place_report_from_graph(label, graph, log_nv=1.0):
     """Assemble a PlaceReport from a reduction graph (d via edge counts)."""
+    from . import metgraph
+
     counts, _ = node_counts_from_graph(graph)
     d = d_from_counts(counts)
     eps, ph = metgraph.epsilon_phi(graph)

@@ -32,8 +32,8 @@ class _ProjectiveInfinity:
 
 INF = _ProjectiveInfinity()
 
-#: "n" or "n/d", the pattern of rationals in docs/schemas.
-_RATIONAL = r"(-?[0-9]+)(?:/([0-9]+))?"
+#: "n" or "n/d" with d != 0, the pattern of rationals in docs/schemas.
+_RATIONAL = r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?"
 
 #: Witness bases making Miller-Rabin deterministic below 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -131,16 +131,14 @@ def log_abs(q, p):
 def parse_rat(s):
     """Parse "n/d" or "n" into a reduced Fraction.
 
-    Exactly ``-?[0-9]+(/[0-9]+)?`` with a nonzero denominator, as in
+    Exactly ``-?[0-9]+(/[0-9]*[1-9][0-9]*)?``, the pattern of
     ``docs/schemas``; anything else (decimals, exponents, "1/0") raises
     ``ValueError``.
     """
     match = re.fullmatch(_RATIONAL, str(s))
     if not match:
-        raise ValueError(f"not a rational 'n' or 'n/d': {s!r}")
+        raise ValueError(f"not a rational 'n' or 'n/d' with d != 0: {s!r}")
     num, den = match.groups()
-    if den is not None and int(den) == 0:
-        raise ValueError(f"zero denominator: {s!r}")
     return Fraction(int(num), 1 if den is None else int(den))
 
 
@@ -184,15 +182,21 @@ def mobius(x, a, b, c, d):
     """Apply the fractional-linear map t -> (a*t + b)/(c*t + d) to ``x``.
 
     ``x`` may be ``INF``; the result is ``INF`` when the denominator
-    vanishes.  The coefficients must have a*d - b*c != 0.
+    vanishes.  The coefficients must have a*d - b*c != 0.  Non-integer
+    coefficients are scaled to integers by their common denominator, so
+    x = n/q maps to the one ``Fraction`` (a n + b q)/(c n + d q).
     """
-    a, b, c, d = (Fraction(t) for t in (a, b, c, d))
+    if not all(type(t) is int for t in (a, b, c, d)):
+        a, b, c, d = (Fraction(t) for t in (a, b, c, d))
+        m = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
+        a, b, c, d = (t.numerator * (m // t.denominator) for t in (a, b, c, d))
     if a * d - b * c == 0:
         raise ValueError("degenerate fractional-linear map")
     if x is INF:
-        return INF if c == 0 else a / c
+        return INF if c == 0 else Fraction(a, c)
     x = Fraction(x)
-    den = c * x + d
+    n, q = x.numerator, x.denominator
+    den = c * n + d * q
     if den == 0:
         return INF
-    return (a * x + b) / den
+    return Fraction(a * n + b * q, den)

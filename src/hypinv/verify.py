@@ -13,9 +13,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from . import clustertree, invariants, metgraph, symroots
+# each suite imports the layers it checks, so one suite loads no other
 from .rational import mobius, val
-from .symroots import RootConfig
 
 SUITES = (
     "identities",
@@ -28,6 +27,8 @@ SUITES = (
 
 def random_config(rng, g, lo=-60, hi=60):
     """Distinct-integer branch configuration of genus g."""
+    from .symroots import RootConfig
+
     roots = rng.sample(range(lo, hi + 1), 2 * g + 2)
     return RootConfig(g, tuple(Fraction(x) for x in roots))
 
@@ -39,6 +40,7 @@ def random_normal_form_config(rng, g, p):
     every pairwise valuation to be even; the top level uses at least three
     residue classes mod p.
     """
+    from .symroots import RootConfig
 
     def build(count, depth):
         if count == 1:
@@ -68,8 +70,10 @@ def random_mobius(rng):
 
 
 def _apply_mobius(cfg, coeffs):
+    from .symroots import RootConfig, normalize_finite
+
     roots = tuple(mobius(r, *coeffs) for r in cfg.roots)
-    return symroots.normalize_finite(RootConfig(cfg.genus, roots))
+    return normalize_finite(RootConfig(cfg.genus, roots))
 
 
 class _Tally:
@@ -93,6 +97,8 @@ class _Tally:
 
 
 def _suite_identities(tally, rng, configs_per_genus=100, mobius_maps=5):
+    from . import symroots
+
     for g in (2, 3, 4):
         g2 = 2 * g
         for case in range(configs_per_genus):
@@ -131,6 +137,8 @@ def _suite_identities(tally, rng, configs_per_genus=100, mobius_maps=5):
 
 
 def _suite_cluster_vs_symroots(tally, rng, n_configs=200):
+    from . import clustertree, symroots
+
     primes = (3, 5, 7)
     for case in range(n_configs):
         p = primes[case % len(primes)]
@@ -169,12 +177,16 @@ def _suite_cluster_vs_symroots(tally, rng, n_configs=200):
 
 
 def _genus2_sweep():
-    for fiber_type, arity in invariants.GENUS2_ARITY.items():
+    from .invariants import GENUS2_ARITY
+
+    for fiber_type, arity in GENUS2_ARITY.items():
         for params in itertools.product((1, 2, 3), repeat=arity):
             yield fiber_type, params
 
 
 def _suite_genus2_table(tally, rng):
+    from . import invariants, metgraph
+
     for fiber_type, params in _genus2_sweep():
         row = invariants.genus2_row(fiber_type, params)
         graph = invariants.genus2_graph(fiber_type, params)
@@ -191,6 +203,8 @@ def _suite_genus2_table(tally, rng):
 
 
 def _suite_phi_equals_chi(tally, rng):
+    from . import invariants, metgraph
+
     for fiber_type, params in _genus2_sweep():
         row = invariants.genus2_row(fiber_type, params)
         graph = invariants.genus2_graph(fiber_type, params)
@@ -199,6 +213,8 @@ def _suite_phi_equals_chi(tally, rng):
 
 
 def _suite_subdivision(tally, rng):
+    from . import invariants, metgraph
+
     cases = [
         ("II", (1,)),
         ("III", (2,)),

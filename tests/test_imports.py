@@ -1,0 +1,107 @@
+"""Cost guards on start-up: ``import hypinv`` loads no layer, and each CLI
+subcommand loads only the layers it runs.
+
+Every case starts a fresh interpreter and compares the sorted ``hypinv.*``
+entries of its ``sys.modules`` with the expected list.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hypinv
+
+SRC = Path(hypinv.__file__).resolve().parents[1]
+
+REPORT = "import json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('hypinv'))), file=sys.stderr)\n"
+
+CLI = ["hypinv", "hypinv.cli", "hypinv.rational", "hypinv.verify"]
+
+
+def loaded(code):
+    """The hypinv modules held by a fresh interpreter after running ``code``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", code + REPORT], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(run.stderr.splitlines()[-1])
+
+
+def cli_loaded(argv):
+    return loaded(f"from hypinv import cli\nassert cli.main({argv!r}) == 0\n")
+
+
+def test_import_hypinv_loads_no_layer():
+    assert loaded("import hypinv\n") == ["hypinv"]
+
+
+def test_attribute_access_loads_only_the_home_layer():
+    assert loaded("import hypinv\nhypinv.chi_nonarch\n") == ["hypinv", "hypinv.invariants"]
+    assert loaded("import hypinv\nhypinv.metgraph.MetrizedGraph\n") == [
+        "hypinv", "hypinv.metgraph", "hypinv.rational"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "chi", "--d", "6", "--eps", "5/9", "--delta", "3", "--genus", "2"],
+        ["global", "--places", "PLACES"],
+    ],
+)
+def test_invariants_and_global_load_no_graph_or_padic_layer(argv, tmp_path):
+    places = tmp_path / "places.json"
+    places.write_text(json.dumps([{
+        "genus": 2, "logNv": 1.0986, "d": "2", "eps": "0", "delta": "1",
+        "phi": "1/2", "chi": "1/2",
+    }]))
+    argv = [str(places) if a == "PLACES" else a for a in argv]
+    assert cli_loaded(argv) == sorted(CLI + ["hypinv.invariants"])
+
+
+@pytest.mark.parametrize("command,layers", [
+    ("symroots", ["hypinv.symroots"]),
+    ("cluster", ["hypinv.clustertree", "hypinv.symroots"]),
+])
+def test_padic_commands_load_no_graph_layer(command, layers, tmp_path):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"genus": 2, "roots": ["0", "1", "2", "3", "4", "inf"]}))
+    argv = [command, "--curve", str(curve), "--prime", "7", "--all-triples"]
+    assert cli_loaded(argv) == sorted(CLI + layers)
+
+
+def test_identities_suite_loads_only_symroots():
+    argv = ["verify", "--suite", "identities", "--seed", "7"]
+    assert cli_loaded(argv) == sorted(CLI + ["hypinv.symroots"])
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from hypinv import *", namespace)
+    assert set(hypinv.__all__) <= set(namespace)
+    assert set(hypinv.__all__) <= set(dir(hypinv))
+    for name in hypinv.__all__:
+        assert namespace[name] is getattr(hypinv, name)
+
+
+def test_public_names_are_read_from_their_home_module(monkeypatch):
+    assert sorted(hypinv._HOME) == sorted(hypinv.__all__)
+    for name in hypinv.__all__:
+        home = importlib.import_module(f"hypinv.{hypinv._HOME[name]}")
+        obj = getattr(hypinv, name)
+        assert obj is getattr(home, name)
+        # functions and classes are defined where the table says they live
+        assert getattr(obj, "__module__", home.__name__) == home.__name__
+    sentinel = object()
+    monkeypatch.setattr(importlib.import_module("hypinv.metgraph"), "epsilon_phi", sentinel)
+    assert hypinv.epsilon_phi is sentinel
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        hypinv.no_such_name

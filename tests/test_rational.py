@@ -1,8 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypinv.rational import (
@@ -16,6 +17,7 @@ from hypinv.rational import (
     parse_rat,
     val,
 )
+from hypinv.symroots import RootConfig, normalize_finite
 
 PRIMES = (3, 5, 7, 11)
 
@@ -83,7 +85,7 @@ def test_parse_rat_accepts_integer_ratios(text, value):
      "1_000", "nan", "inf", "\u0663", "1\n", 0.5],
 )
 def test_parse_rat_rejects_everything_else(text):
-    # the docs/schemas pattern -?[0-9]+(/[0-9]+)? with a nonzero denominator
+    # the docs/schemas pattern -?[0-9]+(/[0-9]*[1-9][0-9]*)?: a nonzero denominator
     with pytest.raises(ValueError):
         parse_rat(text)
 
@@ -97,7 +99,7 @@ def test_parse_point():
 
 @pytest.mark.parametrize("text", ["INF", "Inf", " inf", "inf ", " 1 ", "1 ", "-inf", "0.5"])
 def test_parse_point_accepts_only_the_schema_pattern(text):
-    # docs/schemas/curve.schema.json: ^(-?[0-9]+(/[0-9]+)?|inf)$
+    # docs/schemas/curve.schema.json: ^(-?[0-9]+(/[0-9]*[1-9][0-9]*)?|inf)$
     with pytest.raises(ValueError):
         parse_point(text)
 
@@ -109,3 +111,66 @@ def test_mobius():
     assert mobius(Fraction(1), 1, 0, 1, -1) is INF  # pole
     with pytest.raises(ValueError):
         mobius(Fraction(1), 1, 2, 2, 4)
+
+
+def mobius_oracle(x, a, b, c, d):
+    """``mobius`` as it was before it went fraction-free: Fraction arithmetic
+    on the coefficients, kept as the oracle of the integer formula."""
+    a, b, c, d = (Fraction(t) for t in (a, b, c, d))
+    if a * d - b * c == 0:
+        raise ValueError("degenerate fractional-linear map")
+    if x is INF:
+        return INF if c == 0 else a / c
+    x = Fraction(x)
+    den = c * x + d
+    if den == 0:
+        return INF
+    return (a * x + b) / den
+
+
+_rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
+# integer, Fraction and string coefficients; small ones make a*d = b*c common
+_coeffs = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    st.builds(format_rat, st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+)
+
+
+@st.composite
+def _maps_and_points(draw):
+    a, b, c, d = (draw(_coeffs) for _ in range(4))
+    if draw(st.booleans()):  # degenerate: (c, d) a multiple of (a, b)
+        k = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        c, d = Fraction(a) * k, Fraction(b) * k
+    x = draw(st.one_of(st.just(INF), _rationals, st.integers(-40, 40)))
+    if Fraction(c) != 0 and draw(st.booleans()):  # the pole of the map
+        x = -Fraction(d) / Fraction(c)
+    return x, (a, b, c, d)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(_maps_and_points())
+def test_mobius_against_fraction_formula(case):
+    x, coeffs = case
+    try:
+        want = mobius_oracle(x, *coeffs)
+    except ValueError:
+        with pytest.raises(ValueError, match="degenerate"):
+            mobius(x, *coeffs)
+        return
+    got = mobius(x, *coeffs)
+    if want is INF:
+        assert got is INF
+    else:
+        assert type(got) is Fraction and got == want
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(st.lists(_rationals, min_size=5, max_size=5, unique=True), st.integers(0, 5))
+def test_normalize_finite_against_fraction_formula(finite, slot):
+    roots = finite[:slot] + [INF] + finite[slot:]
+    c = next(Fraction(k) for k in itertools.count() if k not in finite)
+    moved = normalize_finite(RootConfig(2, tuple(roots)))
+    assert moved.roots == tuple(mobius_oracle(r, 0, 1, 1, -c) for r in roots)
+    assert moved.note == f"applied x -> 1/(x - {c})"
