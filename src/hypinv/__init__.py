@@ -2,9 +2,10 @@
 
 Everything downstream of the branch points is computed in exact rational
 arithmetic: symmetric roots and discriminants of a branch configuration,
-intersection pairings read off leveled residue-class trees, and the
-metrized-graph invariants epsilon, phi, delta and chi of reduction graphs,
-plus adelic aggregation across places.
+intersection pairings read off the tree of proper clusters (one node per
+cluster, its level the cluster's depth), the metrized-graph invariants
+epsilon, phi, delta and chi of reduction graphs, and adelic aggregation
+across places.
 """
 
 #: home module -> the public names it defines; a layer is imported on first

@@ -1,11 +1,13 @@
-"""Leveled trees of p-adic residue classes of branch points.
+"""Trees of the proper clusters of branch points.
 
 Given an odd prime p and a branch configuration in normal form (integral
-roots, even pairwise valuations, at least 3 residue classes mod p), the roots
-are grouped, for each level n >= 0, into residue classes mod p**n containing
-at least two of them.  These classes form a rooted tree whose nodes carry the
-multiplicity data of the components of the special fiber, giving a derivation
-of val(l_ijk) through intersection numbers on the special fiber:
+roots, even pairwise valuations, at least 3 residue classes mod p), a
+proper cluster is a residue class mod some p**n holding at least two roots
+(Dokchitser-Dokchitser-Maistret-Morgan, *Arithmetic of hyperelliptic
+curves over local fields*, 2022).  The clusters form a rooted tree whose
+nodes carry the multiplicity data of the components of the special fiber,
+giving a derivation of val(l_ijk) through intersection numbers on the
+special fiber:
 
     (2g-1)*(W_i - W_j, V_k) + (V_i - V_j, W_k) = 2g(g-1) * val(l_ijk).
 
@@ -16,11 +18,11 @@ the ``cluster-vs-symroots`` verify suite also checks ``symroot_val`` against
 ``build_tree`` keeps the table on the tree, where ``mult_x`` and ``v_mult``
 read it, together with the integer matrix 2 * (W_r, V_k) that
 ``pairing_from_tree`` reads, so a pairing is four integer lookups and one
-``Fraction``.  The valuation is ultrametric, so for each level n the relation
-V[r][s] >= n is an equivalence and its classes are the residue classes mod
-p**n: ``build_tree`` splits the classes of the level above (single linkage)
-only at levels just past a value that occurs in V, and otherwise carries
-the previous level's classes down, sharing their members and representative.
+``Fraction``.  The valuation is ultrametric, so V[r][s] >= n is an
+equivalence for each n and its classes are the residue classes mod p**n:
+``build_tree`` splits each cluster once, one past its depth (single
+linkage).  The tree has one node per cluster, however deep, and
+``ClusterTree.levels`` derives the classes of every level from it.
 
 The reduction of arbitrary configurations to normal form needs root
 extraction in field extensions and is not implemented; non-normal-form input
@@ -40,7 +42,7 @@ from .symroots import _check_triple, _valuations
 
 @dataclass(frozen=True, slots=True)
 class ClusterNode:
-    """A residue class mod p**level containing at least two roots."""
+    """A proper cluster; ``level`` is its depth, min V[r][s] over its members."""
 
     level: int
     members: frozenset  # root indices
@@ -74,20 +76,27 @@ class NormalFormError(ValueError):
 
 @dataclass
 class ClusterTree:
+    """The proper clusters of a configuration at a prime, one node each."""
+
     config: object  # RootConfig
     prime: int
-    nodes: list  # all ClusterNodes, sorted by (level, min member)
-    parent: dict  # ClusterNode -> ClusterNode, absent for the level-0 root
-    node_of_root: dict  # root index -> deepest node containing it
+    nodes: list  # the proper clusters, sorted by (level, min member)
+    parent: dict  # cluster -> the cluster enclosing it, absent for the top
+    node_of_root: dict  # root index -> smallest cluster containing it
     depth: dict  # root index r -> n_r = max_{s != r} val(a_r - a_s)
     vals: list  # vals[r][s] = val(a_r - a_s), math.inf on the diagonal
-    wv2: list = None  # wv2[r][k] = 2 * (W_r, V_k), an int; set by build_tree
+    wv2: list  # wv2[r][k] = 2 * (W_r, V_k), an int
 
     def levels(self):
+        """{n: the clusters alive at level n, by min member}: the classes
+        mod p**n with two or more roots.  A cluster is alive from one past
+        its parent's level (0 for the top) to its own level."""
         out = {}
         for node in self.nodes:
-            out.setdefault(node.level, []).append(node)
-        return out
+            up = self.parent.get(node)
+            for n in range(0 if up is None else up.level + 1, node.level + 1):
+                out.setdefault(n, []).append(node)
+        return {n: sorted(out[n], key=lambda c: min(c.members)) for n in sorted(out)}
 
 
 def _normal_form(cfg, p):
@@ -131,7 +140,7 @@ def _split(members, vals, n):
 
 
 def build_tree(cfg, p):
-    """Build the leveled residue-class tree.
+    """Build the tree of proper clusters.
 
     Raises ``NormalFormError``, a ``ValueError``, on non-normal-form input.
     """
@@ -141,47 +150,33 @@ def build_tree(cfg, p):
     a = cfg.roots
     n_roots = len(a)
     depth = {r: max(row[:r] + row[r + 1 :]) for r, row in enumerate(vals)}
-    max_level = max(depth.values())
-    # level 0 and the levels just past a value of V, where some class splits
-    splits = {0} | {vals[r][s] + 1 for r in range(n_roots) for s in range(r)}
     nodes = []
     parent = {}
     node_of_root = {}
-    # (sorted members, node of the level above); a None node only at level 0
-    classes = [(list(range(n_roots)), None)]
-    for n in range(max_level + 1):
-        split = n in splits
-        if split:
-            classes = sorted(
-                (
-                    (group, node)
-                    for members, node in classes
-                    for group in _split(members, vals, n)
-                    if len(group) >= 2
-                ),
-                key=lambda c: c[0][0],
-            )
-        level_nodes = []
-        for members, up in classes:
-            if split:
-                node = ClusterNode(n, frozenset(members), Fraction(a[members[0]]))
-            else:
-                node = ClusterNode(n, up.members, up.representative)
-            if up is not None:
-                parent[node] = up
-            for r in members:
-                if depth[r] == n:
-                    node_of_root[r] = node
-            level_nodes.append((members, node))
-        nodes.extend(node for _, node in level_nodes)
-        classes = level_nodes
-    tree = ClusterTree(cfg, p, nodes, parent, node_of_root, depth, vals)
+    # (sorted members, enclosing cluster); each cluster is split once
+    work = [(list(range(n_roots)), None)]
+    for members, up in work:
+        first = members[0]
+        level = min(vals[first][s] for s in members[1:])  # ultrametric
+        node = ClusterNode(level, frozenset(members), Fraction(a[first]))
+        nodes.append(node)
+        if up is not None:
+            parent[node] = up
+        for r in members:
+            if depth[r] == level:
+                node_of_root[r] = node
+        work.extend(
+            (group, node)
+            for group in _split(members, vals, level + 1)
+            if len(group) >= 2
+        )
+    nodes.sort(key=lambda c: (c.level, min(c.members)))
     rows = {
-        node: [_twice_v_mult(tree, k, node) for k in range(n_roots)]
+        node: [_twice_v_mult(cfg.genus, vals, depth, k, node) for k in range(n_roots)]
         for node in set(node_of_root.values())
     }
-    tree.wv2 = [rows[node_of_root[r]] for r in range(n_roots)]
-    return tree
+    wv2 = [rows[node_of_root[r]] for r in range(n_roots)]
+    return ClusterTree(cfg, p, nodes, parent, node_of_root, depth, vals, wv2)
 
 
 def mult_x(tree, node, r):
@@ -192,29 +187,28 @@ def mult_x(tree, node, r):
     return min(node.level, tree.vals[r][min(node.members)])
 
 
-def _twice_mult_y(tree, node):
+def _twice_mult_y(vals, node):
     """2 * mult_y(tree, node): the sum of mult_x over r, an integer."""
     level = node.level
-    return sum(min(level, v) for v in tree.vals[min(node.members)])
+    return sum(min(level, v) for v in vals[min(node.members)])
 
 
 def mult_y(tree, node):
     """Multiplicity of y along the component: half the sum of mult_x over r."""
-    return Fraction(_twice_mult_y(tree, node), 2)
+    return Fraction(_twice_mult_y(tree.vals, node), 2)
 
 
-def _twice_v_mult(tree, k, node):
-    """2 * v_mult(tree, k, node), an integer."""
-    g = tree.config.genus
-    vals_k = tree.vals[k]
+def _twice_v_mult(g, vals, depth, k, node):
+    """2 * v_mult(tree, k, node), an integer, from the tree's fields."""
+    vals_k = vals[k]
     n_c = node.level
     m = min(n_c, vals_k[min(node.members)])
     tail = sum(v for r, v in enumerate(vals_k) if r != k)
     return (
         2 * (g - 1) * m
-        - _twice_mult_y(tree, node)
+        - _twice_mult_y(vals, node)
         + 2 * n_c
-        - (2 * g - 1) * tree.depth[k]
+        - (2 * g - 1) * depth[k]
         + tail
     )
 
@@ -226,7 +220,7 @@ def v_mult(tree, k, node):
     + (1/2)*sum_{r != k} val(a_k - a_r).  Vanishes on the component
     carrying the k-th root.
     """
-    return Fraction(_twice_v_mult(tree, k, node), 2)
+    return Fraction(_twice_v_mult(tree.config.genus, tree.vals, tree.depth, k, node), 2)
 
 
 def pairing_from_tree(tree, i, j, k):

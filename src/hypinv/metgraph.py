@@ -581,12 +581,6 @@ def verify_admissible(graph, mu):
     return _spread(values)
 
 
-def verify_canonical(graph, mu):
-    """Max deviation of the diagonal g_mu(y, y) from its best constant."""
-    kernel = _Kernel(mu, _Resistances(graph))
-    return _spread([kernel.gdiag(y) for y in kernel.eval_points()])
-
-
 def subdivide(graph, eid, s):
     """Split edge ``eid`` at interior arc length ``s`` with a genus-0 vertex."""
     e = graph.edges[eid]

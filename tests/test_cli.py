@@ -242,6 +242,14 @@ def test_verify_cli(capsys):
     assert doc["failed"] == 0 and doc["passed"] > 0
 
 
+def test_verify_unknown_suite(capsys):
+    code, out = run(capsys, "verify", "--suite", "nope")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "validation"
+    assert doc["detail"].startswith("unknown suite: 'nope'")
+
+
 def test_missing_file(capsys):
     code, out = run(capsys, "graph", "eval", "--in", "does-not-exist.json")
     assert code == 1

@@ -64,19 +64,20 @@ def test_build_tree_rejects_bad_input():
 
 def test_tree_structure():
     tree = build_tree(CFG3, 3)
-    levels = tree.levels()
-    # three residue pairs {0,9}, {1,10}, {2,11}, each merging at depth 2
-    assert set(levels) == {0, 1, 2}
-    assert [c.members for c in levels[0]] == [frozenset(range(6))]
-    pairs = {frozenset({0, 1}), frozenset({2, 3}), frozenset({4, 5})}
-    assert {c.members for c in levels[1]} == pairs
-    assert {c.members for c in levels[2]} == pairs
+    # three residue pairs {0,9}, {1,10}, {2,11}, each a cluster of depth 2
+    top, *pairs = tree.nodes
+    assert (top.level, top.members) == (0, frozenset(range(6)))
+    assert [(c.level, c.members) for c in pairs] == [
+        (2, frozenset({0, 1})),
+        (2, frozenset({2, 3})),
+        (2, frozenset({4, 5})),
+    ]
     assert all(tree.depth[r] == 2 for r in range(6))
-    for node in levels[2]:
-        assert tree.parent[node].members == node.members
-        assert tree.parent[node].level == 1
-    for node in levels[1]:
-        assert tree.parent[node] is levels[0][0]
+    assert top not in tree.parent
+    for node in pairs:
+        assert tree.parent[node] is top
+    # each pair is the residue class of its roots at levels 1 and 2
+    assert tree.levels() == {0: [top], 1: pairs, 2: pairs}
 
 
 def test_multiplicities():
@@ -136,5 +137,9 @@ def test_deeper_tree():
     tree = build_tree(cfg, 3)
     assert tree.depth[0] == 4
     assert tree.node_of_root[0].members == frozenset({0, 1})
+    # {0, 81} lies in {0, 81, 9} of depth 2; levels 3 and 4 hold {0, 81}
+    up = tree.parent[tree.node_of_root[0]]
+    assert (up.level, up.members) == (2, frozenset({0, 1, 2}))
+    assert [c.members for c in tree.levels()[3]] == [frozenset({0, 1})]
     for i, j, k in itertools.permutations(range(6), 3):
         assert pairing_from_tree(tree, i, j, k) == 4 * symroot_val(cfg, 3, i, j, k)

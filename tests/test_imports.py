@@ -1,5 +1,6 @@
 """Cost guards on start-up: ``import hypinv`` loads no layer, and each CLI
-subcommand loads only the layers it runs.
+subcommand loads only the layers it runs (``hypinv.verify`` only for
+``verify``).
 
 Every case starts a fresh interpreter and compares the sorted ``hypinv.*``
 entries of its ``sys.modules`` with the expected list.
@@ -20,7 +21,7 @@ SRC = Path(hypinv.__file__).resolve().parents[1]
 
 REPORT = "import json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('hypinv'))), file=sys.stderr)\n"
 
-CLI = ["hypinv", "hypinv.cli", "hypinv.rational", "hypinv.verify"]
+CLI = ["hypinv", "hypinv.cli", "hypinv.rational"]
 
 
 def loaded(code):
@@ -77,7 +78,7 @@ def test_padic_commands_load_no_graph_layer(command, layers, tmp_path):
 
 def test_identities_suite_loads_only_symroots():
     argv = ["verify", "--suite", "identities", "--seed", "7"]
-    assert cli_loaded(argv) == sorted(CLI + ["hypinv.symroots"])
+    assert cli_loaded(argv) == sorted(CLI + ["hypinv.symroots", "hypinv.verify"])
 
 
 def test_star_import_binds_every_public_name():

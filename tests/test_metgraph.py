@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle_kernel
 from hypinv import invariants
 from hypinv.metgraph import (
     Measure,
@@ -21,7 +22,6 @@ from hypinv.metgraph import (
     scale,
     subdivide,
     verify_admissible,
-    verify_canonical,
 )
 
 F = Fraction
@@ -138,7 +138,10 @@ def test_canonical_measure_theta():
     assert mu.mass("v1") == F(-1, 2)
     assert mu.density(0) == F(2, 3)  # 1 / (1 + 1/2)
     assert mu.total_mass(g) == 1
-    assert verify_canonical(g, mu) == 0
+    assert oracle_kernel.verify_canonical(g, mu) == 0
+    diag = green_diagonal(g, mu)
+    assert len(set(diag.vertex_values.values())) == 1
+    assert all(c1 == c2 == 0 for _, c1, c2 in diag.edge_coeffs.values())
 
 
 def test_canonical_measure_bridge():
@@ -180,7 +183,7 @@ def test_green_requires_mass_one():
         green(g, Measure({"v": F(1, 2)}, {}), "v", "v")
 
 
-@pytest.mark.parametrize("call", [green_diagonal, verify_admissible, verify_canonical])
+@pytest.mark.parametrize("call", [green_diagonal, verify_admissible])
 def test_measure_with_mass_off_the_graph_rejected(call):
     # mass 1 in total, but half of it on a vertex the graph does not have
     with pytest.raises(ValueError, match="on the graph's points"):

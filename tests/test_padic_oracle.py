@@ -6,13 +6,14 @@ non-normal-form input must be rejected with the same text.
 """
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 import oracle_padic as old
-from hypinv import clustertree, rational, symroots, verify
+from hypinv import cli, clustertree, rational, symroots, verify
 from hypinv.symroots import RootConfig
 
 PRIMES = (3, 5, 7)
@@ -72,22 +73,69 @@ def test_generated_configs_are_normal_form():
     assert {40, 120, 500, 800} <= set(depths)
 
 
+def flat_levels(tree):
+    """The leveled list, one (level, members, representative) per class."""
+    return [
+        (n, c.members, c.representative)
+        for n, alive in tree.levels().items()
+        for c in alive
+    ]
+
+
 @pytest.mark.parametrize(("cfg", "p"), CONFIGS, ids=IDS)
 def test_tree_matches_oracle(cfg, p):
     new_tree = clustertree.build_tree(cfg, p)
     old_tree = old.build_tree(cfg, p)
     assert clustertree.check_normal_form(cfg, p) == old.check_normal_form(cfg, p)
-    assert [
-        (c.level, c.members, c.representative) for c in new_tree.nodes
-    ] == [(c.level, c.members, c.representative) for c in old_tree.nodes]
-    assert new_tree.parent == old_tree.parent
+    assert flat_levels(new_tree) == [
+        (c.level, c.members, c.representative) for c in old_tree.nodes
+    ]
+    # a cluster's parent is its nearest oracle ancestor with other members
+    oracle_node = {(c.level, c.members): c for c in old_tree.nodes}
+    for node in new_tree.nodes:
+        up = oracle_node[node.level, node.members]
+        while up is not None and up.members == node.members:
+            up = old_tree.parent.get(up)
+        assert new_tree.parent.get(node) == up
     assert new_tree.node_of_root == old_tree.node_of_root
     assert new_tree.depth == old_tree.depth
     n = len(cfg.roots)
-    for node in new_tree.nodes:
+    for node in old_tree.nodes:
         for k in range(n):
             assert clustertree.v_mult(new_tree, k, node) == old.v_mult(old_tree, k, node)
             assert clustertree.mult_x(new_tree, node, k) == old.mult_x(old_tree, node, k)
+
+
+@pytest.mark.parametrize(("cfg", "p"), CONFIGS, ids=IDS)
+def test_one_node_per_cluster_whatever_the_depth(cfg, p):
+    # a proper cluster splits into at least two parts, so 2g + 1 at most
+    assert len(clustertree.build_tree(cfg, p).nodes) <= len(cfg.roots) - 1
+
+
+ANCHORS = [
+    pytest.param(cfg, p, id=f"depth{d}")
+    for cfg, p in CONFIGS
+    if (d := max(clustertree.build_tree(cfg, p).depth.values())) in (500, 800)
+] + [pytest.param(RootConfig(2, tuple(map(Fraction, (0, 81, 9, 1, 2, 11)))), 3, id="nested")]
+
+
+@pytest.mark.parametrize(("cfg", "p"), ANCHORS)
+def test_cli_cluster_prints_the_oracle_levels(cfg, p, tmp_path, capsys):
+    curve = tmp_path / "curve.json"
+    roots = [rational.format_rat(x) for x in cfg.roots]
+    curve.write_text(json.dumps({"genus": cfg.genus, "roots": roots}))
+    argv = ["cluster", "--curve", str(curve), "--prime", str(p), "--all-triples"]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tree"]["nodes"] == [
+        {
+            "level": c.level,
+            "members": sorted(c.members),
+            "representative": rational.format_rat(c.representative),
+        }
+        for c in old.build_tree(cfg, p).nodes
+    ]
+    assert all(rec["match"] for rec in doc["pairings"].values())
 
 
 @pytest.mark.parametrize(("cfg", "p"), CONFIGS, ids=IDS)
