@@ -15,7 +15,7 @@ import math
 import sys
 
 # each handler imports the layers it runs, so a subcommand loads no other
-from .rational import format_rat, parse_point, parse_rat, require_int
+from .rational import format_rat, parse_point, parse_rat, require_int, require_keys
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,13 +35,17 @@ def _load_json(path):
 
 
 def _load_curve(doc):
+    """The configuration of a ``docs/schemas/curve.schema.json`` document."""
     from .symroots import RootConfig, normalize_finite
 
+    require_keys(doc, ("genus", "roots", "prime", "note"), "curve", ("note",))
     if "genus" not in doc or "roots" not in doc:
         raise ValueError('curve JSON requires "genus" and "roots"')
+    roots = doc["roots"]
+    if not isinstance(roots, list) or not all(isinstance(r, str) for r in roots):
+        raise ValueError(f"curve roots must be a list of strings: {roots!r}")
     cfg = RootConfig(
-        require_int(doc["genus"], "curve genus"),
-        tuple(parse_point(r) for r in doc["roots"]),
+        require_int(doc["genus"], "curve genus"), tuple(parse_point(r) for r in roots)
     )
     return normalize_finite(cfg)
 
@@ -210,19 +214,23 @@ def _cmd_global(args):
     if not isinstance(doc, list):
         raise ValueError("places JSON must be a list of place records")
     places = []
+    values = ("d", "eps", "delta", "phi", "chi")
+    required = ("genus", "logNv") + values
     for rec in doc:
-        try:
-            rec = dict(rec)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad place record: {exc}") from exc
-        if missing := {"genus", "logNv", "d", "eps", "delta", "phi", "chi"} - set(rec):
+        require_keys(rec, ("label",) + required, "place record", ("label",) + values)
+        if missing := set(required) - set(rec):
             raise ValueError(f"place record missing keys: {sorted(missing)}")
-        label = str(rec.get("label", len(places)))
+        label = rec.get("label", str(len(places)))
+        log_nv = rec["logNv"]
+        if type(log_nv) not in (int, float) or not 0 < log_nv <= sys.float_info.max:
+            raise ValueError(
+                f"logNv of place {label!r} is not a positive float: {log_nv!r}"
+            )
         places.append(
             PlaceReport(
                 label=label,
                 genus=require_int(rec["genus"], f"genus of place {label!r}"),
-                log_nv=float(rec["logNv"]),
+                log_nv=float(log_nv),
                 d=parse_rat(rec["d"]),
                 eps=parse_rat(rec["eps"]),
                 delta=parse_rat(rec["delta"]),

@@ -1,70 +1,11 @@
 """Exact potential theory on metrized reduction graphs.
 
 Vertices carry genus markings, edges carry positive rational lengths (loops
-and multi-edges allowed).  Each public computation makes one exact solve:
-fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) of the
-grounded Laplacian on the vertices, scaled to integers by the lcm s of the
-length numerators, gives its inverse G = s adj / det with one common
-denominator and the vertex resistances r(a, b) = G_aa + G_bb - 2 G_ab.  An
-edge e of length L = a_e / b_e from u to v has canonical density
-k_e = (L - r(u, v)) / L^2 (Foster; Chinburg-Rumely, "The capacity pairing",
-1993), that is k_e = b_e N_e / (a_e^2 det) with the integer
-
-    N_e = a_e det - b_e s R_e,    R_e = adj_uu + adj_vv - 2 adj_uv,
-
-which is 0 exactly on bridges.  The point y_s at arc length s on the edge has
-r(x, y_s) = ((L - s) r(x, u) + s r(x, v)) / L + s (L - s) k_e for x off the
-edge, and resistance t - t^2 k_e to a point of the edge a distance t away
-(Baker-Faber, "Metrized graphs, Laplacian operators, and electrical
-networks", 2006).
-
-A mass-1 measure mu with vertex masses m_v and edge densities d_e has the
-potential phi_mu(x) = integral of r(x, .) d mu.  With M_v = m_v + the sum of
-d_e L_e / 2 over the edges at v (a loop counts twice), at a vertex w
-
-    phi_mu(w) = G_ww + sum_v M_v G_vv - 2 (G M)_w + sum_e d_e k_e L_e^3 / 6,
-
-one matrix-vector product.  On an edge phi_mu'' = 2 (d_e - k_e), so
-
-    phi_mu(y_s) = ((L - s) phi_mu(u) + s phi_mu(v)) / L + s (L - s) (k_e - d_e),
-
-and c = double integral of r d mu d mu = sum_v M_v phi_mu(v) +
-sum_e d_e (k_e - d_e) L_e^3 / 6.  With mu the admissible measure, Zhang's
-invariants ("Gross-Schoen cycles and dualising sheaves", 2010) are
-
-    epsilon = sum_v K(v) phi_mu(v),    phi = (6 g c - epsilon - delta) / 4,
-
-since his integrals of g_mu(x, x) = phi_mu(x) - c/2 reduce to these: mu has
-mass 1 and K has degree 2g - 2.
-
-For the admissible measure all of this is integers over one common
-denominator.  Its vertex masses are genus(v) / g, because
-K(v) + 2 (1 - valence(v) / 2) = 2 genus(v), and its densities k_e / g.  With
-A the lcm of the a_e over the edges with N_e != 0 and Q = 2 g det A,
-
-    (MQ)_v = M_v Q = 2 det A genus(v) + sum over edges e at v of N_e A / a_e
-
-is an integer, and sum_v (MQ)_v = Q is Foster's identity.  With
-S = sum_e N_e^2 / (a_e b_e) / (6 g det^2), the edge terms are S in phi_mu and
-(g - 1) S / g in c; the integer potentials
-
-    P_w = Q adj_ww + sum_v (MQ)_v adj_vv - 2 (adj MQ)_w
-
-give phi_mu(w) = S + s P_w / (det Q), and two integer dot products give
-
-    epsilon = (2g - 2) S + s (K . P) / (det Q),
-    c = (2g - 1) S / g + s (MQ . P) / (det Q^2).
-
-The same product with masses of any total gives the potential of delta_K,
-psi_K(y) = sum_v K(v) r(v, y): with D = 2g - 2,
-
-    psi_K(w) = D G_ww + sum_v K(v) G_vv - 2 (G K)_w
-
-at a vertex, and on an edge the chord between its endpoint values plus
-D s (L - s) k_e.  The admissibility check f(y) = g_mu(y, y) +
-sum_v K(v) g_mu(v, y) is then, with no Green's function per vertex,
-
-    f(y) = ((D + 2) phi_mu(y) + sum_v K(v) phi_mu(v) - (D + 1) c - psi_K(y)) / 2.
+and multi-edges allowed).  Each public computation makes one exact solve,
+``_invert`` of the grounded Laplacian on the vertices, and derives
+resistances, measures, potentials, Green's functions and Zhang's epsilon
+and phi in closed form from its integer adjugate.  README.md, "Metrized
+graphs", states those closed forms with their sources.
 
 Points are addressed by vertex id or as a pair (edge index, offset) with a
 rational offset in [0, L]; offsets 0 and L normalize to the endpoints.
@@ -343,7 +284,7 @@ class _Kernel:
 
     Exposes the potential phi(x) = int r(x, .) dmu, the double integral
     c = int int r dmu dmu, and the Green's function
-    g(x, y) = (phi(x) + phi(y) - r(x, y) - c) / 2, by the closed forms above.
+    g(x, y) = (phi(x) + phi(y) - r(x, y) - c) / 2, in the README's closed forms.
     """
 
     def __init__(self, mu, res):
@@ -469,18 +410,11 @@ def green_diagonal(graph, mu):
 def epsilon_phi(graph):
     """Zhang's epsilon and phi from one Laplacian solve on the vertices.
 
-    With mu the admissible measure, phi_mu(x) = int r(x, .) dmu and
-    c = int int r dmu dmu (S.-W. Zhang, "Gross-Schoen cycles and dualising
-    sheaves", 2010):
-
-    epsilon = int int r(x, y) d delta_K(x) dmu(y) = sum_v K(v) phi_mu(v);
-    phi = (6 g c - epsilon - delta) / 4.
-
-    Both in integers over one common denominator (module docstring): with
-    N_e = a_e det - b_e s R_e, A the lcm of the a_e where N_e != 0 and
-    Q = 2 g det A, the masses (MQ)_v = 2 det A genus(v) + sum_{e at v} N_e A / a_e
-    have total Q, P_w = Q adj_ww + sum_v (MQ)_v adj_vv - 2 (adj MQ)_w and
-    S = sum_e N_e^2 / (a_e b_e) / (6 g det^2), and
+    epsilon = sum_v K(v) phi_mu(v) and phi = (6 g c - epsilon - delta) / 4
+    with mu the admissible measure (S.-W. Zhang, "Gross-Schoen cycles and
+    dualising sheaves", 2010), both in integers over one common denominator:
+    with N_e, A, Q, the masses (MQ)_v, P_w and S of README.md, "Metrized
+    graphs",
 
     epsilon = (2g - 2) S + s (K . P) / (det Q),
     c = (2g - 1) S / g + s (MQ . P) / (det Q^2).
@@ -554,13 +488,9 @@ def verify_admissible(graph, mu):
 
     Exactly 0 iff mu is the admissible measure (checked at vertices and edge
     midpoints, which pins the per-edge quadratics).  With D = deg K = 2g - 2
-    and psi_K(y) = sum_v K(v) r(v, y) the potential of delta_K,
-
-        f(y) = ((D + 2) phi_mu(y) + sum_v K(v) phi_mu(v) - (D + 1) c - psi_K(y)) / 2,
-
-    where psi_K(w) = D G_ww + sum_v K(v) G_vv - 2 (G K)_w at a vertex is one
-    more product with the adjugate, and on an edge psi_K is the chord
-    between its endpoint values plus D s (L - s) k_e.
+    and psi_K(y) = sum_v K(v) r(v, y) the potential of delta_K (README.md,
+    "Metrized graphs"), f(y) = ((D + 2) phi_mu(y) + sum_v K(v) phi_mu(v) -
+    (D + 1) c - psi_K(y)) / 2.
     """
     res = _Resistances(graph)
     kernel = _Kernel(mu, res)

@@ -16,7 +16,8 @@ denominators d_r.  With X_rs = n_r d_s - n_s d_r = d_r d_s (a_r - a_s) and
 P_i = prod_{r != i,j} X_ir, ``symroot_pow`` builds the one ``Fraction``
 l_ijk**(2g) = X_ik**(2g) P_j / (X_jk**(2g) P_i).  The p-adic functions read
 the table V_rs = val(a_r - a_s) and its row sums S_r = sum_{s != r} V_rs,
-built once per (configuration, prime) by ``_valuations``.  As val X_rs =
+built once per (configuration, prime) by ``_valuations``, which checks p and
+finiteness only to build it or for a p whose type is not ``int``.  As val X_rs =
 V_rs + val d_r + val d_s and exactly 2g roots lie outside {i, j}, the val d
 terms cancel from 2g (val X_ik - val X_jk) + val P_j - val P_i, leaving
 
@@ -82,9 +83,14 @@ def _valuations(cfg, p):
     """(V, S) at the odd prime p: V = valuation_table(cfg.roots, p) and
     S[r] = sum_{s != r} V[r][s].
 
-    Checks p and finiteness on every call, then builds the table on the
-    first call for p and keeps it on ``cfg``.
+    An ``int`` p whose table ``cfg`` already keeps gets it unchecked: a table
+    is stored only for a p that passed ``require_odd_prime`` and a finite
+    configuration, and the roots never change.  Any other p is checked, then
+    the table is built and kept; ``type(p) is int`` matters because ``3.0``
+    and ``Fraction(3)`` hash like 3 and would find its table.
     """
+    if type(p) is int and (tables := cfg._tables.get(p)):
+        return tables
     require_odd_prime(p)
     _require_finite(cfg)
     tables = cfg._tables.get(p)
@@ -96,6 +102,8 @@ def _valuations(cfg, p):
 
 
 def _check_triple(cfg, *indices):
+    """The index errors; each entry point runs the same two tests inline,
+    in this order, and calls this only when one fails."""
     n = len(cfg.roots)
     if len(set(indices)) != len(indices):
         raise ValueError(f"indices must be pairwise distinct: {indices}")
@@ -121,11 +129,6 @@ def normalize_finite(cfg):
     return RootConfig(cfg.genus, roots, note=f"applied x -> 1/(x - {c})")
 
 
-def _cross(x, y):
-    """X = n_x d_y - n_y d_x, the integer d_x d_y (x - y)."""
-    return x.numerator * y.denominator - y.numerator * x.denominator
-
-
 def symroot_pow(cfg, i, j, k):
     """l_ijk**(2g), exactly.
 
@@ -134,16 +137,22 @@ def symroot_pow(cfg, i, j, k):
     one ``Fraction``.
     """
     _require_finite(cfg)
-    _check_triple(cfg, i, j, k)
     a = cfg.roots
+    n = len(a)
+    if not (len({i, j, k}) == 3 and 0 <= i < n and 0 <= j < n and 0 <= k < n):
+        _check_triple(cfg, i, j, k)
     g2 = 2 * cfg.genus
+    ni, di = a[i].numerator, a[i].denominator
+    nj, dj = a[j].numerator, a[j].denominator
     prod_i = prod_j = 1  # P_i, P_j
     for r, x in enumerate(a):
         if r != i and r != j:
-            prod_i *= _cross(a[i], x)
-            prod_j *= _cross(a[j], x)
+            nr, dr = x.numerator, x.denominator
+            prod_i *= ni * dr - nr * di
+            prod_j *= nj * dr - nr * dj
+    nk, dk = a[k].numerator, a[k].denominator
     return Fraction(
-        _cross(a[i], a[k]) ** g2 * prod_j, _cross(a[j], a[k]) ** g2 * prod_i
+        (ni * dk - nk * di) ** g2 * prod_j, (nj * dk - nk * dj) ** g2 * prod_i
     )
 
 
@@ -154,7 +163,9 @@ def symroot_val(cfg, p, i, j, k):
     valuation table.
     """
     vals, sums = _valuations(cfg, p)
-    _check_triple(cfg, i, j, k)
+    n = len(vals)
+    if not (len({i, j, k}) == 3 and 0 <= i < n and 0 <= j < n and 0 <= k < n):
+        _check_triple(cfg, i, j, k)
     g2 = 2 * cfg.genus
     return Fraction(g2 * (vals[i][k] - vals[j][k]) + sums[j] - sums[i], g2)
 
@@ -162,8 +173,13 @@ def symroot_val(cfg, p, i, j, k):
 def cross_ratio(cfg, i, j, k, r):
     """The cross-ratio (a_i-a_k)(a_j-a_r) / ((a_j-a_k)(a_i-a_r))."""
     _require_finite(cfg)
-    _check_triple(cfg, i, j, k, r)
     a = cfg.roots
+    n = len(a)
+    if not (
+        len({i, j, k, r}) == 4
+        and 0 <= i < n and 0 <= j < n and 0 <= k < n and 0 <= r < n
+    ):
+        _check_triple(cfg, i, j, k, r)
     return (a[i] - a[k]) / (a[j] - a[k]) * (a[j] - a[r]) / (a[i] - a[r])
 
 
@@ -178,17 +194,21 @@ def sym_discriminant(cfg, i, j):
     X_jr)**(2g-1) over the other roots r, s, as one ``Fraction``.
     """
     _require_finite(cfg)
-    _check_triple(cfg, i, j)
     a = cfg.roots
+    n = len(a)
+    if not (len({i, j}) == 2 and 0 <= i < n and 0 <= j < n):
+        _check_triple(cfg, i, j)
     g2 = 2 * cfg.genus
-    others = [a[r] for r in range(len(a)) if r not in (i, j)]
+    ni, di = a[i].numerator, a[i].denominator
+    nj, dj = a[j].numerator, a[j].denominator
+    others = [(x.numerator, x.denominator) for r, x in enumerate(a) if r not in (i, j)]
     delta = 1
-    for x, y in itertools.combinations(others, 2):
-        delta *= _cross(x, y)
+    for (nx, dx), (ny, dy) in itertools.combinations(others, 2):
+        delta *= nx * dy - ny * dx
     den = 1
-    for x in others:
-        den *= _cross(a[i], x) * _cross(a[j], x)
-    num = (-1) ** cfg.genus * _cross(a[i], a[j]) ** (g2 * (g2 - 1)) * delta**2
+    for nx, dx in others:
+        den *= (ni * dx - nx * di) * (nj * dx - nx * dj)
+    num = (-1) ** cfg.genus * (ni * dj - nj * di) ** (g2 * (g2 - 1)) * delta**2
     return Fraction(num, den ** (g2 - 1))
 
 
@@ -198,7 +218,12 @@ def pairing_difference(cfg, p, i, j, k):
     Exact rational; multiply by log p externally for the real value.
     Semistability of the underlying curve is the caller's responsibility.
     """
-    return symroot_val(cfg, p, i, j, k) / 2
+    vals, sums = _valuations(cfg, p)
+    n = len(vals)
+    if not (len({i, j, k}) == 3 and 0 <= i < n and 0 <= j < n and 0 <= k < n):
+        _check_triple(cfg, i, j, k)
+    g2 = 2 * cfg.genus
+    return Fraction(g2 * (vals[i][k] - vals[j][k]) + sums[j] - sums[i], 2 * g2)
 
 
 def pairing_cross_ratio(cfg, p, i, j, k, r):
@@ -209,5 +234,10 @@ def pairing_cross_ratio(cfg, p, i, j, k, r):
     so this is (V_ik + V_jr - V_jk - V_ir) / 2.
     """
     vals, _ = _valuations(cfg, p)
-    _check_triple(cfg, i, j, k, r)
+    n = len(vals)
+    if not (
+        len({i, j, k, r}) == 4
+        and 0 <= i < n and 0 <= j < n and 0 <= k < n and 0 <= r < n
+    ):
+        _check_triple(cfg, i, j, k, r)
     return Fraction(vals[i][k] + vals[j][r] - vals[j][k] - vals[i][r], 2)

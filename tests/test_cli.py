@@ -349,6 +349,62 @@ def test_curve_root_outside_the_schema_pattern(tmp_path, capsys, command, root):
 
 
 @pytest.mark.parametrize("command", ["symroots", "cluster"])
+@pytest.mark.parametrize(
+    ("doc", "detail"),
+    [
+        ({**CURVE3, "roots": "091102"}, "curve roots must be a list of strings"),
+        ({**CURVE3, "roots": ["0", "9", "1", "10", "2", 11]}, "must be a list of strings"),
+        ({**CURVE3, "extra": 1}, "unknown curve keys: ['extra']"),
+        ({**CURVE3, "note": 5}, "curve fields ['note'] must be strings"),
+        ([CURVE3], "curve is not an object"),
+    ],
+)
+def test_curve_outside_the_schema(tmp_path, capsys, command, doc, detail):
+    # docs/schemas/curve.schema.json: additionalProperties false, string items
+    curve = write(tmp_path, "c.json", doc)
+    code, out = run(capsys, command, "--curve", curve, "--prime", "3", "--all-triples")
+    assert code == 1
+    assert detail in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("command", ["symroots", "cluster"])
+def test_curve_with_a_note(tmp_path, capsys, command):
+    curve = write(tmp_path, "c.json", {**CURVE3, "note": "x"})
+    code, out = run(capsys, command, "--curve", curve, "--triple", "0,2,1")
+    assert code == 0
+
+
+PLACE = {
+    "label": "3", "genus": 2, "logNv": 1.0, "d": "6",
+    "eps": "5/9", "delta": "3", "phi": "1/9", "chi": "1/9",
+}
+
+
+@pytest.mark.parametrize(
+    ("record", "detail"),
+    [
+        (list(PLACE.items()), "place record is not an object"),
+        ({**PLACE, "label": 3}, "must be strings"),
+        ({**PLACE, "d": 6}, "must be strings"),
+        ({**PLACE, "extra": 1}, "unknown place record keys: ['extra']"),
+        ({**PLACE, "logNv": "1.0"}, "logNv of place '3' is not a positive float"),
+        ({**PLACE, "logNv": True}, "logNv of place '3' is not a positive float"),
+        ({**PLACE, "logNv": 0}, "logNv of place '3' is not a positive float"),
+        ({**PLACE, "logNv": 10**400}, "logNv of place '3' is not a positive float"),
+        ({**PLACE, "logNv": math.nan}, "logNv of place '3' is not a positive float"),
+        ({**PLACE, "logNv": math.inf}, "logNv of place '3' is not a positive float"),
+    ],
+)
+def test_global_outside_the_schema(tmp_path, capsys, record, detail):
+    # docs/schemas/places.schema.json: additionalProperties false, and logNv a
+    # JSON number (json writes math.nan and math.inf as NaN and Infinity)
+    path = write(tmp_path, "places.json", [record])
+    code, out = run(capsys, "global", "--places", path)
+    assert code == 1
+    assert detail in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("command", ["symroots", "cluster"])
 def test_curve_root_inf(tmp_path, capsys, command):
     curve = write(tmp_path, "c.json", {**CURVE6, "roots": ["inf", "1", "2", "3", "4", "5"]})
     code, out = run(capsys, command, "--curve", curve, "--prime", "3", "--triple", "0,1,2")

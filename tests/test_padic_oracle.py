@@ -293,18 +293,23 @@ def _count_is_prime(monkeypatch):
 
 
 def test_prime_checked_once_per_public_call(monkeypatch):
-    cfg, p = CONFIGS[3]
-    tree = clustertree.build_tree(cfg, p)
+    # the call that builds the (configuration, prime) table checks p once;
+    # later calls with the same int p read the kept table and check nothing
+    base, p = CONFIGS[3]
+    tree = clustertree.build_tree(base, p)
     calls = _count_is_prime(monkeypatch)
     for call in (
-        lambda: symroots.symroot_val(cfg, p, 0, 1, 2),
-        lambda: symroots.pairing_cross_ratio(cfg, p, 0, 1, 2, 3),
-        lambda: clustertree.check_normal_form(cfg, p),
-        lambda: clustertree.build_tree(cfg, p),
+        lambda c: symroots.symroot_val(c, p, 0, 1, 2),
+        lambda c: symroots.pairing_difference(c, p, 0, 1, 2),
+        lambda c: symroots.pairing_cross_ratio(c, p, 0, 1, 2, 3),
+        lambda c: clustertree.check_normal_form(c, p),
+        lambda c: clustertree.build_tree(c, p),
     ):
-        calls.clear()
-        call()
-        assert calls == [p]
+        cfg = RootConfig(base.genus, base.roots)  # keeps no table yet
+        for expected in ([p], [], []):
+            calls.clear()
+            call(cfg)
+            assert calls == expected
     calls.clear()
     clustertree.pairing_from_tree(tree, 0, 1, 2)
     clustertree.v_mult(tree, 0, tree.nodes[-1])

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_symroots as old
-from hypinv import clustertree, symroots, verify
+from hypinv import clustertree, rational, symroots, verify
 from hypinv.rational import INF, val
 from hypinv.symroots import RootConfig
 from test_padic_oracle import chain_config
@@ -133,36 +133,98 @@ def test_wv2_is_integer():
     assert all(type(x) is int for row in tree.wv2 for x in row)
 
 
+def _bad_indices(arity, n):
+    """Index tuples with -1, n or a duplicate in each position in turn."""
+    base = tuple(range(arity))
+    out = [(0, 0) + base[2:], (0, 99) + base[2:]]
+    for q in range(arity):
+        for bad in (-1, n, base[(q + 1) % arity]):
+            out.append(base[:q] + (bad,) + base[q + 1 :])
+    return out
+
+
+def _old_message(indices, n):
+    """The wording of the index checks before they went inline."""
+    if len(set(indices)) != len(indices):
+        return f"indices must be pairwise distinct: {indices}"
+    return f"root index out of range: {next(i for i in indices if not 0 <= i < n)}"
+
+
+def _index_calls(cfg, p):
+    """(arity, function, leading args, oracle, its leading args) for every
+    entry point that takes root indices."""
+    tree = clustertree.build_tree(cfg, p)
+    old_tree = SimpleNamespace(config=cfg, wv=old.wv_matrix(tree))
+    calls = [
+        (3, clustertree.pairing_from_tree, (tree,), old.pairing_from_tree, (old_tree,))
+    ]
+    for arity, name, args in (
+        (3, "symroot_pow", (cfg,)),
+        (3, "symroot_val", (cfg, p)),
+        (3, "pairing_difference", (cfg, p)),
+        (4, "pairing_cross_ratio", (cfg, p)),
+        (4, "cross_ratio", (cfg,)),
+        (2, "sym_discriminant", (cfg,)),
+    ):
+        calls.append((arity, getattr(symroots, name), args, getattr(old, name), args))
+    return calls
+
+
+def _same_error(new_call, old_call):
+    with pytest.raises(ValueError) as new_err:
+        new_call()
+    with pytest.raises(ValueError) as old_err:
+        old_call()
+    assert str(new_err.value) == str(old_err.value)
+    return str(new_err.value)
+
+
 def test_errors_match_oracle():
     cfg, p, _ = CONFIGS[0]
+    n = len(cfg.roots)
+    symroots.symroot_val(cfg, p, 0, 1, 2)  # the table for p now exists
+    for arity, new, args, ref, ref_args in _index_calls(cfg, p):
+        for t in _bad_indices(arity, n):
+            message = _same_error(lambda: new(*args, *t), lambda: ref(*ref_args, *t))
+            assert message == _old_message(t, n)
     with_inf = RootConfig(2, (INF,) + tuple(Fraction(x) for x in range(1, 6)))
     cases = [
-        (name, args)
-        for a, b in ((0, 0), (0, 99))
-        for name, args in (
-            ("symroot_pow", (cfg, a, 1, b)),
-            ("sym_discriminant", (cfg, a, b)),
-            ("symroot_val", (cfg, p, a, 1, b)),
-            ("pairing_cross_ratio", (cfg, p, a, 1, 2, b)),
-        )
-    ]
-    cases += [
         ("symroot_pow", (with_inf, 0, 1, 2)),
         ("sym_discriminant", (with_inf, 0, 1)),
+        ("cross_ratio", (with_inf, 0, 1, 2, 3)),
         ("symroot_val", (with_inf, 3, 0, 1, 2)),
+        ("pairing_difference", (with_inf, 3, 0, 1, 2)),
         ("pairing_cross_ratio", (with_inf, 3, 0, 1, 2, 3)),
+        ("symroot_pow", (with_inf, 0, 0, 9)),  # finiteness before indices
     ]
-    for bad_p in (2, 9, 3.0):
+    # 3.0 and Fraction(3) hash like 3 and find its table; True hashes like 1
+    for bad_p in (2, 9, 3.0, float(p), Fraction(p), True, "3"):
         cases += [
             ("symroot_val", (cfg, bad_p, 0, 1, 2)),
+            ("pairing_difference", (cfg, bad_p, 0, 1, 2)),
             ("pairing_cross_ratio", (cfg, bad_p, 0, 1, 2, 3)),
+            ("symroot_val", (cfg, bad_p, 0, 0, 99)),  # the prime before indices
         ]
     for name, args in cases:
-        with pytest.raises(ValueError) as new_err:
-            getattr(symroots, name)(*args)
-        with pytest.raises(ValueError) as old_err:
-            getattr(old, name)(*args)
-        assert str(new_err.value) == str(old_err.value)
+        _same_error(
+            lambda: getattr(symroots, name)(*args), lambda: getattr(old, name)(*args)
+        )
+    assert list(cfg._tables) == [p]
+
+
+def test_int_subclass_prime_is_checked_and_reads_the_table(monkeypatch):
+    class Prime(int):
+        pass
+
+    cfg, p, _ = CONFIGS[0]
+    expected = symroots.symroot_val(cfg, p, 0, 1, 2)
+    checked = []
+    real = rational.is_prime
+    monkeypatch.setattr(rational, "is_prime", lambda q: checked.append(q) or real(q))
+    assert symroots.symroot_val(cfg, Prime(p), 0, 1, 2) == expected
+    assert symroots.pairing_difference(cfg, Prime(p), 0, 1, 2) == expected / 2
+    assert checked == [p, p]
+    assert list(cfg._tables) == [p]
 
 
 # --- the per-configuration valuation table ---------------------------------
@@ -202,19 +264,46 @@ def test_symroot_val_from_the_table_matches_symroot_pow(cfg_p, data):
     assert list(cfg._tables) == [p]
 
 
+@settings(max_examples=30, deadline=None, database=None)
+@given(configs_and_primes())
+def test_fraction_free_kernel_matches_oracle_on_every_triple_and_pair(cfg_p):
+    cfg, p = cfg_p
+    n = len(cfg.roots)
+    for t in itertools.permutations(range(n), 3):
+        new = symroots.symroot_pow(cfg, *t)
+        assert type(new) is Fraction
+        assert new == old.symroot_pow(cfg, *t)
+        half = symroots.pairing_difference(cfg, p, *t)
+        assert type(half) is Fraction
+        assert half == old.pairing_difference(cfg, p, *t)
+    for pair in itertools.permutations(range(n), 2):
+        new = symroots.sym_discriminant(cfg, *pair)
+        assert type(new) is Fraction
+        assert new == old.sym_discriminant(cfg, *pair)
+
+
 def test_bad_prime_and_infinite_root_raise_on_every_call():
     cfg, p, _ = CONFIGS[0]
     symroots.symroot_val(cfg, p, 0, 1, 2)  # the table for p now exists
     with_inf = RootConfig(2, (INF,) + tuple(Fraction(x) for x in range(1, 6)))
     calls = [
         lambda c, q: symroots.symroot_val(c, q, 0, 1, 2),
+        lambda c, q: symroots.pairing_difference(c, q, 0, 1, 2),
         lambda c, q: symroots.pairing_cross_ratio(c, q, 0, 1, 2, 3),
         lambda c, q: clustertree.check_normal_form(c, q),
+        lambda c, q: clustertree.build_tree(c, q),
     ]
-    # float(p) == p hashes like p, so it would find p's table
-    for c, q in [(cfg, 2), (cfg, 9), (cfg, float(p)), (with_inf, p)]:
+    # float(p) and Fraction(p) equal p and hash like it, so they would find
+    # p's table; True is an int that equals 1
+    bad = [(cfg, 2), (cfg, 9), (cfg, float(p)), (cfg, Fraction(p)), (cfg, True)]
+    for c, q in bad + [(with_inf, p)]:
         for call in calls * 2:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as err:
                 call(c, q)
+            assert str(err.value) == (
+                "roots must be finite; apply normalize_finite first"
+                if c is with_inf
+                else "characteristic 2 excluded" if q == 2 else f"not a prime: {q!r}"
+            )
     assert list(cfg._tables) == [p]
     assert with_inf._tables == {}
