@@ -230,11 +230,9 @@ def pairing_from_tree(tree, i, j, k):
     the integers 2 * (W_r, V_s) are read from ``tree.wv2``, so each call
     builds one ``Fraction``.
     """
-    wv2 = tree.wv2
-    n = len(wv2)
-    if not (len({i, j, k}) == 3 and 0 <= i < n and 0 <= j < n and 0 <= k < n):
-        _check_triple(tree.config, i, j, k)
+    _check_triple(tree.config, i, j, k)
     g = tree.config.genus
+    wv2 = tree.wv2
     w_term = wv2[i][k] - wv2[j][k]
     v_term = wv2[k][i] - wv2[k][j]
     return Fraction((2 * g - 1) * w_term + v_term, 2)

@@ -102,8 +102,6 @@ def _valuations(cfg, p):
 
 
 def _check_triple(cfg, *indices):
-    """The index errors; each entry point runs the same two tests inline,
-    in this order, and calls this only when one fails."""
     n = len(cfg.roots)
     if len(set(indices)) != len(indices):
         raise ValueError(f"indices must be pairwise distinct: {indices}")
@@ -129,6 +127,11 @@ def normalize_finite(cfg):
     return RootConfig(cfg.genus, roots, note=f"applied x -> 1/(x - {c})")
 
 
+def _cross(x, y):
+    """X = n_x d_y - n_y d_x, the integer d_x d_y (x - y)."""
+    return x.numerator * y.denominator - y.numerator * x.denominator
+
+
 def symroot_pow(cfg, i, j, k):
     """l_ijk**(2g), exactly.
 
@@ -137,22 +140,16 @@ def symroot_pow(cfg, i, j, k):
     one ``Fraction``.
     """
     _require_finite(cfg)
+    _check_triple(cfg, i, j, k)
     a = cfg.roots
-    n = len(a)
-    if not (len({i, j, k}) == 3 and 0 <= i < n and 0 <= j < n and 0 <= k < n):
-        _check_triple(cfg, i, j, k)
     g2 = 2 * cfg.genus
-    ni, di = a[i].numerator, a[i].denominator
-    nj, dj = a[j].numerator, a[j].denominator
     prod_i = prod_j = 1  # P_i, P_j
     for r, x in enumerate(a):
         if r != i and r != j:
-            nr, dr = x.numerator, x.denominator
-            prod_i *= ni * dr - nr * di
-            prod_j *= nj * dr - nr * dj
-    nk, dk = a[k].numerator, a[k].denominator
+            prod_i *= _cross(a[i], x)
+            prod_j *= _cross(a[j], x)
     return Fraction(
-        (ni * dk - nk * di) ** g2 * prod_j, (nj * dk - nk * dj) ** g2 * prod_i
+        _cross(a[i], a[k]) ** g2 * prod_j, _cross(a[j], a[k]) ** g2 * prod_i
     )
 
 
@@ -163,9 +160,7 @@ def symroot_val(cfg, p, i, j, k):
     valuation table.
     """
     vals, sums = _valuations(cfg, p)
-    n = len(vals)
-    if not (len({i, j, k}) == 3 and 0 <= i < n and 0 <= j < n and 0 <= k < n):
-        _check_triple(cfg, i, j, k)
+    _check_triple(cfg, i, j, k)
     g2 = 2 * cfg.genus
     return Fraction(g2 * (vals[i][k] - vals[j][k]) + sums[j] - sums[i], g2)
 
@@ -173,13 +168,8 @@ def symroot_val(cfg, p, i, j, k):
 def cross_ratio(cfg, i, j, k, r):
     """The cross-ratio (a_i-a_k)(a_j-a_r) / ((a_j-a_k)(a_i-a_r))."""
     _require_finite(cfg)
+    _check_triple(cfg, i, j, k, r)
     a = cfg.roots
-    n = len(a)
-    if not (
-        len({i, j, k, r}) == 4
-        and 0 <= i < n and 0 <= j < n and 0 <= k < n and 0 <= r < n
-    ):
-        _check_triple(cfg, i, j, k, r)
     return (a[i] - a[k]) / (a[j] - a[k]) * (a[j] - a[r]) / (a[i] - a[r])
 
 
@@ -194,21 +184,17 @@ def sym_discriminant(cfg, i, j):
     X_jr)**(2g-1) over the other roots r, s, as one ``Fraction``.
     """
     _require_finite(cfg)
+    _check_triple(cfg, i, j)
     a = cfg.roots
-    n = len(a)
-    if not (len({i, j}) == 2 and 0 <= i < n and 0 <= j < n):
-        _check_triple(cfg, i, j)
     g2 = 2 * cfg.genus
-    ni, di = a[i].numerator, a[i].denominator
-    nj, dj = a[j].numerator, a[j].denominator
-    others = [(x.numerator, x.denominator) for r, x in enumerate(a) if r not in (i, j)]
+    others = [a[r] for r in range(len(a)) if r not in (i, j)]
     delta = 1
-    for (nx, dx), (ny, dy) in itertools.combinations(others, 2):
-        delta *= nx * dy - ny * dx
+    for x, y in itertools.combinations(others, 2):
+        delta *= _cross(x, y)
     den = 1
-    for nx, dx in others:
-        den *= (ni * dx - nx * di) * (nj * dx - nx * dj)
-    num = (-1) ** cfg.genus * (ni * dj - nj * di) ** (g2 * (g2 - 1)) * delta**2
+    for x in others:
+        den *= _cross(a[i], x) * _cross(a[j], x)
+    num = (-1) ** cfg.genus * _cross(a[i], a[j]) ** (g2 * (g2 - 1)) * delta**2
     return Fraction(num, den ** (g2 - 1))
 
 
@@ -218,12 +204,7 @@ def pairing_difference(cfg, p, i, j, k):
     Exact rational; multiply by log p externally for the real value.
     Semistability of the underlying curve is the caller's responsibility.
     """
-    vals, sums = _valuations(cfg, p)
-    n = len(vals)
-    if not (len({i, j, k}) == 3 and 0 <= i < n and 0 <= j < n and 0 <= k < n):
-        _check_triple(cfg, i, j, k)
-    g2 = 2 * cfg.genus
-    return Fraction(g2 * (vals[i][k] - vals[j][k]) + sums[j] - sums[i], 2 * g2)
+    return symroot_val(cfg, p, i, j, k) / 2
 
 
 def pairing_cross_ratio(cfg, p, i, j, k, r):
@@ -234,10 +215,5 @@ def pairing_cross_ratio(cfg, p, i, j, k, r):
     so this is (V_ik + V_jr - V_jk - V_ir) / 2.
     """
     vals, _ = _valuations(cfg, p)
-    n = len(vals)
-    if not (
-        len({i, j, k, r}) == 4
-        and 0 <= i < n and 0 <= j < n and 0 <= k < n and 0 <= r < n
-    ):
-        _check_triple(cfg, i, j, k, r)
+    _check_triple(cfg, i, j, k, r)
     return Fraction(vals[i][k] + vals[j][r] - vals[j][k] - vals[i][r], 2)

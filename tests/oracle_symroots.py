@@ -6,12 +6,8 @@ difference, ``sym_discriminant`` multiplies over all ordered pairs of the
 other roots, ``symroot_val`` and ``pairing_cross_ratio`` take one
 ``val_diff`` per root, and ``pairing_from_tree`` reads a matrix of
 ``Fraction`` values (W_r, V_k) built by ``wv_matrix`` from the tree's
-valuation table.  ``cross_ratio`` and ``pairing_difference`` are kept as they
-were before the entry points checked p and the indices inline, and every
-function checks with ``require_odd_prime``, ``_require_finite`` and
-``_check_triple`` in the old order.  The tests compare these with the
-library on seeded configurations and require exactly equal results and
-exactly equal errors.
+valuation table.  The tests compare these with the library on seeded
+configurations and require exactly equal results.
 """
 
 from __future__ import annotations
@@ -76,19 +72,6 @@ def symroot_val(cfg, p, i, j, k):
             continue
         s += val_diff(a[j], a[r], p) - val_diff(a[i], a[r], p)
     return Fraction(total * g2 + s, g2)
-
-
-def pairing_difference(cfg, p, i, j, k):
-    """(w_i - w_j, w_k) in nu units: val(l_ijk) / 2."""
-    return symroot_val(cfg, p, i, j, k) / 2
-
-
-def cross_ratio(cfg, i, j, k, r):
-    """The cross-ratio (a_i-a_k)(a_j-a_r) / ((a_j-a_k)(a_i-a_r))."""
-    _require_finite(cfg)
-    _check_triple(cfg, i, j, k, r)
-    a = cfg.roots
-    return (a[i] - a[k]) / (a[j] - a[k]) * (a[j] - a[r]) / (a[i] - a[r])
 
 
 def sym_discriminant(cfg, i, j):

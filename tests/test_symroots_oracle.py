@@ -143,21 +143,18 @@ def _bad_indices(arity, n):
     return out
 
 
-def _old_message(indices, n):
-    """The wording of the index checks before they went inline."""
+def _index_message(indices, n):
+    """The index error: a duplicate first, then the first index out of range."""
     if len(set(indices)) != len(indices):
         return f"indices must be pairwise distinct: {indices}"
     return f"root index out of range: {next(i for i in indices if not 0 <= i < n)}"
 
 
 def _index_calls(cfg, p):
-    """(arity, function, leading args, oracle, its leading args) for every
-    entry point that takes root indices."""
+    """(arity, call on the indices) for every entry point that takes root
+    indices."""
     tree = clustertree.build_tree(cfg, p)
-    old_tree = SimpleNamespace(config=cfg, wv=old.wv_matrix(tree))
-    calls = [
-        (3, clustertree.pairing_from_tree, (tree,), old.pairing_from_tree, (old_tree,))
-    ]
+    calls = [(3, lambda *t: clustertree.pairing_from_tree(tree, *t))]
     for arity, name, args in (
         (3, "symroot_pow", (cfg,)),
         (3, "symroot_val", (cfg, p)),
@@ -166,32 +163,35 @@ def _index_calls(cfg, p):
         (4, "cross_ratio", (cfg,)),
         (2, "sym_discriminant", (cfg,)),
     ):
-        calls.append((arity, getattr(symroots, name), args, getattr(old, name), args))
+        fn = getattr(symroots, name)
+        calls.append((arity, lambda *t, fn=fn, args=args: fn(*args, *t)))
     return calls
 
 
-def _same_error(new_call, old_call):
-    with pytest.raises(ValueError) as new_err:
-        new_call()
-    with pytest.raises(ValueError) as old_err:
-        old_call()
-    assert str(new_err.value) == str(old_err.value)
-    return str(new_err.value)
+def _error(call):
+    with pytest.raises(ValueError) as err:
+        call()
+    return str(err.value)
+
+
+# pairing_difference is val(l_ijk) / 2 and checks its arguments as symroot_val
+ORACLE = {"pairing_difference": old.symroot_val}
 
 
 def test_errors_match_oracle():
     cfg, p, _ = CONFIGS[0]
     n = len(cfg.roots)
     symroots.symroot_val(cfg, p, 0, 1, 2)  # the table for p now exists
-    for arity, new, args, ref, ref_args in _index_calls(cfg, p):
+    for arity, call in _index_calls(cfg, p):
         for t in _bad_indices(arity, n):
-            message = _same_error(lambda: new(*args, *t), lambda: ref(*ref_args, *t))
-            assert message == _old_message(t, n)
+            assert _error(lambda: call(*t)) == _index_message(t, n)
     with_inf = RootConfig(2, (INF,) + tuple(Fraction(x) for x in range(1, 6)))
+    assert _error(lambda: symroots.cross_ratio(with_inf, 0, 1, 2, 3)) == (
+        "roots must be finite; apply normalize_finite first"
+    )
     cases = [
         ("symroot_pow", (with_inf, 0, 1, 2)),
         ("sym_discriminant", (with_inf, 0, 1)),
-        ("cross_ratio", (with_inf, 0, 1, 2, 3)),
         ("symroot_val", (with_inf, 3, 0, 1, 2)),
         ("pairing_difference", (with_inf, 3, 0, 1, 2)),
         ("pairing_cross_ratio", (with_inf, 3, 0, 1, 2, 3)),
@@ -206,8 +206,9 @@ def test_errors_match_oracle():
             ("symroot_val", (cfg, bad_p, 0, 0, 99)),  # the prime before indices
         ]
     for name, args in cases:
-        _same_error(
-            lambda: getattr(symroots, name)(*args), lambda: getattr(old, name)(*args)
+        ref = ORACLE.get(name) or getattr(old, name)
+        assert _error(lambda: getattr(symroots, name)(*args)) == _error(
+            lambda: ref(*args)
         )
     assert list(cfg._tables) == [p]
 
@@ -275,7 +276,7 @@ def test_fraction_free_kernel_matches_oracle_on_every_triple_and_pair(cfg_p):
         assert new == old.symroot_pow(cfg, *t)
         half = symroots.pairing_difference(cfg, p, *t)
         assert type(half) is Fraction
-        assert half == old.pairing_difference(cfg, p, *t)
+        assert half == old.symroot_val(cfg, p, *t) / 2
     for pair in itertools.permutations(range(n), 2):
         new = symroots.sym_discriminant(cfg, *pair)
         assert type(new) is Fraction
