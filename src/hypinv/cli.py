@@ -15,7 +15,8 @@ import math
 import sys
 
 # each handler imports the layers it runs, so a subcommand loads no other
-from .rational import format_rat, parse_point, parse_rat, require_int, require_keys
+from .rational import format_rat, parse_int, parse_point, parse_rat
+from .rational import require_int, require_keys
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +52,7 @@ def _load_curve(doc):
 
 
 def _parse_triple(text, size):
-    parts = [int(x) for x in text.split(",")]
+    parts = [parse_int(x) for x in text.split(",")]
     if len(parts) != size:
         raise ValueError(f"expected {size} comma-separated indices: {text!r}")
     return tuple(parts)
@@ -261,14 +262,14 @@ def build_parser():
 
     p = add_parser("symroots", help="symmetric roots and pairings")
     p.add_argument("--curve", required=True)
-    p.add_argument("--prime", type=int)
+    p.add_argument("--prime", type=parse_int)
     p.add_argument("--triple")
     p.add_argument("--all-triples", action="store_true")
     p.set_defaults(func=_cmd_symroots)
 
     p = add_parser("cluster", help="residue-class tree cross-check")
     p.add_argument("--curve", required=True)
-    p.add_argument("--prime", type=int)
+    p.add_argument("--prime", type=parse_int)
     p.add_argument("--triple")
     p.add_argument("--all-triples", action="store_true")
     p.set_defaults(func=_cmd_cluster)
@@ -289,7 +290,7 @@ def build_parser():
     p.add_argument("--d", required=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--delta", required=True)
-    p.add_argument("--genus", type=int, required=True)
+    p.add_argument("--genus", type=parse_int, required=True)
     p.set_defaults(func=_cmd_invariants)
 
     p = add_parser("global", help="adelic aggregation over places")
@@ -298,7 +299,7 @@ def build_parser():
 
     p = add_parser("verify", help="built-in verification suites")
     p.add_argument("--suite", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=parse_int, default=0)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -100,8 +100,8 @@ class ClusterTree:
 
 
 def _normal_form(cfg, p):
-    """Check p once; return the normal-form violations and the table V."""
-    vals, _ = _valuations(cfg, p)
+    """Check p once; return the normal-form violations and the tables (V, S)."""
+    vals, _ = tables = _valuations(cfg, p)
     a = cfg.roots
     violations = [
         f"root {r} = {x} is not integral at {p}"
@@ -118,7 +118,7 @@ def _normal_form(cfg, p):
             violations.append(
                 f"roots lie in only {classes} residue classes mod {p}"
             )
-    return tuple(violations), vals
+    return tuple(violations), tables
 
 
 def check_normal_form(cfg, p):
@@ -144,7 +144,7 @@ def build_tree(cfg, p):
 
     Raises ``NormalFormError``, a ``ValueError``, on non-normal-form input.
     """
-    violations, vals = _normal_form(cfg, p)
+    violations, (vals, sums) = _normal_form(cfg, p)
     if violations:
         raise NormalFormError(NormalFormReport(violations))
     a = cfg.roots
@@ -171,8 +171,9 @@ def build_tree(cfg, p):
             if len(group) >= 2
         )
     nodes.sort(key=lambda c: (c.level, min(c.members)))
+    g = cfg.genus
     rows = {
-        node: [_twice_v_mult(cfg.genus, vals, depth, k, node) for k in range(n_roots)]
+        node: [_twice_v_mult(g, vals, sums, depth, k, node) for k in range(n_roots)]
         for node in set(node_of_root.values())
     }
     wv2 = [rows[node_of_root[r]] for r in range(n_roots)]
@@ -198,18 +199,17 @@ def mult_y(tree, node):
     return Fraction(_twice_mult_y(tree.vals, node), 2)
 
 
-def _twice_v_mult(g, vals, depth, k, node):
-    """2 * v_mult(tree, k, node), an integer, from the tree's fields."""
-    vals_k = vals[k]
+def _twice_v_mult(g, vals, sums, depth, k, node):
+    """2 * v_mult(tree, k, node), an integer, from the tree's fields and the
+    row sums S of the configuration's (V, S) table."""
     n_c = node.level
-    m = min(n_c, vals_k[min(node.members)])
-    tail = sum(v for r, v in enumerate(vals_k) if r != k)
+    m = min(n_c, vals[k][min(node.members)])
     return (
         2 * (g - 1) * m
         - _twice_mult_y(vals, node)
         + 2 * n_c
         - (2 * g - 1) * depth[k]
-        + tail
+        + sums[k]
     )
 
 
@@ -220,7 +220,8 @@ def v_mult(tree, k, node):
     + (1/2)*sum_{r != k} val(a_k - a_r).  Vanishes on the component
     carrying the k-th root.
     """
-    return Fraction(_twice_v_mult(tree.config.genus, tree.vals, tree.depth, k, node), 2)
+    vals, sums = _valuations(tree.config, tree.prime)  # tree.vals and its sums
+    return Fraction(_twice_v_mult(tree.config.genus, vals, sums, tree.depth, k, node), 2)
 
 
 def pairing_from_tree(tree, i, j, k):

@@ -4,11 +4,13 @@ Vertices carry genus markings, edges carry positive rational lengths (loops
 and multi-edges allowed).  Each public computation makes one exact solve,
 ``_invert`` of the grounded Laplacian on the vertices, and derives
 resistances, measures, potentials, Green's functions and Zhang's epsilon
-and phi in closed form from its integer adjugate.  README.md, "Metrized
-graphs", states those closed forms with their sources.
+and phi in closed form from its integer adjugate, each form at one code
+site; k_e = b N_e / (a^2 det) on an edge of length a / b is read from the
+solve on every use, with no cache.  README.md, "Metrized graphs", states
+the forms with their sources.
 
-Points are addressed by vertex id or as a pair (edge index, offset) with a
-rational offset in [0, L]; offsets 0 and L normalize to the endpoints.
+Points are addressed by vertex id or as a pair (int edge index, offset)
+with a rational offset in [0, L]; offsets 0 and L normalize to the endpoints.
 """
 
 from __future__ import annotations
@@ -160,10 +162,10 @@ class PiecewisePoly:
 
 def _norm_point(graph, x):
     """Normalize a point spec to ("v", id) or ("e", eid, offset)."""
-    if isinstance(x, tuple) and len(x) == 3 and x[0] in ("v", "e"):
-        return x
     if isinstance(x, tuple):
         eid, off = x
+        if require_int(eid, "edge id") not in range(len(graph.edges)):
+            raise ValueError(f"no edge {eid} in a graph of {len(graph.edges)} edges")
         e = graph.edges[eid]
         off = Fraction(off)
         if off == 0:
@@ -224,7 +226,6 @@ class _Resistances:
         # grounded at the first vertex, whose row and column stay 0
         adj, self._det = _invert([row[1:] for row in lap[1:]])
         self._adj = [[0] * n] + [[0] + row for row in adj]
-        self._density = {}
 
     def _r(self, a, b):
         """det r(a, b) / s, an integer."""
@@ -257,11 +258,10 @@ class _Resistances:
         }
 
     def density(self, e):
-        """Canonical density (L - r(u, v)) / L^2 of edge ``e`` (Foster)."""
-        if e.eid not in self._density:
-            length = e.length
-            self._density[e.eid] = (length - self.vertex(e.u, e.v)) / length**2
-        return self._density[e.eid]
+        """Canonical density k_e = (L - r(u, v)) / L^2 of edge ``e``, read as
+        b N_e / (a^2 det) from ``foster`` on every call; nothing is cached."""
+        a, b = e.length.numerator, e.length.denominator
+        return Fraction(b * self.foster(e), a * a * self._det)
 
     def between(self, x, y):
         """r(x, y) between two normalized points."""
@@ -273,18 +273,23 @@ class _Resistances:
         if y[0] == "e" and y[1] == e.eid:
             t = abs(s - y[2])
             return t - t * t * self.density(e)
-        length = e.length
         ru, rv = self.between(y, ("v", e.u)), self.between(y, ("v", e.v))
-        bulge = s * (length - s) * self.density(e)
-        return ((length - s) * ru + s * rv) / length + bulge
+        return _on_edge(e, s, ru, rv, self.density(e))
+
+
+def _on_edge(e, s, at_u, at_v, bend):
+    """((L - s) at_u + s at_v) / L + s (L - s) bend at offset s on edge ``e``:
+    the chord between the endpoint values plus the bulge (README.md)."""
+    length = e.length
+    return ((length - s) * at_u + s * at_v) / length + s * (length - s) * bend
 
 
 class _Kernel:
     """Potential computations for one (graph, measure) pair.
 
-    Exposes the potential phi(x) = int r(x, .) dmu, the double integral
-    c = int int r dmu dmu, and the Green's function
-    g(x, y) = (phi(x) + phi(y) - r(x, y) - c) / 2, in the README's closed forms.
+    Exposes the potential phi(x) = int r(x, .) dmu and the double integral
+    c = int int r dmu dmu, in the README's closed forms, from which the
+    Green's function is g(x, y) = (phi(x) + phi(y) - r(x, y) - c) / 2.
     """
 
     def __init__(self, mu, res):
@@ -322,22 +327,8 @@ class _Kernel:
     def phi(self, x):
         if x[0] == "v":
             return self._phi[x[1]]
-        e, s = self.graph.edges[x[1]], x[2]
-        length = e.length
-        chord = ((length - s) * self._phi[e.u] + s * self._phi[e.v]) / length
-        return chord + s * (length - s) * self.bend(e)
-
-    def green(self, x, y):
-        return (self.phi(x) + self.phi(y) - self.res.between(x, y) - self.c) / 2
-
-    def gdiag(self, x):
-        return self.phi(x) - self.c / 2
-
-    def eval_points(self):
-        """Vertices and edge midpoints: enough to pin any per-edge quadratic."""
-        pts = [("v", v) for v in self.graph.genus]
-        pts += [("e", e.eid, e.length / 2) for e in self.graph.edges]
-        return pts
+        e = self.graph.edges[x[1]]
+        return _on_edge(e, x[2], self._phi[e.u], self._phi[e.v], self.bend(e))
 
 
 def canonical_divisor(graph):
@@ -358,16 +349,16 @@ def resistance(graph, x, y):
 def canonical_measure(graph):
     """The mass-1 measure whose Green's function has constant diagonal.
 
-    Vertex masses 1 - valence/2; density (L - r(u, v)) / L^2 on an edge of
-    length L between u and v, with r(u, v) the effective resistance in the
-    whole graph (Foster's coefficient; Chinburg-Rumely, "The capacity
-    pairing", 1993).  That is 1/L on a loop and 0 on a bridge.  Foster's
-    identity, sum over edges of (1 - r(u, v)/L) = betti, makes the mass 1.
+    Vertex masses 1 - valence/2 = (2 genus(v) - K(v)) / 2, read off the
+    canonical divisor; density (L - r(u, v)) / L^2 on an edge of length L
+    between u and v, with r(u, v) the effective resistance in the whole
+    graph (Foster's coefficient; Chinburg-Rumely, "The capacity pairing",
+    1993).  That is 1/L on a loop and 0 on a bridge.  Foster's identity,
+    sum over edges of (1 - r(u, v)/L) = betti, makes the mass 1.
     """
     res = _Resistances(graph)
-    masses = {
-        v: 1 - Fraction(graph.valence(v), 2) for v in graph.genus
-    }
+    k = canonical_divisor(graph)
+    masses = {v: Fraction(2 * graph.genus[v] - kv, 2) for v, kv in k.items()}
     densities = {e.eid: res.density(e) for e in graph.edges}
     return Measure(masses, densities)
 
@@ -393,13 +384,15 @@ def admissible_measure(graph):
 def green(graph, mu, x, y):
     """Green's function g_mu(x, y) for a total-mass-1 measure, exact."""
     px, py = _norm_point(graph, x), _norm_point(graph, y)
-    return _Kernel(mu, _Resistances(graph)).green(px, py)
+    kernel = _Kernel(mu, _Resistances(graph))
+    return (kernel.phi(px) + kernel.phi(py) - kernel.res.between(px, py) - kernel.c) / 2
 
 
 def green_diagonal(graph, mu):
     """x -> g_mu(x, x) = phi_mu(x) - c/2 as an exact per-edge quadratic."""
     kernel = _Kernel(mu, _Resistances(graph))
-    values = {v: kernel.gdiag(("v", v)) for v in graph.genus}
+    half_c = kernel.c / 2
+    values = {v: kernel.phi(("v", v)) - half_c for v in graph.genus}
     coeffs = {}
     for e in graph.edges:
         bend, c0 = kernel.bend(e), values[e.u]
@@ -476,12 +469,6 @@ def delta(graph):
     return Fraction(num, den)
 
 
-def _spread(values):
-    # deviation from the best constant: half the spread
-    lo, hi = min(values), max(values)
-    return (hi - lo) / 2
-
-
 def verify_admissible(graph, mu):
     """Max deviation of f(y) = g_mu(y, y) + sum_v K(v) g_mu(v, y) from its
     best constant.
@@ -490,25 +477,20 @@ def verify_admissible(graph, mu):
     midpoints, which pins the per-edge quadratics).  With D = deg K = 2g - 2
     and psi_K(y) = sum_v K(v) r(v, y) the potential of delta_K (README.md,
     "Metrized graphs"), f(y) = ((D + 2) phi_mu(y) + sum_v K(v) phi_mu(v) -
-    (D + 1) c - psi_K(y)) / 2.
+    (D + 1) c - psi_K(y)) / 2, in which only h = (D + 2) phi_mu - psi_K varies
+    with y: the deviation, half the spread of f, is a quarter of h's spread.
     """
     res = _Resistances(graph)
     kernel = _Kernel(mu, res)
     k = canonical_divisor(graph)
     d = sum(k.values())
     psi = {v: Fraction(res._scale * x, res._det) for v, x in res.potentials(k).items()}
-    const = sum(k[v] * kernel.phi(("v", v)) for v in graph.genus) - (d + 1) * kernel.c
-    values = []
-    for y in kernel.eval_points():
-        if y[0] == "v":
-            psi_y = psi[y[1]]
-        else:
-            e, s = graph.edges[y[1]], y[2]
-            length = e.length
-            chord = ((length - s) * psi[e.u] + s * psi[e.v]) / length
-            psi_y = chord + d * s * (length - s) * res.density(e)
-        values.append(((d + 2) * kernel.phi(y) + const - psi_y) / 2)
-    return _spread(values)
+    values = [(d + 2) * kernel.phi(("v", v)) - psi[v] for v in graph.genus]
+    for e in graph.edges:
+        s = e.length / 2
+        psi_s = _on_edge(e, s, psi[e.u], psi[e.v], d * res.density(e))
+        values.append((d + 2) * kernel.phi(("e", e.eid, s)) - psi_s)
+    return (max(values) - min(values)) / 4
 
 
 def subdivide(graph, eid, s):

@@ -32,8 +32,9 @@ class _ProjectiveInfinity:
 
 INF = _ProjectiveInfinity()
 
+_INTEGER = r"-?[0-9]+"  # ASCII digits only: no "+", "_", spaces or other scripts
 #: "n" or "n/d" with d != 0, the pattern of rationals in docs/schemas.
-_RATIONAL = r"(-?[0-9]+)(?:/([0-9]*[1-9][0-9]*))?"
+_RATIONAL = rf"({_INTEGER})(?:/([0-9]*[1-9][0-9]*))?"
 
 #: Witness bases making Miller-Rabin deterministic below 3.3 * 10**24.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -140,6 +141,13 @@ def parse_rat(s):
         raise ValueError(f"not a rational 'n' or 'n/d' with d != 0: {s!r}")
     num, den = match.groups()
     return Fraction(int(num), 1 if den is None else int(den))
+
+
+def parse_int(s):
+    """Parse exactly ``-?[0-9]+``; unlike ``int``, no other digits, " ", "+", "_"."""
+    if not re.fullmatch(_INTEGER, s):
+        raise ValueError(f"not an integer 'n': {s!r}")
+    return int(s)
 
 
 def format_rat(q):

@@ -166,11 +166,13 @@ def symroot_val(cfg, p, i, j, k):
 
 
 def cross_ratio(cfg, i, j, k, r):
-    """The cross-ratio (a_i-a_k)(a_j-a_r) / ((a_j-a_k)(a_i-a_r))."""
+    """The cross-ratio (a_i-a_k)(a_j-a_r) / ((a_j-a_k)(a_i-a_r)), built as
+    the one ``Fraction`` X_ik X_jr / (X_jk X_ir): the d's cancel."""
     _require_finite(cfg)
     _check_triple(cfg, i, j, k, r)
     a = cfg.roots
-    return (a[i] - a[k]) / (a[j] - a[k]) * (a[j] - a[r]) / (a[i] - a[r])
+    num = _cross(a[i], a[k]) * _cross(a[j], a[r])
+    return Fraction(num, _cross(a[j], a[k]) * _cross(a[i], a[r]))
 
 
 def sym_discriminant(cfg, i, j):

@@ -443,6 +443,48 @@ def test_invariants_chi_d_not_a_rational_string(capsys, d):
     assert json.loads(out)["error"] == "validation"
 
 
+@pytest.mark.parametrize(
+    "value", ["３", "٠", " 3", "3 ", "+3", "1_1", "3.0", "0x3", ""]
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cluster", "--curve", "{curve}", "--prime", "{value}", "--all-triples"),
+        ("symroots", "--curve", "{curve}", "--prime", "{value}", "--all-triples"),
+        ("invariants", "chi", "--d", "6", "--eps", "5/9", "--delta", "3",
+         "--genus", "{value}"),
+        ("verify", "--suite", "identities", "--seed", "{value}"),
+    ],
+    ids=["cluster --prime", "symroots --prime", "invariants --genus", "verify --seed"],
+)
+def test_integer_option_not_in_ascii_digits(tmp_path, capsys, argv, value):
+    # int() would read "３" as 3, " 3" as 3 and "1_1" as 11
+    curve = write(tmp_path, "c.json", CURVE3)
+    code, out = run(capsys, *(a.format(curve=curve, value=value) for a in argv))
+    assert code == 1
+    assert json.loads(out)["error"] == "validation"
+
+
+@pytest.mark.parametrize("command", ["symroots", "cluster"])
+@pytest.mark.parametrize(
+    "triple", ["٠,1,2", "0,١,2", " 0, 1,2 ", "0,1_0,2", "0,+1,2", "0,1,2,", "0,1", "0,,2"]
+)
+def test_triple_not_in_ascii_digits(tmp_path, capsys, command, triple):
+    # "0,1_0,2" once read index 10
+    curve = write(tmp_path, "c.json", CURVE3)
+    code, out = run(capsys, command, "--curve", curve, "--prime", "3", "--triple", triple)
+    assert code == 1
+    assert json.loads(out)["error"] == "validation"
+
+
+def test_negative_integer_option_parses(tmp_path, capsys):
+    # "-?[0-9]+": the minus sign is read, and -3 is then no prime
+    curve = write(tmp_path, "c.json", CURVE3)
+    code, out = run(capsys, "cluster", "--curve", curve, "--prime", "-3", "--all-triples")
+    assert code == 1
+    assert "not a prime: -3" in json.loads(out)["detail"]
+
+
 def test_bad_subcommand(capsys):
     code, out = run(capsys, "bogus")
     assert code == 1

@@ -125,6 +125,40 @@ def test_resistance_theta():
     assert resistance(theta(a, b, c), "v1", "v2") == expect
 
 
+@pytest.mark.parametrize(
+    "point",
+    [("e", 0, F(5)), ("e", 0, F(1, 2)), (-1, F(1, 2)), (2, F(1, 2)), (5, F(1, 2)),
+     (True, F(1, 2)), (1.0, F(1, 2)), ("0", F(1, 2)), (F(0), F(1, 2))],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, x: resistance(g, x, "a"),
+        lambda g, x: resistance(g, "a", x),
+        lambda g, x: green(g, canonical_measure(g), x, "a"),
+        lambda g, x: green(g, canonical_measure(g), "a", x),
+    ],
+    ids=["resistance(x, a)", "resistance(a, x)", "green(x, a)", "green(a, x)"],
+)
+def test_edge_point_outside_the_graph_rejected(call, point):
+    # a point on an edge is exactly (int edge id in range, offset): a tagged
+    # 3-tuple, a negative id (read as the last edge), an id past the end and
+    # a non-int id all raise ValueError; ("e", 0, 5) once gave r = -10/3
+    g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1)), ("b", "a", F(2))])
+    with pytest.raises(ValueError):
+        call(g, point)
+
+
+def test_edge_point_in_range_accepted():
+    g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1)), ("b", "a", F(2))])
+    # a circle of circumference 3: r = s (3 - s) / 3 at arc distance s from a;
+    # edge 1 runs from b, so its offset 1/2 lies 3/2 from a either way round
+    assert resistance(g, (0, F(1, 2)), "a") == F(1, 2) * F(5, 2) / 3
+    assert resistance(g, (1, F(1, 2)), "a") == F(3, 2) * F(3, 2) / 3
+    mu = canonical_measure(g)
+    assert green(g, mu, (1, F(1, 2)), "a") == green(g, mu, "a", (1, F(1, 2)))
+
+
 def test_canonical_measure_loop():
     mu = canonical_measure(loop1())
     assert mu.mass("v") == 0

@@ -283,6 +283,18 @@ def test_fraction_free_kernel_matches_oracle_on_every_triple_and_pair(cfg_p):
         assert new == old.sym_discriminant(cfg, *pair)
 
 
+@settings(max_examples=20, deadline=None, database=None)
+@given(configs_and_primes())
+def test_fraction_free_cross_ratio_matches_the_fraction_expression(cfg_p):
+    cfg, _ = cfg_p
+    a = cfg.roots
+    for i, j, k, r in itertools.permutations(range(len(a)), 4):
+        new = symroots.cross_ratio(cfg, i, j, k, r)
+        assert type(new) is Fraction
+        # the expression in Fraction differences that the closed form replaced
+        assert new == (a[i] - a[k]) / (a[j] - a[k]) * (a[j] - a[r]) / (a[i] - a[r])
+
+
 def test_bad_prime_and_infinite_root_raise_on_every_call():
     cfg, p, _ = CONFIGS[0]
     symroots.symroot_val(cfg, p, 0, 1, 2)  # the table for p now exists
