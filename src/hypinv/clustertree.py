@@ -34,30 +34,28 @@ so a caller that wants both the report and the tree builds one table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .symroots import _check_triple, _valuations
 
 
-@dataclass(frozen=True, slots=True)
-class ClusterNode:
-    """A proper cluster; ``level`` is its depth, min V[r][s] over its members."""
+class ClusterNode(namedtuple("ClusterNode", "level members representative")):
+    """A proper cluster; ``level`` is its depth, min V[r][s] over its members,
+    ``members`` the frozenset of its root indices and ``representative`` the
+    value of its smallest-index member."""
 
-    level: int
-    members: frozenset  # root indices
-    representative: Fraction  # value of the smallest-index member
+    __slots__ = ()
 
     def __repr__(self):
         mem = ",".join(str(m) for m in sorted(self.members))
         return f"ClusterNode(level={self.level}, members={{{mem}}})"
 
 
-@dataclass(frozen=True)
-class NormalFormReport:
+class NormalFormReport(namedtuple("NormalFormReport", "violations")):
     """Diagnostic result of the normal-form check; ok iff no violations."""
 
-    violations: tuple
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -74,18 +72,32 @@ class NormalFormError(ValueError):
         self.report = report
 
 
-@dataclass
 class ClusterTree:
-    """The proper clusters of a configuration at a prime, one node each."""
+    """The proper clusters of a configuration at a prime, one node each.
 
-    config: object  # RootConfig
-    prime: int
-    nodes: list  # the proper clusters, sorted by (level, min member)
-    parent: dict  # cluster -> the cluster enclosing it, absent for the top
-    node_of_root: dict  # root index -> smallest cluster containing it
-    depth: dict  # root index r -> n_r = max_{s != r} val(a_r - a_s)
-    vals: list  # vals[r][s] = val(a_r - a_s), math.inf on the diagonal
-    wv2: list  # wv2[r][k] = 2 * (W_r, V_k), an int
+    Mutable; ``==`` compares the attributes and an instance is unhashable.
+    """
+
+    def __init__(self, config, prime, nodes, parent, node_of_root, depth, vals, wv2):
+        self.config = config  # RootConfig
+        self.prime = prime
+        self.nodes = nodes  # the proper clusters, sorted by (level, min member)
+        self.parent = parent  # cluster -> the cluster enclosing it, absent for the top
+        self.node_of_root = node_of_root  # root index -> smallest cluster containing it
+        self.depth = depth  # root index r -> n_r = max_{s != r} val(a_r - a_s)
+        self.vals = vals  # vals[r][s] = val(a_r - a_s), math.inf on the diagonal
+        self.wv2 = wv2  # wv2[r][k] = 2 * (W_r, V_k), an int
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"ClusterTree({fields})"
 
     def levels(self):
         """{n: the clusters alive at level n, by min member}: the classes

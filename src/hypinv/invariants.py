@@ -10,12 +10,38 @@ floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
+_set = object.__setattr__  # how a frozen type sets its fields
 
-@dataclass(frozen=True)
-class NodeCounts:
+
+class _Frozen:
+    """A value type whose fields, named in ``_fields``, are set once in
+    ``__init__``; ``==``, ``hash`` and ``repr`` read them in that order."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class NodeCounts(_Frozen):
     """Thickness-weighted singular-point counts of a semistable fiber.
 
     xi0: non-separating nodes fixed by the hyperelliptic involution;
@@ -23,18 +49,15 @@ class NodeCounts:
     delta_i[i-1]: weight of separating nodes of type i, i = 1..floor(g/2).
     """
 
-    genus: int
-    xi0: Fraction = Fraction(0)
-    xi: tuple = ()
-    delta_i: tuple = ()
+    _fields = ("genus", "xi0", "xi", "delta_i")
 
-    def __post_init__(self):
-        g = self.genus
+    def __init__(self, genus, xi0=Fraction(0), xi=(), delta_i=()):
+        g = genus
         if g < 2:
             raise ValueError("genus must be at least 2")
-        object.__setattr__(self, "xi0", Fraction(self.xi0))
-        xi = tuple(Fraction(x) for x in self.xi)
-        delta_i = tuple(Fraction(x) for x in self.delta_i)
+        xi0 = Fraction(xi0)
+        xi = tuple(Fraction(x) for x in xi)
+        delta_i = tuple(Fraction(x) for x in delta_i)
         if len(xi) > (g - 1) // 2:
             raise ValueError(
                 f"at most {(g - 1) // 2} subtype weights for genus {g}"
@@ -46,10 +69,12 @@ class NodeCounts:
         # missing trailing weights count as zero
         xi += (Fraction(0),) * ((g - 1) // 2 - len(xi))
         delta_i += (Fraction(0),) * (g // 2 - len(delta_i))
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "delta_i", delta_i)
-        if self.xi0 < 0 or any(x < 0 for x in self.xi + self.delta_i):
+        if xi0 < 0 or any(x < 0 for x in xi + delta_i):
             raise ValueError("counts must be nonnegative")
+        _set(self, "genus", genus)
+        _set(self, "xi0", xi0)
+        _set(self, "xi", xi)
+        _set(self, "delta_i", delta_i)
 
 
 def d_from_counts(counts):
@@ -121,12 +146,8 @@ def chi_from_pairings(g, log_two, pairing_sum):
 GENUS2_ARITY = {"I": 0, "II": 1, "III": 1, "IV": 2, "V": 2, "VI": 3, "VII": 3}
 
 
-@dataclass(frozen=True)
-class Genus2Row:
-    d_half: Fraction
-    delta: Fraction
-    eps: Fraction
-    chi: Fraction
+class Genus2Row(namedtuple("Genus2Row", "d_half delta eps chi")):
+    __slots__ = ()
 
 
 def _genus2_params(fiber_type, params):
@@ -265,28 +286,28 @@ def _bridge_side_genus(graph, edge):
     return b1 + sum(graph.genus[v] for v in reached)
 
 
-@dataclass(frozen=True)
-class PlaceReport:
+class PlaceReport(_Frozen):
     """Invariants (d, eps, delta, phi, chi) of one place, in nu units."""
 
-    label: str
-    genus: int
-    log_nv: float
-    d: Fraction
-    eps: Fraction
-    delta: Fraction
-    phi: Fraction
-    chi: Fraction
+    _fields = ("label", "genus", "log_nv", "d", "eps", "delta", "phi", "chi")
 
-    def __post_init__(self):
-        if self.log_nv <= 0:
+    def __init__(self, label, genus, log_nv, d, eps, delta, phi, chi):
+        if log_nv <= 0:
             raise ValueError("logNv must be positive")
-        expected = chi_nonarch(self.genus, self.d, self.eps, self.delta)
-        if expected != self.chi:
+        expected = chi_nonarch(genus, d, eps, delta)
+        if expected != chi:
             raise ValueError(
-                f"place {self.label}: chi = {self.chi} inconsistent with "
+                f"place {label}: chi = {chi} inconsistent with "
                 f"(3d - (2g+1)(eps+delta))/(2g-2) = {expected}"
             )
+        _set(self, "label", label)
+        _set(self, "genus", genus)
+        _set(self, "log_nv", log_nv)
+        _set(self, "d", d)
+        _set(self, "eps", eps)
+        _set(self, "delta", delta)
+        _set(self, "phi", phi)
+        _set(self, "chi", chi)
 
 
 def aggregate_global(places):
@@ -305,8 +326,9 @@ def aggregate_global(places):
     )
 
 
-@dataclass(frozen=True)
-class NoetherReport:
+class NoetherReport(
+    namedtuple("NoetherReport", "residual_degree residual_noether residual_aggregate")
+):
     """Residuals of the global degree/Noether identities.
 
     residual_degree: (8g+4) deg_lambda - sum d;
@@ -315,9 +337,7 @@ class NoetherReport:
     formula, which vanishes whenever the first two residuals do.
     """
 
-    residual_degree: object
-    residual_noether: object
-    residual_aggregate: object
+    __slots__ = ()
 
     @property
     def consistent(self):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rational import format_rat, parse_rat, require_int, require_keys
@@ -41,7 +41,10 @@ class MetrizedGraph:
     def __init__(self, genus, edges):
         """``genus``: mapping vertex id -> genus >= 0; ``edges``: iterable of
         (u, v, length) triples."""
-        self.genus = {str(v): int(g) for v, g in dict(genus).items()}
+        self.genus = {
+            str(v): require_int(g, f"genus of vertex {v!r}")
+            for v, g in dict(genus).items()
+        }
         if not self.genus:
             raise ValueError("graph needs at least one vertex")
         if any(g < 0 for g in self.genus.values()):
@@ -105,7 +108,7 @@ class MetrizedGraph:
                 raise ValueError(f"duplicate vertex id: {vid!r}")
             if "genus" not in v:
                 raise ValueError(f"vertex {vid!r} has no genus")
-            genus[vid] = require_int(v["genus"], f"genus of vertex {vid!r}")
+            genus[vid] = v["genus"]  # checked by the constructor
         edges = []
         for e in doc["edges"]:
             e = require_keys(e, ("u", "v", "length"), "edge", ("u", "v", "length"))
@@ -150,24 +153,40 @@ class PiecewisePoly:
 
     vertex_values: dict
     edge_coeffs: dict  # eid -> (c0, c1, c2)
+    # eid -> L, to check offsets; the graph's data, not the function's
+    edge_lengths: dict = field(default_factory=dict, compare=False)
 
     def evaluate(self, point):
+        """The value at a vertex id or an (edge id, offset) pair; ValueError
+        for a point off the function's edges and vertices."""
         if isinstance(point, tuple):
-            eid, s = point
+            eid, s = _edge_point(point)
+            if eid not in self.edge_coeffs:
+                raise ValueError(f"no edge {eid} in this function")
+            # an edge whose length is not recorded bounds the offset below only
+            if not 0 <= s <= self.edge_lengths.get(eid, s):
+                raise ValueError(f"offset {s} outside edge {eid}")
             c0, c1, c2 = self.edge_coeffs[eid]
-            s = Fraction(s)
             return c0 + c1 * s + c2 * s * s
+        if point not in self.vertex_values:
+            raise ValueError(f"unknown vertex: {point}")
         return self.vertex_values[point]
+
+
+def _edge_point(x):
+    """The edge id and ``Fraction`` offset of a tuple point (edge id, offset)."""
+    if len(x) != 2:
+        raise ValueError(f"an edge point is a pair (edge id, offset), not {x!r}")
+    return require_int(x[0], "edge id"), Fraction(x[1])
 
 
 def _norm_point(graph, x):
     """Normalize a point spec to ("v", id) or ("e", eid, offset)."""
     if isinstance(x, tuple):
-        eid, off = x
-        if require_int(eid, "edge id") not in range(len(graph.edges)):
+        eid, off = _edge_point(x)
+        if eid not in range(len(graph.edges)):
             raise ValueError(f"no edge {eid} in a graph of {len(graph.edges)} edges")
         e = graph.edges[eid]
-        off = Fraction(off)
         if off == 0:
             return ("v", e.u)
         if off == e.length:
@@ -397,7 +416,7 @@ def green_diagonal(graph, mu):
     for e in graph.edges:
         bend, c0 = kernel.bend(e), values[e.u]
         coeffs[e.eid] = (c0, (values[e.v] - c0) / e.length + e.length * bend, -bend)
-    return PiecewisePoly(values, coeffs)
+    return PiecewisePoly(values, coeffs, {e.eid: e.length for e in graph.edges})
 
 
 def epsilon_phi(graph):

@@ -39,39 +39,58 @@ X_jr)**(2g-1).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rational import INF, mobius, require_odd_prime, valuation_table
 
+_set = object.__setattr__  # how a frozen type sets its fields
 
-@dataclass(frozen=True)
+
 class RootConfig:
-    """Genus plus the 2g+2 pairwise-distinct branch points (at most one inf)."""
+    """Genus plus the 2g+2 pairwise-distinct branch points (at most one inf).
 
-    genus: int
-    roots: tuple
-    note: str = field(default="", compare=False)
-    all_finite: bool = field(init=False, repr=False, compare=False)
-    #: prime -> (V, S), filled by ``_valuations``; the roots never change.
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    Frozen: ``==`` and ``hash`` read ``genus`` and ``roots`` only, not
+    ``note``, ``all_finite`` or the tables.
+    """
 
-    def __post_init__(self):
-        if self.genus < 2:
+    def __init__(self, genus, roots, note=""):
+        if genus < 2:
             raise ValueError("genus must be at least 2")
-        roots = tuple(self.roots)
-        object.__setattr__(self, "roots", roots)
-        if len(roots) != 2 * self.genus + 2:
+        roots = tuple(roots)
+        if len(roots) != 2 * genus + 2:
             raise ValueError(
-                f"expected {2 * self.genus + 2} roots for genus {self.genus}, "
-                f"got {len(roots)}"
+                f"expected {2 * genus + 2} roots for genus {genus}, got {len(roots)}"
             )
         if sum(1 for r in roots if r is INF) > 1:
             raise ValueError("at most one root may be infinity")
         finite = [r for r in roots if r is not INF]
         if len(set(finite)) != len(finite):
             raise ValueError("roots must be pairwise distinct")
-        object.__setattr__(self, "all_finite", len(finite) == len(roots))
+        _set(self, "genus", genus)
+        _set(self, "roots", roots)
+        _set(self, "note", note)
+        _set(self, "all_finite", len(finite) == len(roots))
+        #: prime -> (V, S), filled by ``_valuations``; the roots never change.
+        _set(self, "_tables", {})
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.genus, self.roots) == (other.genus, other.roots)
+
+    def __hash__(self):
+        return hash((self.genus, self.roots))
+
+    def __repr__(self):
+        return (
+            f"RootConfig(genus={self.genus!r}, roots={self.roots!r}, "
+            f"note={self.note!r})"
+        )
 
 
 def _require_finite(cfg):
@@ -127,9 +146,10 @@ def normalize_finite(cfg):
     return RootConfig(cfg.genus, roots, note=f"applied x -> 1/(x - {c})")
 
 
-def _cross(x, y):
-    """X = n_x d_y - n_y d_x, the integer d_x d_y (x - y)."""
-    return x.numerator * y.denominator - y.numerator * x.denominator
+def _pairs(cfg):
+    """Each root's (n, d), read once per call: X_rs = n_r d_s - n_s d_r is
+    then integer arithmetic with no ``Fraction`` property read."""
+    return [x.as_integer_ratio() for x in cfg.roots]
 
 
 def symroot_pow(cfg, i, j, k):
@@ -141,15 +161,16 @@ def symroot_pow(cfg, i, j, k):
     """
     _require_finite(cfg)
     _check_triple(cfg, i, j, k)
-    a = cfg.roots
+    pairs = _pairs(cfg)
+    (ni, di), (nj, dj), (nk, dk) = pairs[i], pairs[j], pairs[k]
     g2 = 2 * cfg.genus
     prod_i = prod_j = 1  # P_i, P_j
-    for r, x in enumerate(a):
+    for r, (n, d) in enumerate(pairs):
         if r != i and r != j:
-            prod_i *= _cross(a[i], x)
-            prod_j *= _cross(a[j], x)
+            prod_i *= ni * d - n * di
+            prod_j *= nj * d - n * dj
     return Fraction(
-        _cross(a[i], a[k]) ** g2 * prod_j, _cross(a[j], a[k]) ** g2 * prod_i
+        (ni * dk - nk * di) ** g2 * prod_j, (nj * dk - nk * dj) ** g2 * prod_i
     )
 
 
@@ -171,8 +192,12 @@ def cross_ratio(cfg, i, j, k, r):
     _require_finite(cfg)
     _check_triple(cfg, i, j, k, r)
     a = cfg.roots
-    num = _cross(a[i], a[k]) * _cross(a[j], a[r])
-    return Fraction(num, _cross(a[j], a[k]) * _cross(a[i], a[r]))
+    ni, di = a[i].as_integer_ratio()
+    nj, dj = a[j].as_integer_ratio()
+    nk, dk = a[k].as_integer_ratio()
+    nr, dr = a[r].as_integer_ratio()
+    num = (ni * dk - nk * di) * (nj * dr - nr * dj)
+    return Fraction(num, (nj * dk - nk * dj) * (ni * dr - nr * di))
 
 
 def sym_discriminant(cfg, i, j):
@@ -187,16 +212,17 @@ def sym_discriminant(cfg, i, j):
     """
     _require_finite(cfg)
     _check_triple(cfg, i, j)
-    a = cfg.roots
+    pairs = _pairs(cfg)
+    (ni, di), (nj, dj) = pairs[i], pairs[j]
     g2 = 2 * cfg.genus
-    others = [a[r] for r in range(len(a)) if r not in (i, j)]
+    others = [x for r, x in enumerate(pairs) if r != i and r != j]
     delta = 1
-    for x, y in itertools.combinations(others, 2):
-        delta *= _cross(x, y)
+    for (nx, dx), (ny, dy) in itertools.combinations(others, 2):
+        delta *= nx * dy - ny * dx
     den = 1
-    for x in others:
-        den *= _cross(a[i], x) * _cross(a[j], x)
-    num = (-1) ** cfg.genus * _cross(a[i], a[j]) ** (g2 * (g2 - 1)) * delta**2
+    for n, d in others:
+        den *= (ni * d - n * di) * (nj * d - n * dj)
+    num = (-1) ** cfg.genus * (ni * dj - nj * di) ** (g2 * (g2 - 1)) * delta**2
     return Fraction(num, den ** (g2 - 1))
 
 

@@ -1,6 +1,7 @@
-"""Cost guards on start-up: ``import hypinv`` loads no layer, and each CLI
+"""Cost guards on start-up: ``import hypinv`` loads no layer, each CLI
 subcommand loads only the layers it runs (``hypinv.verify`` only for
-``verify``).
+``verify``), and the subcommands of the p-adic and scalar layers do not load
+``dataclasses``.
 
 Every case starts a fresh interpreter and compares the sorted ``hypinv.*``
 entries of its ``sys.modules`` with the expected list.
@@ -19,13 +20,13 @@ import hypinv
 
 SRC = Path(hypinv.__file__).resolve().parents[1]
 
-REPORT = "import json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('hypinv'))), file=sys.stderr)\n"
+REPORT = "import json, sys\nprint(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
 
 CLI = ["hypinv", "hypinv.cli", "hypinv.rational"]
 
 
-def loaded(code):
-    """The hypinv modules held by a fresh interpreter after running ``code``."""
+def held(code):
+    """Every module held by a fresh interpreter after running ``code``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run(
         [sys.executable, "-c", code + REPORT], env=env, capture_output=True, text=True, check=True
@@ -33,8 +34,17 @@ def loaded(code):
     return json.loads(run.stderr.splitlines()[-1])
 
 
+def loaded(code):
+    """The hypinv modules held by a fresh interpreter after running ``code``."""
+    return [m for m in held(code) if m.startswith("hypinv")]
+
+
+def cli_code(argv):
+    return f"from hypinv import cli\nassert cli.main({argv!r}) == 0\n"
+
+
 def cli_loaded(argv):
-    return loaded(f"from hypinv import cli\nassert cli.main({argv!r}) == 0\n")
+    return loaded(cli_code(argv))
 
 
 def test_import_hypinv_loads_no_layer():
@@ -79,6 +89,29 @@ def test_padic_commands_load_no_graph_layer(command, layers, tmp_path):
 def test_identities_suite_loads_only_symroots():
     argv = ["verify", "--suite", "identities", "--seed", "7"]
     assert cli_loaded(argv) == sorted(CLI + ["hypinv.symroots", "hypinv.verify"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["invariants", "chi", "--d", "6", "--eps", "5/9", "--delta", "3", "--genus", "2"],
+    ["global", "--places", "PLACES"],
+    ["symroots", "--curve", "CURVE", "--prime", "3", "--all-triples"],
+    ["cluster", "--curve", "CURVE", "--prime", "3", "--all-triples"],
+    ["verify", "--suite", "identities", "--seed", "7"],
+    ["verify", "--suite", "cluster-vs-symroots", "--seed", "7"],
+], ids=lambda argv: " ".join(argv[:1] + argv[1:3] * (argv[0] == "verify")))
+def test_padic_and_scalar_commands_load_no_dataclasses(argv, tmp_path):
+    # dataclasses imports inspect, together over 10 ms of a child's start-up
+    if "dataclasses" in held(""):
+        pytest.skip("a bare interpreter already holds dataclasses")
+    files = {"PLACES": tmp_path / "places.json", "CURVE": tmp_path / "curve.json"}
+    files["PLACES"].write_text(json.dumps([{
+        "genus": 2, "logNv": 1.0986, "d": "2", "eps": "0", "delta": "1",
+        "phi": "1/2", "chi": "1/2",
+    }]))
+    # in normal form at 3, so that cluster builds its tree
+    files["CURVE"].write_text(json.dumps({"genus": 2, "roots": ["0", "9", "1", "10", "2", "11"]}))
+    argv = [str(files[a]) if a in files else a for a in argv]
+    assert "dataclasses" not in held(cli_code(argv))
 
 
 def test_star_import_binds_every_public_name():

@@ -9,6 +9,7 @@ from hypinv import invariants
 from hypinv.metgraph import (
     Measure,
     MetrizedGraph,
+    PiecewisePoly,
     admissible_measure,
     canonical_divisor,
     canonical_measure,
@@ -52,6 +53,13 @@ def test_graph_validation():
         MetrizedGraph({"a": 0, "b": 0}, [("a", "b", 0)])
     with pytest.raises(ValueError):
         MetrizedGraph({"a": -1}, [])
+
+
+@pytest.mark.parametrize("genus", [1.7, 2.0, "2", True, F(2), None])
+def test_non_integer_vertex_genus_rejected(genus):
+    # int() once kept 1 of 1.7 and 2 of "2", silently
+    with pytest.raises(ValueError, match=r"genus of vertex 'v' is not an integer"):
+        MetrizedGraph({"v": genus}, [("v", "v", F(1))])
 
 
 def test_genus_accounting():
@@ -147,6 +155,53 @@ def test_edge_point_outside_the_graph_rejected(call, point):
     g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1)), ("b", "a", F(2))])
     with pytest.raises(ValueError):
         call(g, point)
+
+
+@pytest.mark.parametrize("point", [("e", 0, F(5)), (0,), (), (0, F(1, 2), 0)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, x: resistance(g, x, "a"),
+        lambda g, x: green(g, canonical_measure(g), "a", x),
+        lambda g, x: green_diagonal(g, canonical_measure(g)).evaluate(x),
+    ],
+    ids=["resistance", "green", "green_diagonal"],
+)
+def test_edge_point_of_the_wrong_length_names_the_form(call, point):
+    g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1)), ("b", "a", F(2))])
+    with pytest.raises(ValueError, match=r"pair \(edge id, offset\)"):
+        call(g, point)
+
+
+@pytest.mark.parametrize(
+    "point,message",
+    [((0, 7), "offset 7 outside edge 0"), ((0, -3), "offset -3 outside edge 0"),
+     ((1, F(5, 2)), "offset 5/2 outside edge 1"), ((5, 0), "no edge 5"),
+     ((-1, 0), "no edge -1"), ((True, 0), "edge id is not an integer"),
+     ("c", "unknown vertex: c")],
+)
+def test_piecewise_poly_rejects_a_point_off_the_graph(point, message):
+    # on this circle (0, 7) once read the edge quadratic at 7 and gave -143/16
+    g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1)), ("b", "a", F(2))])
+    poly = green_diagonal(g, admissible_measure(g))
+    with pytest.raises(ValueError, match=message):
+        poly.evaluate(point)
+
+
+def test_piecewise_poly_reads_its_edge_ends_and_keeps_lengths_out_of_equality():
+    g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1)), ("b", "a", F(2))])
+    poly = green_diagonal(g, admissible_measure(g))
+    assert poly.edge_lengths == {0: F(1), 1: F(2)}
+    # edge 0 runs a -> b and edge 1 b -> a: both ends of each are in range
+    assert poly.evaluate((0, 0)) == poly.evaluate("a") == poly.evaluate((1, F(2)))
+    assert poly.evaluate((0, F(1))) == poly.evaluate("b") == poly.evaluate((1, 0))
+    # built without lengths: equal as a function, offsets bounded below only
+    bare = PiecewisePoly(poly.vertex_values, poly.edge_coeffs)
+    assert bare == poly
+    c0, c1, c2 = poly.edge_coeffs[0]
+    assert bare.evaluate((0, 7)) == c0 + 7 * c1 + 49 * c2
+    with pytest.raises(ValueError, match="offset -1 outside edge 0"):
+        bare.evaluate((0, -1))
 
 
 def test_edge_point_in_range_accepted():

@@ -1,0 +1,164 @@
+"""Value semantics of the p-adic and scalar records, which are plain classes
+and namedtuples rather than dataclasses: equal values are ``==`` and hash
+alike, the frozen ones refuse assignment with ``AttributeError``, and each
+``repr`` is the one the dataclass gave."""
+
+import copy
+import math
+from fractions import Fraction as F
+
+import pytest
+
+from hypinv import clustertree, invariants, symroots
+from hypinv.clustertree import ClusterNode, ClusterTree, NormalFormReport
+from hypinv.invariants import Genus2Row, NodeCounts, NoetherReport, PlaceReport
+from hypinv.rational import INF
+from hypinv.symroots import RootConfig
+
+ROOTS = tuple(map(F, (0, 9, 1, 10, 2, 11)))  # in normal form at 3
+
+
+def _node():
+    return ClusterNode(2, frozenset({0, 1}), F(0))
+
+
+def _place(label="p"):
+    return PlaceReport(label, 2, math.log(3), F(6), F(5, 9), F(3), F(1, 9), F(1, 9))
+
+
+#: name -> (make, a different value, its dataclass repr, a field)
+VALUES = {
+    "RootConfig": (
+        lambda: RootConfig(2, ROOTS),
+        RootConfig(2, ROOTS[::-1]),
+        "RootConfig(genus=2, roots=(Fraction(0, 1), Fraction(9, 1), Fraction(1, 1), "
+        "Fraction(10, 1), Fraction(2, 1), Fraction(11, 1)), note='')",
+        "roots",
+    ),
+    "NodeCounts": (
+        lambda: NodeCounts(3, 1, (0,), (F(1, 2),)),
+        NodeCounts(3, 1, (0,), (F(1, 3),)),
+        "NodeCounts(genus=3, xi0=Fraction(1, 1), xi=(Fraction(0, 1),), "
+        "delta_i=(Fraction(1, 2),))",
+        "xi0",
+    ),
+    "Genus2Row": (
+        lambda: invariants.genus2_row("III", (2,)),
+        invariants.genus2_row("III", (3,)),
+        "Genus2Row(d_half=Fraction(2, 1), delta=Fraction(2, 1), eps=Fraction(1, 3), "
+        "chi=Fraction(1, 6))",
+        "chi",
+    ),
+    "PlaceReport": (
+        _place,
+        _place("q"),
+        "PlaceReport(label='p', genus=2, log_nv=1.0986122886681098, d=Fraction(6, 1), "
+        "eps=Fraction(5, 9), delta=Fraction(3, 1), phi=Fraction(1, 9), "
+        "chi=Fraction(1, 9))",
+        "eps",
+    ),
+    "NoetherReport": (
+        lambda: invariants.noether_consistency(2, F(1), F(2), F(3), F(4), F(5)),
+        invariants.noether_consistency(2, F(1), F(2), F(4), F(4), F(5)),
+        "NoetherReport(residual_degree=Fraction(17, 1), residual_noether=Fraction(6, 1), "
+        "residual_aggregate=Fraction(21, 5))",
+        "residual_degree",
+    ),
+    "NormalFormReport": (
+        lambda: clustertree.check_normal_form(RootConfig(2, tuple(map(F, range(6)))), 3),
+        clustertree.check_normal_form(RootConfig(2, ROOTS), 3),
+        "NormalFormReport(violations=('val(a_0 - a_3) = 1 is odd', "
+        "'val(a_1 - a_4) = 1 is odd', 'val(a_2 - a_5) = 1 is odd'))",
+        "violations",
+    ),
+    "ClusterNode": (
+        _node, ClusterNode(4, frozenset({0, 1}), F(0)), "ClusterNode(level=2, members={0,1})",
+        "level",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_equal_values_are_equal_and_hash_alike(name):
+    make, other, _, _ = VALUES[name]
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a != other
+    assert len({a, b, other}) == 2
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_repr_is_the_dataclass_repr(name):
+    make, _, expected, _ = VALUES[name]
+    assert repr(make()) == expected
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_assignment_to_a_frozen_type_raises_attribute_error(name):
+    make, _, _, field = VALUES[name]
+    obj = make()
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, 7)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.no_such_field = 1
+    assert getattr(obj, field) == before
+
+
+def test_root_config_compares_genus_and_roots_only():
+    a = RootConfig(2, ROOTS, note="one")
+    symroots.symroot_val(a, 3, 0, 1, 2)  # fills a's table for 3
+    b = RootConfig(2, list(ROOTS), note="two")
+    assert a == b and hash(a) == hash(b)
+    assert b.roots == ROOTS and type(b.roots) is tuple
+    assert a != RootConfig(3, ROOTS + (F(20), F(21)))
+    assert a.__eq__(ROOTS) is NotImplemented
+    assert not RootConfig(2, (INF,) + ROOTS[1:]).all_finite
+
+
+def test_validation_runs_in_the_constructors():
+    with pytest.raises(ValueError, match="genus must be at least 2"):
+        RootConfig(1, ROOTS[:4])
+    with pytest.raises(ValueError, match="expected 6 roots for genus 2, got 5"):
+        RootConfig(genus=2, roots=ROOTS[:5])
+    with pytest.raises(ValueError, match="counts must be nonnegative"):
+        NodeCounts(2, xi0=-1)
+    with pytest.raises(ValueError, match="logNv must be positive"):
+        PlaceReport("p", 2, 0.0, F(0), F(0), F(0), F(0), F(0))
+    counts = NodeCounts(genus=5, delta_i=(1,))
+    assert counts.xi == (F(0), F(0)) and counts.delta_i == (F(1), F(0))
+
+
+def test_copy_then_object_setattr_forges_a_place_report():
+    # how a check is shown a faulty result: validation is bypassed on a copy
+    rep = _place()
+    forged = copy.copy(rep)
+    object.__setattr__(forged, "eps", rep.eps + 1)
+    assert forged.eps == rep.eps + 1 and rep.eps == F(5, 9)
+    assert forged != rep and forged.chi == rep.chi
+
+
+def test_the_records_are_also_tuples():
+    row = invariants.genus2_row("II", (1,))
+    assert row == Genus2Row(F(2), F(1), F(1), F(1)) == (F(2), F(1), F(1), F(1))
+    assert row.chi == row[3]
+    assert clustertree.check_normal_form(RootConfig(2, ROOTS), 3) == ((),)
+    assert tuple(_node()) == (2, frozenset({0, 1}), F(0))
+    assert NoetherReport(0, 0, 0).consistent and NormalFormReport(()).ok
+
+
+def test_cluster_tree_is_mutable_and_unhashable():
+    tree = clustertree.build_tree(RootConfig(2, ROOTS), 3)
+    again = clustertree.build_tree(RootConfig(2, ROOTS), 3)
+    assert tree == again and tree != tree.nodes
+    with pytest.raises(TypeError):
+        hash(tree)
+    assert repr(tree).startswith("ClusterTree(config=RootConfig(genus=2, ")
+    fields = ("config", "prime", "nodes", "parent", "node_of_root", "depth", "vals", "wv2")
+    assert list(vars(tree)) == list(fields)
+    assert ClusterTree(*(getattr(tree, name) for name in fields)) == tree
+    again.prime = 5
+    assert tree != again
