@@ -16,13 +16,16 @@ builds once per prime (``symroots._valuations``), as ``symroot_val`` does;
 the ``cluster-vs-symroots`` verify suite also checks ``symroot_val`` against
 ``symroot_pow``, which never reads the table.
 ``build_tree`` keeps the table on the tree, where ``mult_x`` and ``v_mult``
-read it, together with the integer matrix 2 * (W_r, V_k) that
-``pairing_from_tree`` reads, so a pairing is four integer lookups and one
-``Fraction``.  The valuation is ultrametric, so V[r][s] >= n is an
-equivalence for each n and its classes are the residue classes mod p**n:
-``build_tree`` splits each cluster once, one past its depth (single
-linkage).  The tree has one node per cluster, however deep, and
-``ClusterTree.levels`` derives the classes of every level from it.
+read it, together with the integer matrix 2 * (W_r, V_k), one row per
+cluster from ``_twice_v_row``.  ``pairing_from_tree`` is the integer
+``_twice_pairing`` (four lookups in that matrix) over 2, one ``Fraction``;
+a caller comparing it on all triples with ``symroots._twice_g_val``, the
+integer 2g val(l_ijk), needs no ``Fraction`` at all.  The valuation is
+ultrametric, so V[r][s] >= n is an equivalence for each n and its classes
+are the residue classes mod p**n: ``build_tree`` splits each cluster once,
+one past its depth (single linkage).  The tree has one node per cluster,
+however deep, and ``ClusterTree.levels`` derives the classes of every
+level from it.
 
 The reduction of arbitrary configurations to normal form needs root
 extraction in field extensions and is not implemented; non-normal-form input
@@ -185,7 +188,7 @@ def build_tree(cfg, p):
     nodes.sort(key=lambda c: (c.level, min(c.members)))
     g = cfg.genus
     rows = {
-        node: [_twice_v_mult(g, vals, sums, depth, k, node) for k in range(n_roots)]
+        node: _twice_v_row(g, vals, sums, depth, node)
         for node in set(node_of_root.values())
     }
     wv2 = [rows[node_of_root[r]] for r in range(n_roots)]
@@ -211,18 +214,16 @@ def mult_y(tree, node):
     return Fraction(_twice_mult_y(tree.vals, node), 2)
 
 
-def _twice_v_mult(g, vals, sums, depth, k, node):
-    """2 * v_mult(tree, k, node), an integer, from the tree's fields and the
-    row sums S of the configuration's (V, S) table."""
+def _twice_v_row(g, vals, sums, depth, node):
+    """[2 * v_mult(tree, k, node) for each root k], integers, from the
+    tree's fields and the row sums S of the configuration's (V, S) table;
+    2 * mult_y(node) is summed once for the row."""
     n_c = node.level
-    m = min(n_c, vals[k][min(node.members)])
-    return (
-        2 * (g - 1) * m
-        - _twice_mult_y(vals, node)
-        + 2 * n_c
-        - (2 * g - 1) * depth[k]
-        + sums[k]
-    )
+    rest = 2 * n_c - _twice_mult_y(vals, node)
+    return [
+        2 * (g - 1) * min(n_c, v) + rest - (2 * g - 1) * depth[k] + sums[k]
+        for k, v in enumerate(vals[min(node.members)])
+    ]
 
 
 def v_mult(tree, k, node):
@@ -232,8 +233,11 @@ def v_mult(tree, k, node):
     + (1/2)*sum_{r != k} val(a_k - a_r).  Vanishes on the component
     carrying the k-th root.
     """
+    if k not in tree.depth:  # a negative k would read the row from its end
+        raise KeyError(k)
     vals, sums = _valuations(tree.config, tree.prime)  # tree.vals and its sums
-    return Fraction(_twice_v_mult(tree.config.genus, vals, sums, tree.depth, k, node), 2)
+    row = _twice_v_row(tree.config.genus, vals, sums, tree.depth, node)
+    return Fraction(row[k], 2)
 
 
 def pairing_from_tree(tree, i, j, k):
@@ -244,11 +248,13 @@ def pairing_from_tree(tree, i, j, k):
     builds one ``Fraction``.
     """
     _check_triple(tree.config, i, j, k)
-    g = tree.config.genus
-    wv2 = tree.wv2
-    w_term = wv2[i][k] - wv2[j][k]
-    v_term = wv2[k][i] - wv2[k][j]
-    return Fraction((2 * g - 1) * w_term + v_term, 2)
+    return Fraction(_twice_pairing(tree.wv2, 2 * tree.config.genus - 1, i, j, k), 2)
+
+
+def _twice_pairing(wv2, g21, i, j, k):
+    """2 * pairing_from_tree, an integer, from the matrix ``wv2`` of a tree;
+    g21 = 2g - 1 and the caller has checked the indices."""
+    return g21 * (wv2[i][k] - wv2[j][k]) + wv2[k][i] - wv2[k][j]
 
 
 def pairing_combination(cfg, p, i, j, k):

@@ -111,13 +111,14 @@ def valuation_table(roots, p):
     has checked p.
     """
     n = len(roots)
-    dvals = [_int_val(x.denominator, p) for x in roots]
+    pairs = [x.as_integer_ratio() for x in roots]  # each root's (n, d), read once
+    dvals = [_int_val(d, p) for _, d in pairs]
     table = [[math.inf] * n for _ in range(n)]
-    for r, x in enumerate(roots):
+    for r, (nr, dr) in enumerate(pairs):
+        row = table[r]
         for s in range(r + 1, n):
-            y = roots[s]
-            diff = x.numerator * y.denominator - y.numerator * x.denominator
-            table[r][s] = table[s][r] = _int_val(diff, p) - dvals[r] - dvals[s]
+            ns, ds = pairs[s]
+            row[s] = table[s][r] = _int_val(nr * ds - ns * dr, p) - dvals[r] - dvals[s]
     return table
 
 
@@ -194,7 +195,7 @@ def mobius(x, a, b, c, d):
     coefficients are scaled to integers by their common denominator, so
     x = n/q maps to the one ``Fraction`` (a n + b q)/(c n + d q).
     """
-    if not all(type(t) is int for t in (a, b, c, d)):
+    if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
         a, b, c, d = (Fraction(t) for t in (a, b, c, d))
         m = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
         a, b, c, d = (t.numerator * (m // t.denominator) for t in (a, b, c, d))
@@ -202,8 +203,8 @@ def mobius(x, a, b, c, d):
         raise ValueError("degenerate fractional-linear map")
     if x is INF:
         return INF if c == 0 else Fraction(a, c)
-    x = Fraction(x)
-    n, q = x.numerator, x.denominator
+    # Fraction(x) for any other type keeps its conversions and errors
+    n, q = (x if type(x) in (Fraction, int) else Fraction(x)).as_integer_ratio()
     den = c * n + d * q
     if den == 0:
         return INF

@@ -122,6 +122,15 @@ def _valuations(cfg, p):
 
 def _check_triple(cfg, *indices):
     n = len(cfg.roots)
+    if len(indices) == 3:
+        # fast path for a valid triple: any other input, or a comparison
+        # that raises, falls through to the checks below and their errors
+        i, j, k = indices
+        try:
+            if i != j != k != i and 0 <= i < n and 0 <= j < n and 0 <= k < n:
+                return
+        except TypeError:
+            pass
     if len(set(indices)) != len(indices):
         raise ValueError(f"indices must be pairwise distinct: {indices}")
     for i in indices:
@@ -183,7 +192,13 @@ def symroot_val(cfg, p, i, j, k):
     vals, sums = _valuations(cfg, p)
     _check_triple(cfg, i, j, k)
     g2 = 2 * cfg.genus
-    return Fraction(g2 * (vals[i][k] - vals[j][k]) + sums[j] - sums[i], g2)
+    return Fraction(_twice_g_val(vals, sums, g2, i, j, k), g2)
+
+
+def _twice_g_val(vals, sums, g2, i, j, k):
+    """2g val(l_ijk) = 2g (V_ik - V_jk) + S_j - S_i, an integer, from the
+    (V, S) tables; g2 = 2g and the caller has checked the indices."""
+    return g2 * (vals[i][k] - vals[j][k]) + sums[j] - sums[i]
 
 
 def cross_ratio(cfg, i, j, k, r):

@@ -153,17 +153,21 @@ def _suite_cluster_vs_symroots(tally, rng, n_configs=200):
         else:
             cfg = random_normal_form_config(rng, g, p)
             tree = clustertree.build_tree(cfg, p)
-        factor = 2 * g * (g - 1)
         n = len(cfg.roots)
         # symroot_pow reads no valuation table: an anchor independent of the tree
         ok = all(
             2 * g * symroots.symroot_val(cfg, p, *t)
             == val(symroots.symroot_pow(cfg, *t), p)
             for t in ((0, 1, 2), (n - 1, 0, 1))
-        ) and all(
-            clustertree.pairing_from_tree(tree, *t)
-            == factor * symroots.symroot_val(cfg, p, *t)
-            for t in itertools.permutations(range(n), 3)
+        )
+        # pairing_from_tree = 2g(g-1) symroot_val on every triple, as the
+        # integers 2 * pairing = 2(g-1) * 2g val(l_ijk)
+        vals, sums = symroots._valuations(cfg, p)
+        wv2, g2, factor = tree.wv2, 2 * g, 2 * (g - 1)
+        ok = ok and all(
+            clustertree._twice_pairing(wv2, g2 - 1, i, j, k)
+            == factor * symroots._twice_g_val(vals, sums, g2, i, j, k)
+            for i, j, k in itertools.permutations(range(n), 3)
         )
         tally.check(ok, f"cluster-vs-symroots {tag}")
 

@@ -16,7 +16,18 @@ import itertools
 from fractions import Fraction
 
 from hypinv.rational import _int_val, require_odd_prime
-from hypinv.symroots import _check_triple, _require_finite
+from hypinv.symroots import _require_finite
+
+
+def _check_triple(cfg, *indices):
+    """The index rule of ``hypinv.symroots._check_triple`` before its fast
+    path for valid triples: pairwise distinct, then each in range."""
+    n = len(cfg.roots)
+    if len(set(indices)) != len(indices):
+        raise ValueError(f"indices must be pairwise distinct: {indices}")
+    for i in indices:
+        if not 0 <= i < n:
+            raise ValueError(f"root index out of range: {i}")
 
 
 def val_diff(x, y, p):

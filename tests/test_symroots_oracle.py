@@ -7,9 +7,11 @@ Both are exact, so every result must be the same ``Fraction``.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,24 @@ def _bad_indices(arity, n):
     return out
 
 
+def _odd_indices(arity, n):
+    """The valid tuple, then tuples with a bool, a float, a ``Fraction``, a
+    negative or too-large value, an unhashable value or nan in each position
+    in turn.  True, 1.0 and Fraction(1) duplicate index 1 except in its own
+    position, where the tuple is valid by value."""
+    base = tuple(range(arity))
+    odd = (True, 1.0, Fraction(1), -1, -n, -n - 1, n, 10**30, [1], math.nan)
+    return [base] + [base[:q] + (x,) + base[q + 1 :] for q in range(arity) for x in odd]
+
+
+def _outcome(call):
+    """("ok", the result) or (the exception's type, its message)."""
+    try:
+        return "ok", call()
+    except Exception as err:  # the error itself is what the caller compares
+        return type(err), str(err)
+
+
 def _index_message(indices, n):
     """The index error: a duplicate first, then the first index out of range."""
     if len(set(indices)) != len(indices):
@@ -178,13 +198,22 @@ def _error(call):
 ORACLE = {"pairing_difference": old.symroot_val}
 
 
-def test_errors_match_oracle():
+def test_errors_match_oracle(monkeypatch):
     cfg, p, _ = CONFIGS[0]
     n = len(cfg.roots)
     symroots.symroot_val(cfg, p, 0, 1, 2)  # the table for p now exists
-    for arity, call in _index_calls(cfg, p):
+    calls = _index_calls(cfg, p)
+    for arity, call in calls:
         for t in _bad_indices(arity, n):
             assert _error(lambda: call(*t)) == _index_message(t, n)
+    # the same outcome as with the index rule that had no fast path
+    grid = [(call, _bad_indices(arity, n) + _odd_indices(arity, n)) for arity, call in calls]
+    got = [_outcome(lambda: call(*t)) for call, tuples in grid for t in tuples]
+    for module in (symroots, clustertree):
+        monkeypatch.setattr(module, "_check_triple", old._check_triple)
+    assert got == [_outcome(lambda: call(*t)) for call, tuples in grid for t in tuples]
+    assert {kind for kind, _ in got} == {"ok", ValueError, TypeError}
+    monkeypatch.undo()
     with_inf = RootConfig(2, (INF,) + tuple(Fraction(x) for x in range(1, 6)))
     assert _error(lambda: symroots.cross_ratio(with_inf, 0, 1, 2, 3)) == (
         "roots must be finite; apply normalize_finite first"
@@ -293,6 +322,39 @@ def test_fraction_free_cross_ratio_matches_the_fraction_expression(cfg_p):
         assert type(new) is Fraction
         # the expression in Fraction differences that the closed form replaced
         assert new == (a[i] - a[k]) / (a[j] - a[k]) * (a[j] - a[r]) / (a[i] - a[r])
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(configs_and_primes())
+def test_tree_rows_match_oracle_on_every_configuration(cfg_p):
+    """``build_tree``'s one row of 2 (W_r, V_k) per cluster, ``v_mult`` and
+    ``pairing_from_tree`` against the oracle.  Single linkage on V holds for
+    any configuration, so the normal-form check is bypassed to reach every
+    configuration of the strategy."""
+    cfg, p = cfg_p
+    tables = symroots._valuations(cfg, p)
+    with mock.patch.object(clustertree, "_normal_form", lambda c, q: ((), tables)):
+        tree = clustertree.build_tree(cfg, p)
+    n = len(cfg.roots)
+    for node in tree.nodes:
+        for k in range(n):
+            new = clustertree.v_mult(tree, k, node)
+            assert type(new) is Fraction
+            assert new == old.v_mult(tree, k, node)
+    old_tree = SimpleNamespace(config=cfg, wv=old.wv_matrix(tree))
+    assert tree.wv2 == [[2 * x for x in row] for row in old_tree.wv]
+    for t in itertools.permutations(range(n), 3):
+        assert clustertree.pairing_from_tree(tree, *t) == old.pairing_from_tree(
+            old_tree, *t
+        )
+
+
+def test_v_mult_rejects_an_index_that_is_not_a_root():
+    cfg, p, _ = CONFIGS[0]
+    tree = clustertree.build_tree(cfg, p)
+    for k in (-1, len(cfg.roots)):
+        with pytest.raises(LookupError):
+            clustertree.v_mult(tree, k, tree.nodes[0])
 
 
 def test_bad_prime_and_infinite_root_raise_on_every_call():

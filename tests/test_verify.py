@@ -1,6 +1,6 @@
 import pytest
 
-from hypinv import clustertree, verify
+from hypinv import clustertree, symroots, verify
 
 
 def test_suite_names_exposed():
@@ -40,6 +40,45 @@ def test_cluster_suite_checks_unconstrained_cases(monkeypatch):
         f"normal-form-rejection case={c} p={(3, 5, 7)[c % 3]} g=3"
         for c in (9, 19, 29, 39)
     ]
+
+
+# cases of ``run_suite("cluster-vs-symroots", 3, n_configs=40)`` at p = 5 and
+# genus 3 (case % 6 == 1) that reach the cross-check: case 19 is an
+# unconstrained configuration that build_tree rejects
+PERTURBED = [f"cluster-vs-symroots case={c} p=5 g=3" for c in (1, 7, 13, 25, 31, 37)]
+
+
+def test_cluster_suite_catches_a_wrong_tree_entry(monkeypatch):
+    real = clustertree.build_tree
+
+    def build_tree(cfg, p):
+        tree = real(cfg, p)
+        if p == 5 and cfg.genus == 3:
+            tree.wv2 = [list(row) for row in tree.wv2]
+            tree.wv2[0][1] += 1  # 2 (W_0, V_1) off by one
+        return tree
+
+    monkeypatch.setattr(clustertree, "build_tree", build_tree)
+    doc = verify.run_suite("cluster-vs-symroots", 3, n_configs=40)
+    assert doc["failures"] == PERTURBED
+    assert doc["passed"] == 40 - len(PERTURBED)
+
+
+def test_cluster_suite_catches_a_wrong_row_sum(monkeypatch):
+    real = symroots._valuations
+
+    def valuations(cfg, p):
+        vals, sums = real(cfg, p)
+        if p == 5 and cfg.genus == 3:
+            # S_3 off by one, in a copy; the two anchor triples (0, 1, 2) and
+            # (7, 0, 1) do not read it, so the all-triples check must fail
+            sums = sums[:3] + [sums[3] + 1] + sums[4:]
+        return vals, sums
+
+    monkeypatch.setattr(symroots, "_valuations", valuations)
+    doc = verify.run_suite("cluster-vs-symroots", 3, n_configs=40)
+    assert doc["failures"] == PERTURBED
+    assert doc["passed"] == 40 - len(PERTURBED)
 
 
 def test_genus2_table_suite():
