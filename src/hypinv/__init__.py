@@ -28,59 +28,9 @@ _HOME = {name: layer for layer, names in _LAYERS.items() for name in names.split
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "INF",
-    "GENUS2_ARITY",
-    "SUITES",
-    "ClusterTree",
-    "Genus2Row",
-    "Measure",
-    "MetrizedGraph",
-    "NodeCounts",
-    "NormalFormReport",
-    "PlaceReport",
-    "RootConfig",
-    "admissible_measure",
-    "aggregate_global",
-    "build_tree",
-    "canonical_divisor",
-    "canonical_measure",
-    "check_normal_form",
-    "chi_arch",
-    "chi_from_pairings",
-    "chi_nonarch",
-    "cross_ratio",
-    "d_from_counts",
-    "delta",
-    "epsilon",
-    "epsilon_phi",
-    "format_rat",
-    "genus2_graph",
-    "genus2_row",
-    "green",
-    "green_diagonal",
-    "is_prime",
-    "log_abs",
-    "node_counts_from_graph",
-    "noether_consistency",
-    "normalize_finite",
-    "pairing_combination",
-    "pairing_cross_ratio",
-    "pairing_difference",
-    "parse_rat",
-    "phi",
-    "place_report_from_graph",
-    "resistance",
-    "run_suite",
-    "scale",
-    "subdivide",
-    "sym_discriminant",
-    "symroot_pow",
-    "symroot_val",
-    "val",
-    "verify_admissible",
-    "yamaki_bound",
-]
+#: the three constants first, then every other public name in sorted order
+__all__ = ["INF", "GENUS2_ARITY", "SUITES"]
+__all__ += sorted(_HOME.keys() - set(__all__))
 
 
 def __getattr__(name):

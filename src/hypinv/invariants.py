@@ -80,21 +80,25 @@ class NodeCounts(_Frozen):
 def d_from_counts(counts):
     """d = g xi0 + sum_j 2(j+1)(g-j) xi_j + sum_i 4i(g-i) delta_i."""
     g = counts.genus
-    total = g * counts.xi0
-    for j, x in enumerate(counts.xi, start=1):
-        total += 2 * (j + 1) * (g - j) * x
-    for i, x in enumerate(counts.delta_i, start=1):
-        total += 4 * i * (g - i) * x
-    return total
+    terms = [(g, counts.xi0)]
+    terms += [(2 * (j + 1) * (g - j), x) for j, x in enumerate(counts.xi, start=1)]
+    terms += [(4 * i * (g - i), x) for i, x in enumerate(counts.delta_i, start=1)]
+    # *list, not *generator: a resized argument tuple stays on CPython's free list
+    den = math.lcm(*[x.denominator for _, x in terms])
+    return Fraction(sum(c * x.numerator * (den // x.denominator) for c, x in terms), den)
 
 
 def chi_nonarch(g, d, eps, delta):
     """chi = (3d - (2g+1)(eps + delta)) / (2g - 2), exact."""
     if g < 2:
         raise ValueError("genus must be at least 2")
-    return (3 * Fraction(d) - (2 * g + 1) * (Fraction(eps) + Fraction(delta))) / (
-        2 * g - 2
+    d, eps, delta = Fraction(d), Fraction(eps), Fraction(delta)
+    den = math.lcm(d.denominator, eps.denominator, delta.denominator)
+    num = 3 * d.numerator * (den // d.denominator) - (2 * g + 1) * (
+        eps.numerator * (den // eps.denominator)
+        + delta.numerator * (den // delta.denominator)
     )
+    return Fraction(num, (2 * g - 2) * den)
 
 
 def yamaki_bound(counts):
@@ -242,7 +246,8 @@ def genus2_graph(fiber_type, params=()):
 def node_counts_from_graph(graph):
     """Classify edges of a reduction graph into thickness-weighted counts.
 
-    Bridges split the graph and are binned by the genus of the smaller side.
+    Bridges split the graph and are binned by the genus of the smaller side,
+    both read off one ``MetrizedGraph.bridge_search``.
     Non-separating edges default to xi0: whether such a node is fixed by the
     hyperelliptic involution is not graph data, so for genus >= 3 a warning
     is attached (for genus 2 there are no subtypes and xi0 is forced).
@@ -251,13 +256,18 @@ def node_counts_from_graph(graph):
     g = graph.total_genus
     if g < 2:
         raise ValueError("genus too small")
-    xi0 = Fraction(0)
-    delta_i = [Fraction(0)] * (g // 2)
+    _, sides = graph.bridge_search()
+    # lengths summed as integers over the lcm of their denominators
+    # *list, not *generator: a resized argument tuple stays on CPython's free list
+    den = math.lcm(*[e.length.denominator for e in graph.edges])
+    xi0 = 0
+    delta_i = [0] * (g // 2)
     warnings = []
     for e in graph.edges:
-        side = _bridge_side_genus(graph, e)
+        length = e.length.numerator * (den // e.length.denominator)
+        side = sides.get(e.eid)
         if side is None:
-            xi0 += e.length
+            xi0 += length
             if g >= 3:
                 warnings.append(
                     f"edge {e.eid}: non-separating node counted as xi0 "
@@ -271,19 +281,14 @@ def node_counts_from_graph(graph):
                     "stable-type node, skipped"
                 )
             else:
-                delta_i[i - 1] += e.length
-    counts = NodeCounts(g, xi0, (Fraction(0),) * ((g - 1) // 2), tuple(delta_i))
+                delta_i[i - 1] += length
+    counts = NodeCounts(
+        g,
+        Fraction(xi0, den),
+        (Fraction(0),) * ((g - 1) // 2),
+        tuple(Fraction(x, den) for x in delta_i),
+    )
     return counts, warnings
-
-
-def _bridge_side_genus(graph, edge):
-    # total genus of the component containing edge.u when `edge` is removed;
-    # None if the edge is non-separating
-    reached, eids = graph.reach(edge.u, skip=edge.eid)
-    if edge.v in reached:
-        return None
-    b1 = len(eids) - len(reached) + 1
-    return b1 + sum(graph.genus[v] for v in reached)
 
 
 class PlaceReport(_Frozen):
@@ -363,13 +368,14 @@ def place_report_from_graph(label, graph, log_nv=1.0):
     d = d_from_counts(counts)
     eps, ph = metgraph.epsilon_phi(graph)
     dlt = metgraph.delta(graph)
+    g = graph.total_genus
     return PlaceReport(
         label=label,
-        genus=graph.total_genus,
+        genus=g,
         log_nv=log_nv,
         d=d,
         eps=eps,
         delta=dlt,
         phi=ph,
-        chi=chi_nonarch(graph.total_genus, d, eps, dlt),
+        chi=chi_nonarch(g, d, eps, dlt),
     )

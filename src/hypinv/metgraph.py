@@ -58,29 +58,50 @@ class MetrizedGraph:
             if length <= 0:
                 raise ValueError("edge lengths must be positive")
             self.edges.append(Edge(i, u, v, length))
-        if not self._is_connected():
+        if not self.bridge_search()[0]:
             raise ValueError("graph must be connected")
 
-    def _is_connected(self):
-        return len(self.reach(next(iter(self.genus)))[0]) == len(self.genus)
+    def bridge_search(self):
+        """One depth-first search with low links (Tarjan, SIAM J. Comput. 1,
+        1972) from the first vertex: ``(connected, sides)``.  ``connected``
+        says whether it reached every vertex; ``sides`` maps the id of each
+        bridge e to the total genus of e.u's side once e is cut.
 
-    def reach(self, start, skip=None):
-        """Vertices and edge ids reachable from vertex ``start`` without
-        crossing the edge with id ``skip``."""
-        adj = {}
+        A side S that one bridge leaves has valence sum 2 E(S) + 1, so its
+        genus E(S) - |S| + 1 + sum genus(v) is (sum_{v in S} K(v) + 1) / 2,
+        summed over the search subtree; the other side has g - genus(S).
+        The search is iterative, skips loops and skips the tree edge up by
+        edge id, so parallel edges are never bridges.
+        """
+        k = canonical_divisor(self)  # becomes the subtree sum as each vertex finishes
+        adj = {v: [] for v in self.genus}
         for e in self.edges:
-            if e.eid != skip:
-                adj.setdefault(e.u, []).append(e)
-                adj.setdefault(e.v, []).append(e)
-        vertices, eids, frontier = {start}, set(), [start]
-        while frontier:
-            for e in adj.get(frontier.pop(), ()):
-                eids.add(e.eid)
-                for x in (e.u, e.v):
-                    if x not in vertices:
-                        vertices.add(x)
-                        frontier.append(x)
-        return vertices, eids
+            if e.u != e.v:
+                adj[e.u].append((e.eid, e.v))
+                adj[e.v].append((e.eid, e.u))
+        g, root = self.total_genus, next(iter(self.genus))
+        order, low, sides = {root: 0}, {root: 0}, {}
+        stack = [(root, None, iter(adj[root]))]
+        while stack:
+            v, up, todo = stack[-1]
+            for eid, w in todo:
+                if w not in order:
+                    order[w] = low[w] = len(order)
+                    stack.append((w, eid, iter(adj[w])))
+                    break
+                if eid != up and order[w] < low[v]:
+                    low[v] = order[w]
+            else:
+                stack.pop()
+                if stack:
+                    p = stack[-1][0]
+                    k[p] += k[v]
+                    if low[v] > order[p]:
+                        side = (k[v] + 1) // 2
+                        sides[up] = side if self.edges[up].u == v else g - side
+                    elif low[v] < low[p]:
+                        low[p] = low[v]
+        return len(order) == len(self.genus), sides
 
     @property
     def vertices(self):
@@ -459,12 +480,17 @@ def epsilon_phi(graph):
     # with h = ab_lcm / A: s / (det Q) = 3 h s / (6 g det^2 ab_lcm) and
     # 6 g s / (det Q^2) = 3 h s / (2 g det^3 A ab_lcm)
     h, s = ab_lcm // a_lcm, res._scale
-    eps = Fraction((2 * g - 2) * t + 3 * h * s * kp, 6 * g * det**2 * ab_lcm)
-    six_gc = Fraction(
-        2 * (2 * g - 1) * det * a_lcm * t + 3 * h * s * mqp,
-        2 * g * det**3 * a_lcm * ab_lcm,
+    den = 6 * g * det**2 * ab_lcm
+    eps = (2 * g - 2) * t + 3 * h * s * kp  # epsilon = eps / den
+    # with wide = den det A: 6 g c = six_gc / wide, epsilon = eps det A / wide
+    # and delta = dn / dd, so phi = ((six_gc - eps det A) dd - dn wide) / (4 wide dd)
+    wide = den * det * a_lcm
+    six_gc = 3 * (2 * (2 * g - 1) * det * a_lcm * t + 3 * h * s * mqp)
+    dn, dd = _length_ratio(graph)
+    return (
+        Fraction(eps, den),
+        Fraction((six_gc - eps * det * a_lcm) * dd - dn * wide, 4 * wide * dd),
     )
-    return eps, (six_gc - eps - delta(graph)) / 4
 
 
 def epsilon(graph):
@@ -482,10 +508,15 @@ def phi(graph):
 
 def delta(graph):
     """Total edge length (thickness-weighted singular-point count)."""
+    return Fraction(*_length_ratio(graph))
+
+
+def _length_ratio(graph):
+    """(num, den) with delta = num / den: the edge lengths summed as
+    integers over the lcm of their denominators."""
     # *list, not *generator: a resized argument tuple stays on CPython's free list
     den = math.lcm(*[e.length.denominator for e in graph.edges])
-    num = sum(e.length.numerator * (den // e.length.denominator) for e in graph.edges)
-    return Fraction(num, den)
+    return sum(e.length.numerator * (den // e.length.denominator) for e in graph.edges), den
 
 
 def verify_admissible(graph, mu):

@@ -47,7 +47,8 @@ _set = object.__setattr__  # how a frozen type sets its fields
 
 
 class RootConfig:
-    """Genus plus the 2g+2 pairwise-distinct branch points (at most one inf).
+    """Genus plus the 2g+2 pairwise-distinct branch points, each an ``int``,
+    a ``Fraction`` or ``INF`` (at most one); a float or a bool is refused.
 
     Frozen: ``==`` and ``hash`` read ``genus`` and ``roots`` only, not
     ``note``, ``all_finite`` or the tables.
@@ -61,6 +62,9 @@ class RootConfig:
             raise ValueError(
                 f"expected {2 * genus + 2} roots for genus {genus}, got {len(roots)}"
             )
+        for r in roots:
+            if r is not INF and (type(r) is bool or not isinstance(r, (int, Fraction))):
+                raise ValueError(f"root {r!r} is not an int, a Fraction or INF")
         if sum(1 for r in roots if r is INF) > 1:
             raise ValueError("at most one root may be infinity")
         finite = [r for r in roots if r is not INF]

@@ -11,9 +11,9 @@ from hypothesis import HealthCheck, Phase, find, given, settings
 from hypothesis import strategies as st
 
 import oracle_kernel as old
-from hypinv import metgraph
+from hypinv import invariants, metgraph
 from hypinv.metgraph import MetrizedGraph
-from test_metgraph import is_bridge, spanning_tree_weight
+from test_metgraph import is_bridge, side_genera, spanning_tree_weight
 
 F = Fraction
 LENGTHS = st.fractions(min_value=F(1, 4), max_value=5, max_denominator=4)
@@ -61,6 +61,20 @@ def test_strategy_reaches_every_shape(shape):
         database=None, derandomize=True, max_examples=1000, phases=[Phase.generate]
     )
     find(graphs(), shape, settings=search)
+
+
+@st.composite
+def with_pendant_trees(draw):
+    """A ``graphs()`` multigraph with up to five more vertices, each hanging
+    by one edge off a vertex before it: trees of bridges whose far sides
+    may have genus 0."""
+    graph = draw(graphs())
+    genus = dict(graph.genus)
+    edges = [(e.u, e.v, e.length) for e in graph.edges]
+    for i in range(draw(st.integers(0, 5))):
+        edges.append((draw(st.sampled_from(list(genus))), f"t{i}", draw(LENGTHS)))
+        genus[f"t{i}"] = draw(st.integers(0, 1))
+    return MetrizedGraph(genus, edges)
 
 
 PROPERTY = settings(
@@ -317,3 +331,46 @@ def test_repeated_calls_hold_no_memory():
     for _ in range(400):
         metgraph.epsilon_phi(graph)
     assert sys.getallocatedblocks() - before < 100
+
+
+@PROPERTY
+@given(with_pendant_trees())
+def test_bridge_search_matches_union_find(graph):
+    # the one search against one union-find per edge: the same bridges, the
+    # same genus on each bridge's u side
+    connected, sides = graph.bridge_search()
+    assert connected
+    assert sides == {eid: g for eid, g in side_genera(graph).items() if g is not None}
+
+
+@PROPERTY
+@given(graphs(), graphs())
+def test_bridge_search_sees_two_components(one, other):
+    genus = {f"a{v}": h for v, h in one.genus.items()}
+    genus.update({f"b{v}": h for v, h in other.genus.items()})
+    edges = [(f"a{e.u}", f"a{e.v}", e.length) for e in one.edges]
+    edges += [(f"b{e.u}", f"b{e.v}", e.length) for e in other.edges]
+    with pytest.raises(ValueError, match="graph must be connected"):
+        MetrizedGraph(genus, edges)
+
+
+def test_long_path_and_wide_banana_classify_without_recursion():
+    # far deeper and wider than the recursion limit; counts in closed form
+    n = 20000
+    genus = dict.fromkeys(map(str, range(n)), 0)
+    genus["0"] = genus[str(n - 1)] = 1
+    path = MetrizedGraph(genus, [(str(i), str(i + 1), F(1, 2)) for i in range(n - 1)])
+    assert path.bridge_search() == (True, dict.fromkeys(range(n - 1), 1))
+    counts, warnings = invariants.node_counts_from_graph(path)
+    assert counts == invariants.NodeCounts(2, 0, (), (F(n - 1, 2),)) and warnings == []
+    assert invariants.d_from_counts(counts) == 2 * (n - 1)
+
+    m = 2000
+    banana = MetrizedGraph({"a": 0, "b": 0}, [("a", "b", F(1, 1 + i % 3)) for i in range(m)])
+    assert banana.bridge_search() == (True, {})
+    total = sum(F(1, 1 + i % 3) for i in range(m))
+    counts, warnings = invariants.node_counts_from_graph(banana)
+    assert banana.total_genus == m - 1 and len(warnings) == m
+    assert counts.xi0 == total and not any(counts.xi + counts.delta_i)
+    rep = invariants.place_report_from_graph("banana", banana)
+    assert rep.d == (m - 1) * total and rep.delta == total

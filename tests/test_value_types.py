@@ -132,6 +132,21 @@ def test_validation_runs_in_the_constructors():
     assert counts.xi == (F(0), F(0)) and counts.delta_i == (F(1), F(0))
 
 
+@pytest.mark.parametrize(
+    "bad", [0.5, 2.0, True, False, "1", None, complex(1, 0)], ids=repr
+)
+def test_root_config_refuses_a_root_that_is_not_rational(bad):
+    # a float would be computed from its binary value: 0.5 gave
+    # symroot_pow 72/35 before it was refused
+    with pytest.raises(ValueError, match=r"is not an int, a Fraction or INF"):
+        RootConfig(2, (bad,) + ROOTS[1:])
+
+
+def test_root_config_accepts_ints_fractions_and_one_inf():
+    roots = (0, F(1, 2), 2, F(3), -4, INF)
+    assert RootConfig(2, roots).roots == roots
+
+
 def test_copy_then_object_setattr_forges_a_place_report():
     # how a check is shown a faulty result: validation is bypassed on a copy
     rep = _place()
