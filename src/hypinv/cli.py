@@ -35,10 +35,12 @@ def _load_json(path):
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_curve(doc):
-    """The configuration of a ``docs/schemas/curve.schema.json`` document."""
+def _load_curve(args):
+    """``(cfg, prime)`` from ``--curve``, a ``docs/schemas/curve.schema.json``
+    document, and ``--prime``, which overrides the document's prime."""
     from .symroots import RootConfig, normalize_finite
 
+    doc = _load_json(args.curve)
     require_keys(doc, ("genus", "roots", "prime", "note"), "curve", ("note",))
     if "genus" not in doc or "roots" not in doc:
         raise ValueError('curve JSON requires "genus" and "roots"')
@@ -48,19 +50,16 @@ def _load_curve(doc):
     cfg = RootConfig(
         require_int(doc["genus"], "curve genus"), tuple(parse_point(r) for r in roots)
     )
-    return normalize_finite(cfg)
-
-
-def _parse_triple(text, size):
-    parts = [parse_int(x) for x in text.split(",")]
-    if len(parts) != size:
-        raise ValueError(f"expected {size} comma-separated indices: {text!r}")
-    return tuple(parts)
+    prime = args.prime if args.prime is not None else doc.get("prime")
+    return normalize_finite(cfg), prime
 
 
 def _triples(cfg, args):
     if args.triple:
-        return [_parse_triple(args.triple, 3)]
+        triple = tuple(parse_int(x) for x in args.triple.split(","))
+        if len(triple) != 3:
+            raise ValueError(f"expected 3 comma-separated indices: {args.triple!r}")
+        return [triple]
     if args.all_triples:
         return list(itertools.permutations(range(len(cfg.roots)), 3))
     raise ValueError("one of --triple or --all-triples is required")
@@ -79,9 +78,7 @@ def _triple_record(cfg, prime, i, j, k):
 
 
 def _cmd_symroots(args):
-    doc = _load_json(args.curve)
-    cfg = _load_curve(doc)
-    prime = args.prime if args.prime is not None else doc.get("prime")
+    cfg, prime = _load_curve(args)
     triples = _triples(cfg, args)
     out = {"genus": cfg.genus}
     if prime is not None:
@@ -100,9 +97,7 @@ def _cmd_symroots(args):
 def _cmd_cluster(args):
     from . import clustertree, symroots
 
-    doc = _load_json(args.curve)
-    cfg = _load_curve(doc)
-    prime = args.prime if args.prime is not None else doc.get("prime")
+    cfg, prime = _load_curve(args)
     if prime is None:
         raise ValueError("cluster requires --prime (or a prime in the curve JSON)")
     out = {"genus": cfg.genus, "prime": prime}
@@ -138,24 +133,26 @@ def _cmd_cluster(args):
     return out
 
 
+def _place_fields(rep):
+    """The fields that ``graph eval`` and ``genus2 --graph-check`` print
+    from a ``PlaceReport``."""
+    return {
+        "epsilon": format_rat(rep.eps),
+        "phi": format_rat(rep.phi),
+        "delta": format_rat(rep.delta),
+        "warnings": rep.warnings,
+    }
+
+
 def _cmd_graph(args):
-    if args.action != "eval":
-        raise ValueError(f"unknown graph action: {args.action!r}")
     from . import invariants, metgraph
 
     try:
         graph = metgraph.MetrizedGraph.from_json(_load_json(args.infile))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad graph JSON: {exc}") from exc
-    eps, ph = metgraph.epsilon_phi(graph)
-    _, warnings = invariants.node_counts_from_graph(graph)
-    return {
-        "epsilon": format_rat(eps),
-        "phi": format_rat(ph),
-        "delta": format_rat(metgraph.delta(graph)),
-        "genus": str(graph.total_genus),
-        "warnings": warnings,
-    }
+    rep = invariants.place_report_from_graph(args.infile, graph)
+    return {**_place_fields(rep), "genus": str(rep.genus)}
 
 
 def _cmd_genus2(args):
@@ -174,32 +171,18 @@ def _cmd_genus2(args):
         "chi": format_rat(row.chi),
     }
     if args.graph_check:
-        from . import metgraph
-
         graph = invariants.genus2_graph(args.type, params)
-        eps, ph = metgraph.epsilon_phi(graph)
-        dlt = metgraph.delta(graph)
-        counts, warnings = invariants.node_counts_from_graph(graph)
-        d = invariants.d_from_counts(counts)
+        rep = invariants.place_report_from_graph(args.type, graph)
         out["graph_check"] = {
-            "epsilon": format_rat(eps),
-            "phi": format_rat(ph),
-            "delta": format_rat(dlt),
-            "d_half": format_rat(d / 2),
-            "matches_table": (
-                eps == row.eps
-                and ph == row.chi
-                and dlt == row.delta
-                and d == 2 * row.d_half
-            ),
-            "warnings": warnings,
+            **_place_fields(rep),
+            "d_half": format_rat(rep.d / 2),
+            "matches_table": (rep.eps, rep.phi, rep.delta, rep.d)
+            == (row.eps, row.chi, row.delta, 2 * row.d_half),
         }
     return out
 
 
 def _cmd_invariants(args):
-    if args.action != "chi":
-        raise ValueError(f"unknown invariants action: {args.action!r}")
     from . import invariants
 
     chi = invariants.chi_nonarch(
@@ -255,23 +238,20 @@ def build_parser():
     parser = _Parser(prog="hypinv", description=__doc__)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the JSON document to a file")
+    curve = argparse.ArgumentParser(add_help=False)
+    curve.add_argument("--curve", required=True)
+    curve.add_argument("--prime", type=parse_int)
+    curve.add_argument("--triple")
+    curve.add_argument("--all-triples", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, *parents, **kw):
+        return sub.add_parser(name, parents=[common, *parents], **kw)
 
-    p = add_parser("symroots", help="symmetric roots and pairings")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--prime", type=parse_int)
-    p.add_argument("--triple")
-    p.add_argument("--all-triples", action="store_true")
+    p = add_parser("symroots", curve, help="symmetric roots and pairings")
     p.set_defaults(func=_cmd_symroots)
 
-    p = add_parser("cluster", help="residue-class tree cross-check")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--prime", type=parse_int)
-    p.add_argument("--triple")
-    p.add_argument("--all-triples", action="store_true")
+    p = add_parser("cluster", curve, help="residue-class tree cross-check")
     p.set_defaults(func=_cmd_cluster)
 
     p = add_parser("graph", help="metrized-graph invariants")
@@ -307,25 +287,27 @@ def build_parser():
 
 def _emit(doc, out_path):
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc}") from exc
 
 
 def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        doc = args.func(args)
+        _emit(args.func(args), args.out)
     except ValueError as exc:
         _emit({"error": "validation", "detail": str(exc)}, None)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _emit({"error": "internal", "detail": f"{type(exc).__name__}: {exc}"}, None)
         return 2
-    _emit(doc, args.out)
     return 0
 
 

@@ -292,11 +292,15 @@ def node_counts_from_graph(graph):
 
 
 class PlaceReport(_Frozen):
-    """Invariants (d, eps, delta, phi, chi) of one place, in nu units."""
+    """Invariants (d, eps, delta, phi, chi) of one place, in nu units.
+
+    ``warnings``, a tuple of strings, is outside ``==``, ``hash`` and
+    ``repr``: it says how d was counted, it is not a value of the place.
+    """
 
     _fields = ("label", "genus", "log_nv", "d", "eps", "delta", "phi", "chi")
 
-    def __init__(self, label, genus, log_nv, d, eps, delta, phi, chi):
+    def __init__(self, label, genus, log_nv, d, eps, delta, phi, chi, warnings=()):
         if log_nv <= 0:
             raise ValueError("logNv must be positive")
         expected = chi_nonarch(genus, d, eps, delta)
@@ -313,6 +317,7 @@ class PlaceReport(_Frozen):
         _set(self, "delta", delta)
         _set(self, "phi", phi)
         _set(self, "chi", chi)
+        _set(self, "warnings", tuple(warnings))
 
 
 def aggregate_global(places):
@@ -361,10 +366,13 @@ def noether_consistency(g, deg_lambda, omega_sq, sum_d, sum_delta, sum_eps):
 
 
 def place_report_from_graph(label, graph, log_nv=1.0):
-    """Assemble a PlaceReport from a reduction graph (d via edge counts)."""
+    """Assemble a PlaceReport from a reduction graph: d from
+    ``node_counts_from_graph``, whose warnings the report keeps, and eps,
+    phi and delta from ``metgraph``.  The one code path from a graph to
+    its place invariants."""
     from . import metgraph
 
-    counts, _ = node_counts_from_graph(graph)
+    counts, warnings = node_counts_from_graph(graph)
     d = d_from_counts(counts)
     eps, ph = metgraph.epsilon_phi(graph)
     dlt = metgraph.delta(graph)
@@ -378,4 +386,5 @@ def place_report_from_graph(label, graph, log_nv=1.0):
         delta=dlt,
         phi=ph,
         chi=chi_nonarch(g, d, eps, dlt),
+        warnings=warnings,
     )

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import format_rat, parse_rat, require_int, require_keys
+from .rational import format_rat, parse_rat, require_int, require_keys, require_rational
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class MetrizedGraph:
 
     def __init__(self, genus, edges):
         """``genus``: mapping vertex id -> genus >= 0; ``edges``: iterable of
-        (u, v, length) triples."""
+        (u, v, length) triples, each length an ``int`` or a ``Fraction``."""
         self.genus = {
             str(v): require_int(g, f"genus of vertex {v!r}")
             for v, g in dict(genus).items()
@@ -54,7 +54,7 @@ class MetrizedGraph:
             u, v = str(u), str(v)
             if u not in self.genus or v not in self.genus:
                 raise ValueError(f"edge ({u}, {v}) references unknown vertex")
-            length = Fraction(length)
+            length = require_rational(length, f"length of edge ({u}, {v})")
             if length <= 0:
                 raise ValueError("edge lengths must be positive")
             self.edges.append(Edge(i, u, v, length))
@@ -546,7 +546,7 @@ def verify_admissible(graph, mu):
 def subdivide(graph, eid, s):
     """Split edge ``eid`` at interior arc length ``s`` with a genus-0 vertex."""
     e = graph.edges[eid]
-    s = Fraction(s)
+    s = require_rational(s, "subdivision point")
     if not 0 < s < e.length:
         raise ValueError("subdivision point must be interior")
     new_v = f"{e.u}|{e.v}@{eid}"
@@ -566,7 +566,7 @@ def subdivide(graph, eid, s):
 
 def scale(graph, t):
     """Scale every edge length by the positive rational ``t``."""
-    t = Fraction(t)
+    t = require_rational(t, "scale factor")
     if t <= 0:
         raise ValueError("scale factor must be positive")
     return MetrizedGraph(

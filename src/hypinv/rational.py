@@ -175,6 +175,14 @@ def require_int(value, what):
     return value
 
 
+def require_rational(value, what):
+    """``Fraction(value)`` if ``value`` is an ``int`` (not a ``bool``) or a
+    ``Fraction``; ValueError otherwise, so no float or string is coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{what} is not an int or a Fraction: {value!r}")
+    return Fraction(value)
+
+
 def require_keys(doc, keys, what, strings=()):
     """``doc`` if it is a JSON object with no key outside ``keys`` and a
     string under each key of ``strings`` that it has; ValueError otherwise."""

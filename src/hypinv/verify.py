@@ -181,19 +181,16 @@ def _genus2_sweep():
 
 
 def _suite_genus2_table(tally, rng):
-    from . import invariants, metgraph
+    from . import invariants
 
     for fiber_type, params in _genus2_sweep():
         row = invariants.genus2_row(fiber_type, params)
-        graph = invariants.genus2_graph(fiber_type, params)
         tag = f"{fiber_type}{params}"
-        eps, _ = metgraph.epsilon_phi(graph)
-        tally.check(eps == row.eps, f"epsilon {tag}")
-        tally.check(metgraph.delta(graph) == row.delta, f"delta {tag}")
-        counts, _ = invariants.node_counts_from_graph(graph)
-        tally.check(
-            invariants.d_from_counts(counts) == 2 * row.d_half, f"d {tag}"
-        )
+        graph = invariants.genus2_graph(fiber_type, params)
+        rep = invariants.place_report_from_graph(tag, graph)
+        tally.check(rep.eps == row.eps, f"epsilon {tag}")
+        tally.check(rep.delta == row.delta, f"delta {tag}")
+        tally.check(rep.d == 2 * row.d_half, f"d {tag}")
         chi = invariants.chi_nonarch(2, 2 * row.d_half, row.eps, row.delta)
         tally.check(chi == row.chi, f"chi-consistency {tag}")
 

@@ -9,6 +9,12 @@ and counts are summed as ``Fraction``s, and epsilon and phi come from
 or phi fold with the library, so the tests compare the two on the genus-2
 table and random graphs and require exactly equal ``Fraction``s and
 warnings.
+
+``graph_eval_doc`` and ``graph_check_doc`` keep the CLI's own assembly of
+``graph eval`` and ``genus2 --graph-check`` from before both read
+``place_report_from_graph``: four library calls each (``epsilon_phi``,
+``delta``, ``node_counts_from_graph``, ``d_from_counts``), formatted as the
+CLI printed them.
 """
 
 from __future__ import annotations
@@ -16,7 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 import oracle_kernel
+from hypinv import invariants, metgraph
 from hypinv.invariants import NodeCounts
+from hypinv.rational import format_rat
 
 
 def reach(graph, start, skip=None):
@@ -102,3 +110,36 @@ def place_values(graph):
     eps, ph = oracle_kernel.epsilon_phi(graph)
     dlt = sum((e.length for e in graph.edges), Fraction(0))
     return d, eps, dlt, ph, chi_nonarch(g, d, eps, dlt)
+
+
+def graph_eval_doc(graph):
+    """The ``graph eval`` document of ``graph``."""
+    eps, ph = metgraph.epsilon_phi(graph)
+    _, warnings = invariants.node_counts_from_graph(graph)
+    return {
+        "epsilon": format_rat(eps),
+        "phi": format_rat(ph),
+        "delta": format_rat(metgraph.delta(graph)),
+        "genus": str(graph.total_genus),
+        "warnings": warnings,
+    }
+
+
+def graph_check_doc(fiber_type, params):
+    """The ``graph_check`` block of ``genus2 --graph-check``."""
+    row = invariants.genus2_row(fiber_type, params)
+    graph = invariants.genus2_graph(fiber_type, params)
+    eps, ph = metgraph.epsilon_phi(graph)
+    dlt = metgraph.delta(graph)
+    counts, warnings = invariants.node_counts_from_graph(graph)
+    d = invariants.d_from_counts(counts)
+    return {
+        "epsilon": format_rat(eps),
+        "phi": format_rat(ph),
+        "delta": format_rat(dlt),
+        "d_half": format_rat(d / 2),
+        "matches_table": (
+            eps == row.eps and ph == row.chi and dlt == row.delta and d == 2 * row.d_half
+        ),
+        "warnings": warnings,
+    }

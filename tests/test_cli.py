@@ -107,6 +107,35 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["epsilon"] == "1/6"
 
 
+def test_out_file_that_cannot_be_written(tmp_path, capsys):
+    # an OSError on write is reported as on read, not as a traceback
+    curve = write(tmp_path, "c.json", CURVE6)
+    target = tmp_path / "missing" / "x.json"
+    code, out = run(capsys, "symroots", "--curve", curve, "--triple", "0,1,2", "--out", str(target))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "validation"
+    assert doc["detail"].startswith(f"cannot write {target}: ")
+    assert not target.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("graph", "nope", "--in", "g.json"),
+        ("invariants", "nope", "--d", "6", "--eps", "5/9", "--delta", "3", "--genus", "2"),
+    ],
+    ids=["graph", "invariants"],
+)
+def test_unknown_action(capsys, argv):
+    # argparse's choices refuse the action before any handler runs
+    code, out = run(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "validation"
+    assert "invalid choice: 'nope'" in doc["detail"]
+
+
 def test_cluster(tmp_path, capsys):
     curve = write(tmp_path, "c.json", CURVE3)
     code, out = run(capsys, "cluster", "--curve", curve, "--triple", "0,2,1")

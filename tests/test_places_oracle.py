@@ -3,9 +3,14 @@
 ``oracle_places`` classifies each edge by its own reachability search and
 sums ``Fraction``s; the library runs one bridge search per graph and sums
 integers over one denominator.  Both are exact, so counts, warnings and
-every scalar of a place report must agree exactly.
+every scalar of a place report must agree exactly.  A report keeps the
+warnings of ``node_counts_from_graph``, and ``graph eval`` and ``genus2
+--graph-check``, which print from one report, must print what the CLI's
+own four-call assembly (``oracle_places.graph_eval_doc`` and
+``graph_check_doc``) printed.
 """
 
+import json
 import random
 import re
 from fractions import Fraction
@@ -14,8 +19,9 @@ import pytest
 from hypothesis import given
 
 import oracle_places as old
-from hypinv import invariants, verify
+from hypinv import cli, invariants, verify
 from hypinv.invariants import NodeCounts
+from hypinv.metgraph import MetrizedGraph
 from test_metgraph import RANDOM
 from test_metgraph_properties import PROPERTY, graphs
 
@@ -50,6 +56,50 @@ def test_node_counts_and_warnings_match_the_oracle(graph):
     counts, warnings = invariants.node_counts_from_graph(graph)
     assert (counts, warnings) == old.node_counts_from_graph(graph)
     assert invariants.d_from_counts(counts) == old.d_from_counts(counts)
+
+
+@pytest.mark.parametrize("graph", RANDOM)
+def test_random_place_reports_keep_the_warnings(graph):
+    rep = invariants.place_report_from_graph("p", graph)
+    assert rep.warnings == tuple(invariants.node_counts_from_graph(graph)[1])
+
+
+@PROPERTY
+@given(graphs(max_vertices=8))
+def test_place_reports_keep_the_warnings(graph):
+    rep = invariants.place_report_from_graph("p", graph)
+    assert rep.warnings == tuple(invariants.node_counts_from_graph(graph)[1])
+
+
+#: a genus-3 rose of three loops (three non-separating warnings) and a
+#: genus-2 vertex with a genus-0 leaf (one bridge warning)
+ROSE3 = MetrizedGraph({"v": 0}, [("v", "v", F(1)), ("v", "v", F(2)), ("v", "v", F(1, 3))])
+LEAF = MetrizedGraph({"v": 2, "w": 0}, [("v", "w", F(3, 2))])
+EVAL_GRAPHS = {f"{t}{p}": invariants.genus2_graph(t, p) for t, p in GENUS2}
+EVAL_GRAPHS.update(rose3=ROSE3, leaf=LEAF)
+
+
+def test_the_warning_graphs_warn():
+    assert [len(old.graph_eval_doc(g)["warnings"]) for g in (ROSE3, LEAF)] == [3, 1]
+
+
+@pytest.mark.parametrize("name", EVAL_GRAPHS)
+def test_graph_eval_prints_the_four_call_assembly(tmp_path, capsys, name):
+    doc = EVAL_GRAPHS[name].to_json()
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["graph", "eval", "--in", str(path)]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == old.graph_eval_doc(MetrizedGraph.from_json(doc))
+
+
+@pytest.mark.parametrize("fiber_type, params", GENUS2)
+def test_graph_check_prints_the_four_call_assembly(capsys, fiber_type, params):
+    argv = ["genus2", "--type", fiber_type, "--params", ",".join(map(str, params))]
+    assert cli.main(argv + ["--graph-check"]) == 0
+    printed = json.loads(capsys.readouterr().out)["graph_check"]
+    assert printed == old.graph_check_doc(fiber_type, params)
+    assert printed["matches_table"] is True
 
 
 def random_counts(rng):

@@ -1,17 +1,21 @@
 """Value semantics of the p-adic and scalar records, which are plain classes
 and namedtuples rather than dataclasses: equal values are ``==`` and hash
 alike, the frozen ones refuse assignment with ``AttributeError``, and each
-``repr`` is the one the dataclass gave."""
+``repr`` is the one the dataclass gave.  The exact-value boundary: a root,
+an edge length, a scale factor or a subdivision point that is not an
+``int`` or a ``Fraction`` is refused, not coerced."""
 
 import copy
 import math
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
-from hypinv import clustertree, invariants, symroots
+from hypinv import clustertree, invariants, metgraph, symroots
 from hypinv.clustertree import ClusterNode, ClusterTree, NormalFormReport
 from hypinv.invariants import Genus2Row, NodeCounts, NoetherReport, PlaceReport
+from hypinv.metgraph import MetrizedGraph
 from hypinv.rational import INF
 from hypinv.symroots import RootConfig
 
@@ -145,6 +149,48 @@ def test_root_config_refuses_a_root_that_is_not_rational(bad):
 def test_root_config_accepts_ints_fractions_and_one_inf():
     roots = (0, F(1, 2), 2, F(3), -4, INF)
     assert RootConfig(2, roots).roots == roots
+
+
+def test_place_report_warnings_are_outside_eq_hash_and_repr():
+    warned = PlaceReport(
+        "p", 2, math.log(3), F(6), F(5, 9), F(3), F(1, 9), F(1, 9), warnings=["w"]
+    )
+    plain = _place()
+    assert warned.warnings == ("w",) and plain.warnings == ()
+    assert warned == plain and hash(warned) == hash(plain)
+    assert repr(warned) == repr(plain)
+    with pytest.raises(AttributeError):
+        warned.warnings = ()
+
+
+#: lengths, scale factors and subdivision points that are not exact
+#: rationals: 0.1 was once read as 3602879701896397/36028797018963968,
+#: True as 1 and "1/3" was parsed
+NOT_RATIONAL = [0.1, 0.5, 1.0, True, False, "1/3", "1", None, Decimal("0.5"), complex(1, 0)]
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL, ids=repr)
+def test_metrized_graph_refuses_a_length_that_is_not_rational(bad):
+    with pytest.raises(ValueError, match=r"length of edge \(v, v\) is not an int or a Fraction"):
+        MetrizedGraph({"v": 1}, [("v", "v", F(1)), ("v", "v", bad)])
+
+
+@pytest.mark.parametrize("bad", NOT_RATIONAL, ids=repr)
+def test_scale_and_subdivide_refuse_a_value_that_is_not_rational(bad):
+    graph = MetrizedGraph({"v": 1}, [("v", "v", F(2))])
+    with pytest.raises(ValueError, match="scale factor is not an int or a Fraction"):
+        metgraph.scale(graph, bad)
+    with pytest.raises(ValueError, match="subdivision point is not an int or a Fraction"):
+        metgraph.subdivide(graph, 0, bad)
+
+
+def test_metrized_graph_takes_ints_and_fractions_as_fractions():
+    graph = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", 2), ("b", "a", F(1, 3)), ("a", "a", 1)])
+    assert [e.length for e in graph.edges] == [F(2), F(1, 3), F(1)]
+    assert all(type(e.length) is F for e in graph.edges)
+    assert metgraph.scale(graph, 3).edges[1].length == 1
+    assert metgraph.subdivide(graph, 0, 1).edges[1].length == 1
+    assert metgraph.subdivide(graph, 1, F(1, 6)).edges[1].length == F(1, 6)
 
 
 def test_copy_then_object_setattr_forges_a_place_report():
