@@ -50,7 +50,12 @@ def _load_curve(args):
     cfg = RootConfig(
         require_int(doc["genus"], "curve genus"), tuple(parse_point(r) for r in roots)
     )
-    prime = args.prime if args.prime is not None else doc.get("prime")
+    prime = doc.get("prime")
+    if args.prime is not None:
+        # the override does not excuse a document prime that the schema refuses
+        if "prime" in doc and require_int(prime, "curve prime") < 2:
+            raise ValueError(f"curve prime must be at least 2: {prime}")
+        prime = args.prime
     return normalize_finite(cfg), prime
 
 

@@ -6,8 +6,11 @@ and multi-edges allowed).  Each public computation makes one exact solve,
 resistances, measures, potentials, Green's functions and Zhang's epsilon
 and phi in closed form from its integer adjugate, each form at one code
 site; k_e = b N_e / (a^2 det) on an edge of length a / b is read from the
-solve on every use, with no cache.  README.md, "Metrized graphs", states
-the forms with their sources.
+solve on every use, with no cache.  The measure kernel (``_Kernel``, which
+serves ``green``, ``green_diagonal`` and ``verify_admissible``) and
+``epsilon_phi`` work in integers over common denominators and build
+``Fraction``s only for results.  README.md, "Metrized graphs", states the
+forms with their sources.
 
 Points are addressed by vertex id or as a pair (int edge index, offset)
 with a rational offset in [0, L]; offsets 0 and L normalize to the endpoints.
@@ -325,11 +328,12 @@ def _on_edge(e, s, at_u, at_v, bend):
 
 
 class _Kernel:
-    """Potential computations for one (graph, measure) pair.
+    """Potential computations for one (graph, measure) pair, in integers.
 
-    Exposes the potential phi(x) = int r(x, .) dmu and the double integral
-    c = int int r dmu dmu, in the README's closed forms, from which the
-    Green's function is g(x, y) = (phi(x) + phi(y) - r(x, y) - c) / 2.
+    The potential phi(x) = int r(x, .) dmu is kept at the vertices as
+    integer numerators F_v over one denominator Z = det W, and the double
+    integral c = int int r dmu dmu as one Fraction, in the README's closed
+    forms; the Green's function is g(x, y) = (phi(x) + phi(y) - r(x, y) - c) / 2.
     """
 
     def __init__(self, mu, res):
@@ -338,37 +342,69 @@ class _Kernel:
         if unknown:
             unknown = sorted(unknown, key=str)
             raise ValueError(f"measure has densities on unknown edges: {unknown}")
-        if mu.total_mass(graph) != 1 or not mu.vertex_mass.keys() <= graph.genus.keys():
-            raise ValueError("measure must have total mass 1 on the graph's points")
-        self.mu, self.res = mu, res
-        mass = {v: mu.mass(v) for v in graph.genus}  # M_v
-        shift = c_edges = Fraction(0)
+        not_mass_one = "measure must have total mass 1 on the graph's points"
+        if not mu.vertex_mass.keys() <= graph.genus.keys():
+            raise ValueError(not_mass_one)
+        self.res, det = res, res._det
+        masses = [
+            (v, require_rational(m, f"mass of vertex {v!r}"))
+            for v, m in mu.vertex_mass.items()
+        ]
+        self._n, self._d = [], []  # per edge: N_e, (numerator, denominator) of d_e
+        spread = []  # (e, a_e, b_e, numerator, denominator) where d_e != 0
         for e in graph.edges:
-            d = mu.density(e.eid)
+            self._n.append(res.foster(e))
+            d = require_rational(mu.edge_density.get(e.eid, 0), f"density of edge {e.eid}")
+            self._d.append((d.numerator, d.denominator))
             if d:
-                half, cube = d * e.length / 2, d * e.length**3 / 6
-                mass[e.u] += half
-                mass[e.v] += half
-                shift += cube * res.density(e)
-                c_edges += cube * self.bend(e)
+                spread.append((e, e.length.numerator, e.length.denominator, *self._d[-1]))
+        # the masses M_v = m_v + sum_{e at v} d_e L_e / 2 as integers over den
         # *list, not *generator: a resized argument tuple stays on CPython's free list
-        den = math.lcm(*[m.denominator for m in mass.values()])
-        p = res.potentials(
-            {v: m.numerator * (den // m.denominator) for v, m in mass.items()}
+        den = math.lcm(
+            *[m.denominator for _, m in masses], *[2 * b * dd for _, _, b, _, dd in spread]
         )
-        scale, det = res._scale, res._det * den
-        self._phi = {v: shift + Fraction(scale * x, det) for v, x in p.items()}
-        self.c = sum((m * self._phi[v] for v, m in mass.items()), c_edges)
+        mass = dict.fromkeys(graph.genus, 0)
+        for v, m in masses:
+            mass[v] = m.numerator * (den // m.denominator)
+        for e, a, b, dn, dd in spread:
+            half = dn * a * (den // (2 * b * dd))
+            mass[e.u] += half
+            mass[e.v] += half
+        if sum(mass.values()) != den:
+            raise ValueError(not_mass_one)
+        # sum_e d_e L_e^3 k_e / 6 = t1 / (6 det s1), sum_e d_e^2 L_e^3 / 6 = t2 / (6 s2)
+        s1 = math.lcm(*[b * b * dd for _, _, b, _, dd in spread])
+        s2 = math.lcm(*[b**3 * dd * dd for _, _, b, _, dd in spread])
+        t1 = sum(dn * a * self._n[e.eid] * (s1 // (b * b * dd)) for e, a, b, dn, dd in spread)
+        t2 = sum(dn * dn * a**3 * (s2 // (b**3 * dd * dd)) for _, a, b, dn, dd in spread)
+        # phi_mu(v) = t1 / (6 det s1) + s P_v / (det den) = F_v / Z
+        w = self._w = math.lcm(6 * s1, den)
+        z = self._z = det * w
+        p = res.potentials(mass)
+        sw = res._scale * (w // den)
+        self._f = {v: t1 * (w // (6 * s1)) + sw * x for v, x in p.items()}
+        # c = sum_v M_v phi_mu(v) + t1 / (6 det s1) - t2 / (6 s2)
+        cd = math.lcm(den * z, 6 * s2)
+        mf = sum(mass[v] * f for v, f in self._f.items())
+        self.c = Fraction(
+            mf * (cd // (den * z)) + t1 * (cd // (6 * det * s1)) - t2 * (cd // (6 * s2)), cd
+        )
 
     def bend(self, e):
-        """k_e - d_e on edge ``e``, where phi'' = -2 (k_e - d_e)."""
-        return self.res.density(e) - self.mu.density(e.eid)
+        """(numerator, denominator) of k_e - d_e on edge ``e``, where
+        phi'' = -2 (k_e - d_e)."""
+        a, b = e.length.numerator, e.length.denominator
+        dn, dd = self._d[e.eid]
+        a2det = a * a * self.res._det
+        return dd * b * self._n[e.eid] - dn * a2det, dd * a2det
 
     def phi(self, x):
+        f, z = self._f, self._z
         if x[0] == "v":
-            return self._phi[x[1]]
+            return Fraction(f[x[1]], z)
         e = self.graph.edges[x[1]]
-        return _on_edge(e, x[2], self._phi[e.u], self._phi[e.v], self.bend(e))
+        u, v = Fraction(f[e.u], z), Fraction(f[e.v], z)
+        return _on_edge(e, x[2], u, v, Fraction(*self.bend(e)))
 
 
 def canonical_divisor(graph):
@@ -431,12 +467,17 @@ def green(graph, mu, x, y):
 def green_diagonal(graph, mu):
     """x -> g_mu(x, x) = phi_mu(x) - c/2 as an exact per-edge quadratic."""
     kernel = _Kernel(mu, _Resistances(graph))
-    half_c = kernel.c / 2
-    values = {v: kernel.phi(("v", v)) - half_c for v in graph.genus}
+    f, z, w = kernel._f, kernel._z, kernel._w
+    cn, cd = kernel.c.numerator, 2 * kernel.c.denominator
+    values = {v: Fraction(cd * x - cn * z, cd * z) for v, x in f.items()}
     coeffs = {}
     for e in graph.edges:
-        bend, c0 = kernel.bend(e), values[e.u]
-        coeffs[e.eid] = (c0, (values[e.v] - c0) / e.length + e.length * bend, -bend)
+        a, b = e.length.numerator, e.length.denominator
+        bn, bd = kernel.bend(e)
+        dd = kernel._d[e.eid][1]  # bd = dd a^2 det
+        # (F_v - F_u) / (L Z) + L (k_e - d_e) over a b dd Z, as Z = det W
+        c1 = Fraction((f[e.v] - f[e.u]) * b * b * dd + bn * w, a * b * dd * z)
+        coeffs[e.eid] = (values[e.u], c1, Fraction(-bn, bd))
     return PiecewisePoly(values, coeffs, {e.eid: e.length for e in graph.edges})
 
 
@@ -529,18 +570,30 @@ def verify_admissible(graph, mu):
     "Metrized graphs"), f(y) = ((D + 2) phi_mu(y) + sum_v K(v) phi_mu(v) -
     (D + 1) c - psi_K(y)) / 2, in which only h = (D + 2) phi_mu - psi_K varies
     with y: the deviation, half the spread of f, is a quarter of h's spread.
+    At the midpoint of an edge of length a / b, h is (h_u + h_v) / 2 +
+    N_e / (2 b det) - (D + 2) a^2 d_e / (4 b^2); every h is an integer over
+    U = 2 det lcm(W, every b), so the one Fraction is the result.
     """
     res = _Resistances(graph)
     kernel = _Kernel(mu, res)
     k = canonical_divisor(graph)
-    d = sum(k.values())
-    psi = {v: Fraction(res._scale * x, res._det) for v, x in res.potentials(k).items()}
-    values = [(d + 2) * kernel.phi(("v", v)) - psi[v] for v in graph.genus]
+    d2, det, w = sum(k.values()) + 2, res._det, kernel._w
+    # h = H_v / Z at the vertices, as psi_K(v) = s P_v / det = s W P_v / Z
+    sw = res._scale * w
+    h = {v: d2 * kernel._f[v] - sw * x for v, x in res.potentials(k).items()}
+    # *list, not *generator: a resized argument tuple stays on CPython's free list
+    wb = math.lcm(w, *[e.length.denominator for e in graph.edges])
+    m = wb // w
+    values = [2 * m * x for x in h.values()]  # h U with U = 2 det wb
     for e in graph.edges:
-        s = e.length / 2
-        psi_s = _on_edge(e, s, psi[e.u], psi[e.v], d * res.density(e))
-        values.append((d + 2) * kernel.phi(("e", e.eid, s)) - psi_s)
-    return (max(values) - min(values)) / 4
+        a, b = e.length.numerator, e.length.denominator
+        dn, dd = kernel._d[e.eid]
+        values.append(
+            (h[e.u] + h[e.v]) * m
+            + kernel._n[e.eid] * (wb // b)
+            - d2 * a * a * dn * det * (wb // (2 * b * b * dd))
+        )
+    return Fraction(max(values) - min(values), 8 * det * wb)
 
 
 def subdivide(graph, eid, s):

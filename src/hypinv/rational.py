@@ -176,11 +176,11 @@ def require_int(value, what):
 
 
 def require_rational(value, what):
-    """``Fraction(value)`` if ``value`` is an ``int`` (not a ``bool``) or a
+    """``value`` as a ``Fraction`` if it is an ``int`` (not a ``bool``) or a
     ``Fraction``; ValueError otherwise, so no float or string is coerced."""
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ValueError(f"{what} is not an int or a Fraction: {value!r}")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def require_keys(doc, keys, what, strings=()):

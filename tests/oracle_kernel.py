@@ -6,16 +6,22 @@ query points with their Simpson half-splits), and finds the canonical
 measure with one extra drop-edge solve per edge.  Slow but independent of
 the closed forms, so the tests compare the two paths on random graphs and
 require exactly equal ``Fraction``s.
+
+At the end, the ``Fraction`` closed-form kernel that came after it and
+before the integer one, for the Green's-function calls.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from hypinv.metgraph import (
     Measure,
     PiecewisePoly,
     _norm_point,
+    _on_edge,
+    _Resistances,
     canonical_divisor,
     delta,
 )
@@ -400,3 +406,104 @@ def verify_canonical(graph, mu):
     kernel = _Kernel(graph, mu)
     return _spread([kernel.gdiag(y) for y in kernel.eval_points()])
 
+
+
+# ------------------------------------------------- the Fraction closed forms
+#
+# ``hypinv.metgraph``'s ``_Kernel``, ``green``, ``green_diagonal`` and
+# ``verify_admissible`` as they were before the kernel moved to integers over
+# one common denominator, kept verbatim (renamed with a ``fraction_`` prefix)
+# as a test oracle.  They sum Fractions edge by edge on the closed forms of
+# README.md, "Metrized graphs", and share with the code they check only the
+# resistance layer (``_Resistances``, ``_on_edge``), which that move left as
+# it was.
+
+
+class _FractionKernel:
+    """Potential computations for one (graph, measure) pair.
+
+    Exposes the potential phi(x) = int r(x, .) dmu and the double integral
+    c = int int r dmu dmu, in the README's closed forms, from which the
+    Green's function is g(x, y) = (phi(x) + phi(y) - r(x, y) - c) / 2.
+    """
+
+    def __init__(self, mu, res):
+        graph = self.graph = res.graph
+        unknown = mu.edge_density.keys() - {e.eid for e in graph.edges}
+        if unknown:
+            unknown = sorted(unknown, key=str)
+            raise ValueError(f"measure has densities on unknown edges: {unknown}")
+        if mu.total_mass(graph) != 1 or not mu.vertex_mass.keys() <= graph.genus.keys():
+            raise ValueError("measure must have total mass 1 on the graph's points")
+        self.mu, self.res = mu, res
+        mass = {v: mu.mass(v) for v in graph.genus}  # M_v
+        shift = c_edges = Fraction(0)
+        for e in graph.edges:
+            d = mu.density(e.eid)
+            if d:
+                half, cube = d * e.length / 2, d * e.length**3 / 6
+                mass[e.u] += half
+                mass[e.v] += half
+                shift += cube * res.density(e)
+                c_edges += cube * self.bend(e)
+        # *list, not *generator: a resized argument tuple stays on CPython's free list
+        den = math.lcm(*[m.denominator for m in mass.values()])
+        p = res.potentials(
+            {v: m.numerator * (den // m.denominator) for v, m in mass.items()}
+        )
+        scale, det = res._scale, res._det * den
+        self._phi = {v: shift + Fraction(scale * x, det) for v, x in p.items()}
+        self.c = sum((m * self._phi[v] for v, m in mass.items()), c_edges)
+
+    def bend(self, e):
+        """k_e - d_e on edge ``e``, where phi'' = -2 (k_e - d_e)."""
+        return self.res.density(e) - self.mu.density(e.eid)
+
+    def phi(self, x):
+        if x[0] == "v":
+            return self._phi[x[1]]
+        e = self.graph.edges[x[1]]
+        return _on_edge(e, x[2], self._phi[e.u], self._phi[e.v], self.bend(e))
+
+
+def fraction_green(graph, mu, x, y):
+    """Green's function g_mu(x, y) for a total-mass-1 measure, exact."""
+    px, py = _norm_point(graph, x), _norm_point(graph, y)
+    kernel = _FractionKernel(mu, _Resistances(graph))
+    return (kernel.phi(px) + kernel.phi(py) - kernel.res.between(px, py) - kernel.c) / 2
+
+
+def fraction_green_diagonal(graph, mu):
+    """x -> g_mu(x, x) = phi_mu(x) - c/2 as an exact per-edge quadratic."""
+    kernel = _FractionKernel(mu, _Resistances(graph))
+    half_c = kernel.c / 2
+    values = {v: kernel.phi(("v", v)) - half_c for v in graph.genus}
+    coeffs = {}
+    for e in graph.edges:
+        bend, c0 = kernel.bend(e), values[e.u]
+        coeffs[e.eid] = (c0, (values[e.v] - c0) / e.length + e.length * bend, -bend)
+    return PiecewisePoly(values, coeffs, {e.eid: e.length for e in graph.edges})
+
+
+def fraction_verify_admissible(graph, mu):
+    """Max deviation of f(y) = g_mu(y, y) + sum_v K(v) g_mu(v, y) from its
+    best constant.
+
+    Exactly 0 iff mu is the admissible measure (checked at vertices and edge
+    midpoints, which pins the per-edge quadratics).  With D = deg K = 2g - 2
+    and psi_K(y) = sum_v K(v) r(v, y) the potential of delta_K (README.md,
+    "Metrized graphs"), f(y) = ((D + 2) phi_mu(y) + sum_v K(v) phi_mu(v) -
+    (D + 1) c - psi_K(y)) / 2, in which only h = (D + 2) phi_mu - psi_K varies
+    with y: the deviation, half the spread of f, is a quarter of h's spread.
+    """
+    res = _Resistances(graph)
+    kernel = _FractionKernel(mu, res)
+    k = canonical_divisor(graph)
+    d = sum(k.values())
+    psi = {v: Fraction(res._scale * x, res._det) for v, x in res.potentials(k).items()}
+    values = [(d + 2) * kernel.phi(("v", v)) - psi[v] for v in graph.genus]
+    for e in graph.edges:
+        s = e.length / 2
+        psi_s = _on_edge(e, s, psi[e.u], psi[e.v], d * res.density(e))
+        values.append((d + 2) * kernel.phi(("e", e.eid, s)) - psi_s)
+    return (max(values) - min(values)) / 4

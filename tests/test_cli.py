@@ -506,6 +506,37 @@ def test_triple_not_in_ascii_digits(tmp_path, capsys, command, triple):
     assert json.loads(out)["error"] == "validation"
 
 
+@pytest.mark.parametrize("command", ["symroots", "cluster"])
+@pytest.mark.parametrize(
+    ("prime", "detail"),
+    [
+        ("abc", "curve prime is not an integer: 'abc'"),
+        (3.0, "curve prime is not an integer: 3.0"),
+        (True, "curve prime is not an integer: True"),
+        (None, "curve prime is not an integer: None"),
+        (1, "curve prime must be at least 2: 1"),
+    ],
+)
+def test_prime_override_keeps_the_document_prime_checked(
+    tmp_path, capsys, command, prime, detail
+):
+    # docs/schemas/curve.schema.json refuses these documents; with --prime
+    # they once ran and exited 0
+    curve = write(tmp_path, "c.json", {**CURVE3, "prime": prime})
+    code, out = run(capsys, command, "--curve", curve, "--prime", "3", "--triple", "0,2,1")
+    assert code == 1
+    assert json.loads(out) == {"error": "validation", "detail": detail}
+
+
+@pytest.mark.parametrize("command", ["symroots", "cluster"])
+def test_prime_override_replaces_a_valid_document_prime(tmp_path, capsys, command):
+    # an integer of at least 2 is all the schema asks of the document's prime
+    curve = write(tmp_path, "c.json", {**CURVE3, "prime": 4})
+    code, out = run(capsys, command, "--curve", curve, "--prime", "3", "--triple", "0,2,1")
+    assert code == 0
+    assert json.loads(out)["prime"] == 3
+
+
 def test_negative_integer_option_parses(tmp_path, capsys):
     # "-?[0-9]+": the minus sign is read, and -3 is then no prime
     curve = write(tmp_path, "c.json", CURVE3)

@@ -167,6 +167,143 @@ def test_epsilon_phi_subdivision_and_scaling_invariant(graph, data):
     assert metgraph.epsilon_phi(metgraph.scale(graph, t)) == (t * eps, t * ph)
 
 
+# ------------------------------- the integer kernel against the Fraction one
+
+#: an int or a Fraction with a small denominator, so that the masses and
+#: densities of one measure have mixed denominators
+VALUES = st.one_of(
+    st.integers(-2, 2), st.fractions(min_value=-2, max_value=3, max_denominator=6)
+)
+
+
+@st.composite
+def measures(draw, graph):
+    """A total-mass-1 measure on ``graph``, not only mu_ad: each edge has
+    no density, a zero one or a nonzero int or Fraction; some vertices carry
+    a mass; the total is made 1 on one vertex or, when no vertex carries a
+    mass, by scaling the densities (a unit point mass if they total 0)."""
+    densities = {}
+    for e in graph.edges:
+        kind = draw(st.sampled_from(["none", "zero", "value"]))
+        if kind != "none":
+            densities[e.eid] = 0 if kind == "zero" else draw(VALUES)
+    carriers = draw(st.lists(st.sampled_from(graph.vertices), unique=True))
+    masses = {v: draw(VALUES) for v in carriers}
+    spread = sum((d * graph.edges[eid].length for eid, d in densities.items()), F(0))
+    if carriers:
+        rest = 1 - spread - sum(masses.values()) + masses[carriers[0]]
+        masses[carriers[0]] = int(rest) if rest.denominator == 1 else rest
+    elif spread:
+        densities = {eid: d / spread for eid, d in densities.items()}
+    else:
+        densities, masses = {}, {graph.vertices[0]: 1}
+    mu = metgraph.Measure(masses, densities)
+    assert mu.total_mass(graph) == 1
+    return mu
+
+
+@st.composite
+def graphs_with_measures(draw):
+    graph = draw(graphs())
+    return graph, draw(measures(graph))
+
+
+def _values(mu):
+    return [*mu.vertex_mass.values(), *mu.edge_density.values()]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        lambda g, mu: len({F(x).denominator for x in _values(mu) if x}) >= 3,
+        lambda g, mu: 0 in mu.edge_density.values(),
+        lambda g, mu: len(mu.edge_density) < len(g.edges),
+        lambda g, mu: any(type(x) is int and x for x in _values(mu)),
+        lambda g, mu: 0 < len(mu.vertex_mass) < len(g.genus),
+        lambda g, mu: not mu.vertex_mass and any(mu.edge_density.values()),
+        lambda g, mu: any(x < 0 for x in _values(mu)),
+        lambda g, mu: any(e.is_loop and mu.density(e.eid) for e in g.edges)
+        and any(is_bridge(g, e.eid) and mu.density(e.eid) for e in g.edges),
+    ],
+    ids=["mixed-denominators", "zero-density", "no-density", "int", "some-vertices",
+         "no-vertex-mass", "negative", "loop-and-bridge"],
+)
+def test_measure_strategy_reaches_every_shape(shape):
+    search = settings(
+        database=None, derandomize=True, max_examples=1000, phases=[Phase.generate]
+    )
+    find(graphs_with_measures(), lambda case: shape(*case), settings=search)
+
+
+def interior_point(draw, graph, eid):
+    t = draw(st.fractions(min_value=F(1, 8), max_value=F(7, 8), max_denominator=8))
+    return (eid, graph.edges[eid].length * t)
+
+
+@PROPERTY
+@given(graphs_with_measures(), st.data())
+def test_green_matches_the_fraction_kernel_on_arbitrary_measures(case, data):
+    graph, mu = case
+    vertex = st.sampled_from(graph.vertices)
+    pairs = [(data.draw(vertex), data.draw(vertex))]
+    if graph.edges:
+        eids = st.integers(0, len(graph.edges) - 1)
+        e1 = data.draw(eids)
+        x = interior_point(data.draw, graph, e1)
+        y = interior_point(data.draw, graph, e1)
+        pairs += [(data.draw(vertex), x), (x, data.draw(vertex)), (x, y), (x, x)]
+        if len(graph.edges) >= 2:
+            e2 = data.draw(eids.filter(lambda i: i != e1))
+            pairs.append((x, interior_point(data.draw, graph, e2)))
+    for a, b in pairs:
+        assert metgraph.green(graph, mu, a, b) == old.fraction_green(graph, mu, a, b)
+
+
+@PROPERTY
+@given(graphs_with_measures())
+def test_green_diagonal_and_verify_admissible_match_the_fraction_kernel(case):
+    graph, mu = case
+    new, ref = metgraph.green_diagonal(graph, mu), old.fraction_green_diagonal(graph, mu)
+    assert new.vertex_values == ref.vertex_values
+    assert new.edge_coeffs == ref.edge_coeffs
+    assert all(type(x) is F for x in new.vertex_values.values())
+    assert all(type(c) is F for cs in new.edge_coeffs.values() for c in cs)
+    assert metgraph.verify_admissible(graph, mu) == old.fraction_verify_admissible(graph, mu)
+
+
+def refusal(call, graph, mu):
+    with pytest.raises(ValueError) as caught:
+        call(graph, mu)
+    return str(caught.value)
+
+
+@PROPERTY
+@given(graphs_with_measures(), st.data())
+def test_the_integer_kernel_refuses_what_the_fraction_kernel_refuses(case, data):
+    graph, mu = case
+    off = data.draw(st.sampled_from([1, F(1, 3), -2]))
+    first, last = graph.vertices[0], graph.vertices[-1]
+    wrong = [
+        # a density on an unknown edge, of any value
+        metgraph.Measure(mu.vertex_mass, {**mu.edge_density, len(graph.edges): off}),
+        # a vertex mass off the graph, with the total still 1
+        metgraph.Measure(
+            {**mu.vertex_mass, "nowhere": off, first: mu.mass(first) - off}, mu.edge_density
+        ),
+        # a total mass other than 1
+        metgraph.Measure({**mu.vertex_mass, last: mu.mass(last) + off}, mu.edge_density),
+    ]
+    calls = [
+        (lambda g, m: metgraph.green(g, m, first, last),
+         lambda g, m: old.fraction_green(g, m, first, last)),
+        (metgraph.green_diagonal, old.fraction_green_diagonal),
+        (metgraph.verify_admissible, old.fraction_verify_admissible),
+    ]
+    for nu in wrong:
+        for new, ref in calls:
+            assert refusal(new, graph, nu) == refusal(ref, graph, nu)
+
+
 # ------------------------------------------------------------ the integer solve
 
 
@@ -284,6 +421,21 @@ def test_no_per_point_vertex_resistances(monkeypatch, call, vertex):
         monkeypatch.setattr(metgraph._Resistances, name, counting)
     call(graph, mu)
     assert counts == {"vertex": vertex(graph), "between": 0}
+
+
+def test_verify_admissible_builds_as_many_fractions_on_any_necklace(monkeypatch):
+    # h is an integer over one denominator at every vertex and edge
+    # midpoint, so the Fractions that metgraph builds do not grow with E
+    necklaces = [necklace(random.Random(f"fractions:{n}"), n) for n in (4, 8)]
+    admissible = [metgraph.admissible_measure(graph) for graph in necklaces]
+    calls = []
+    monkeypatch.setattr(metgraph, "Fraction", lambda *args: calls.append(args) or F(*args))
+    counts = []
+    for graph, mu in zip(necklaces, admissible):
+        calls.clear()
+        assert metgraph.verify_admissible(graph, mu) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_epsilon_phi_builds_no_measure_or_kernel(monkeypatch):

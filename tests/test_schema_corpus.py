@@ -4,8 +4,8 @@ validated with ``jsonschema`` (skipped where it is not installed).
 Each document of ``AGREE`` is schema-valid exactly when its command exits 0.
 ``INTEGRAL_FLOATS`` pins the one known gap: JSON Schema's ``"integer"``
 admits 2.0, while the code refuses an integral float for a curve genus, a
-curve prime, a place genus and a vertex genus (exit 1), as each property's
-``$comment`` says.
+curve prime (also one that ``--prime`` overrides), a place genus and a
+vertex genus (exit 1), as each property's ``$comment`` says.
 """
 
 import json
@@ -29,6 +29,10 @@ PLACE = {
 #: kind -> (schema file, argv with {path} for the document)
 KINDS = {
     "curve": ("curve.schema.json", ["symroots", "--curve", "{path}", "--triple", "0,2,1"]),
+    "curve --prime": (
+        "curve.schema.json",
+        ["cluster", "--curve", "{path}", "--prime", "3", "--triple", "0,2,1"],
+    ),
     "graph": ("graph.schema.json", ["graph", "eval", "--in", "{path}"]),
     "places": ("places.schema.json", ["global", "--places", "{path}"]),
 }
@@ -102,6 +106,15 @@ AGREE = [
     ("places", place(extra=1)),
     ("places", [{k: v for k, v in PLACE.items() if k != "chi"}]),
     ("places", PLACE),
+    # appended, so that the ids of the cases above stay as they were
+    ("curve --prime", CURVE),
+    ("curve --prime", {"genus": 2, "roots": CURVE["roots"]}),
+    ("curve --prime", curve(prime=4)),
+    ("curve --prime", curve(prime="abc")),
+    ("curve --prime", curve(prime="3")),
+    ("curve --prime", curve(prime=True)),
+    ("curve --prime", curve(prime=None)),
+    ("curve --prime", curve(prime=1)),
 ]
 
 INTEGRAL_FLOATS = [
@@ -109,6 +122,7 @@ INTEGRAL_FLOATS = [
     ("curve", curve(prime=3.0), "not a prime: 3.0"),
     ("graph", graph_vertex(genus=1.0), "genus of vertex 'v' is not an integer: 1.0"),
     ("places", place(genus=2.0), "genus of place '3' is not an integer: 2.0"),
+    ("curve --prime", curve(prime=3.0), "curve prime is not an integer: 3.0"),
 ]
 
 

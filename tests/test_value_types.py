@@ -2,8 +2,9 @@
 and namedtuples rather than dataclasses: equal values are ``==`` and hash
 alike, the frozen ones refuse assignment with ``AttributeError``, and each
 ``repr`` is the one the dataclass gave.  The exact-value boundary: a root,
-an edge length, a scale factor or a subdivision point that is not an
-``int`` or a ``Fraction`` is refused, not coerced."""
+an edge length, a scale factor, a subdivision point, or a measure's vertex
+mass or edge density that is not an ``int`` or a ``Fraction`` is refused,
+not coerced."""
 
 import copy
 import math
@@ -163,9 +164,9 @@ def test_place_report_warnings_are_outside_eq_hash_and_repr():
         warned.warnings = ()
 
 
-#: lengths, scale factors and subdivision points that are not exact
-#: rationals: 0.1 was once read as 3602879701896397/36028797018963968,
-#: True as 1 and "1/3" was parsed
+#: lengths, scale factors, subdivision points, masses and densities that
+#: are not exact rationals: as a length, 0.1 was once read as
+#: 3602879701896397/36028797018963968, True as 1 and "1/3" was parsed
 NOT_RATIONAL = [0.1, 0.5, 1.0, True, False, "1/3", "1", None, Decimal("0.5"), complex(1, 0)]
 
 
@@ -182,6 +183,26 @@ def test_scale_and_subdivide_refuse_a_value_that_is_not_rational(bad):
         metgraph.scale(graph, bad)
     with pytest.raises(ValueError, match="subdivision point is not an int or a Fraction"):
         metgraph.subdivide(graph, 0, bad)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, mu: metgraph.green(g, mu, "v", (0, 1)),
+        metgraph.green_diagonal,
+        metgraph.verify_admissible,
+    ],
+    ids=["green", "green_diagonal", "verify_admissible"],
+)
+@pytest.mark.parametrize("bad", NOT_RATIONAL, ids=repr)
+def test_the_kernel_refuses_a_mass_or_density_that_is_not_rational(call, bad):
+    # a float mass once ended in AttributeError, a string mass in TypeError,
+    # and True was read as 1
+    graph = MetrizedGraph({"v": 1, "w": 1}, [("v", "w", F(2)), ("w", "w", 1)])
+    with pytest.raises(ValueError, match="mass of vertex 'v' is not an int or a Fraction"):
+        call(graph, metgraph.Measure({"v": bad, "w": F(1, 2)}, {0: F(1, 4)}))
+    with pytest.raises(ValueError, match="density of edge 0 is not an int or a Fraction"):
+        call(graph, metgraph.Measure({"v": F(1, 2)}, {0: bad}))
 
 
 def test_metrized_graph_takes_ints_and_fractions_as_fractions():
