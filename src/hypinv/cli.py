@@ -51,10 +51,10 @@ def _load_curve(args):
         require_int(doc["genus"], "curve genus"), tuple(parse_point(r) for r in roots)
     )
     prime = doc.get("prime")
+    # checked even where --prime overrides it, as the schema refuses it there too
+    if "prime" in doc and require_int(prime, "curve prime") < 2:
+        raise ValueError(f"curve prime must be at least 2: {prime}")
     if args.prime is not None:
-        # the override does not excuse a document prime that the schema refuses
-        if "prime" in doc and require_int(prime, "curve prime") < 2:
-            raise ValueError(f"curve prime must be at least 2: {prime}")
         prime = args.prime
     return normalize_finite(cfg), prime
 

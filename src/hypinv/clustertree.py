@@ -200,6 +200,8 @@ def mult_x(tree, node, r):
 
     min{n_C, val(a_C - a_r)}; independent of the representative choice.
     """
+    if r not in tree.depth:  # a negative r would read the row from its end
+        raise KeyError(r)
     return min(node.level, tree.vals[r][min(node.members)])
 
 

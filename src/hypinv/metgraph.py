@@ -7,10 +7,11 @@ resistances, measures, potentials, Green's functions and Zhang's epsilon
 and phi in closed form from its integer adjugate, each form at one code
 site; k_e = b N_e / (a^2 det) on an edge of length a / b is read from the
 solve on every use, with no cache.  The measure kernel (``_Kernel``, which
-serves ``green``, ``green_diagonal`` and ``verify_admissible``) and
-``epsilon_phi`` work in integers over common denominators and build
-``Fraction``s only for results.  README.md, "Metrized graphs", states the
-forms with their sources.
+serves ``green``, ``green_diagonal`` and ``verify_admissible``) works in
+integers over one lcm D of the mass denominators and every b_e q_e (density
+p_e / q_e), ``epsilon_phi`` over one A = lcm(a_e b_e) of the non-bridges;
+both build ``Fraction``s only for results.  README.md, "Metrized graphs",
+states the forms with their sources.
 
 Points are addressed by vertex id or as a pair (int edge index, offset)
 with a rational offset in [0, L]; offsets 0 and L normalize to the endpoints.
@@ -204,13 +205,18 @@ def _edge_point(x):
     return require_int(x[0], "edge id"), Fraction(x[1])
 
 
+def _edge(graph, eid):
+    """The edge of ``graph`` with the int id ``eid``; ValueError otherwise."""
+    if require_int(eid, "edge id") not in range(len(graph.edges)):
+        raise ValueError(f"no edge {eid} in a graph of {len(graph.edges)} edges")
+    return graph.edges[eid]
+
+
 def _norm_point(graph, x):
     """Normalize a point spec to ("v", id) or ("e", eid, offset)."""
     if isinstance(x, tuple):
         eid, off = _edge_point(x)
-        if eid not in range(len(graph.edges)):
-            raise ValueError(f"no edge {eid} in a graph of {len(graph.edges)} edges")
-        e = graph.edges[eid]
+        e = _edge(graph, eid)
         if off == 0:
             return ("v", e.u)
         if off == e.length:
@@ -330,9 +336,11 @@ def _on_edge(e, s, at_u, at_v, bend):
 class _Kernel:
     """Potential computations for one (graph, measure) pair, in integers.
 
-    The potential phi(x) = int r(x, .) dmu is kept at the vertices as
-    integer numerators F_v over one denominator Z = det W, and the double
-    integral c = int int r dmu dmu as one Fraction, in the README's closed
+    Over one denominator D, the lcm of the vertex-mass denominators and of
+    b_e q_e on every edge of length a_e / b_e and density p_e / q_e, the
+    potential phi(x) = int r(x, .) dmu is kept at the vertices as integer
+    numerators F_v over Z = det W, W = 6 D^2, and the double integral
+    c = int int r dmu dmu as the integer C over 2 D Z, in the README's closed
     forms; the Green's function is g(x, y) = (phi(x) + phi(y) - r(x, y) - c) / 2.
     """
 
@@ -351,44 +359,37 @@ class _Kernel:
             for v, m in mu.vertex_mass.items()
         ]
         self._n, self._d = [], []  # per edge: N_e, (numerator, denominator) of d_e
-        spread = []  # (e, a_e, b_e, numerator, denominator) where d_e != 0
         for e in graph.edges:
             self._n.append(res.foster(e))
             d = require_rational(mu.edge_density.get(e.eid, 0), f"density of edge {e.eid}")
             self._d.append((d.numerator, d.denominator))
-            if d:
-                spread.append((e, e.length.numerator, e.length.denominator, *self._d[-1]))
-        # the masses M_v = m_v + sum_{e at v} d_e L_e / 2 as integers over den
         # *list, not *generator: a resized argument tuple stays on CPython's free list
-        den = math.lcm(
-            *[m.denominator for _, m in masses], *[2 * b * dd for _, _, b, _, dd in spread]
+        den = self._den = math.lcm(
+            *[m.denominator for _, m in masses],
+            *[e.length.denominator * q for e, (_, q) in zip(graph.edges, self._d)],
         )
+        # the masses 2 D M_v, M_v = m_v + sum_{e at v} d_e L_e / 2, of total 2 D;
+        # sum_e d_e k_e L_e^3 / 6 = t1 / (6 det D^2), sum_e d_e^2 L_e^3 / 6 = t2 / (6 D^3)
         mass = dict.fromkeys(graph.genus, 0)
-        for v, m in masses:
-            mass[v] = m.numerator * (den // m.denominator)
-        for e, a, b, dn, dd in spread:
-            half = dn * a * (den // (2 * b * dd))
-            mass[e.u] += half
-            mass[e.v] += half
-        if sum(mass.values()) != den:
+        mass.update((v, 2 * m.numerator * (den // m.denominator)) for v, m in masses)
+        t1 = t2 = 0
+        for e, n, (p, q) in zip(graph.edges, self._n, self._d):
+            a, b = e.length.numerator, e.length.denominator
+            x = p * a * (den // (b * q))  # D d_e L_e
+            mass[e.u] += x
+            mass[e.v] += x
+            t1 += x * n * (den // b)
+            t2 += x * x * a * (den // b)
+        if sum(mass.values()) != 2 * den:
             raise ValueError(not_mass_one)
-        # sum_e d_e L_e^3 k_e / 6 = t1 / (6 det s1), sum_e d_e^2 L_e^3 / 6 = t2 / (6 s2)
-        s1 = math.lcm(*[b * b * dd for _, _, b, _, dd in spread])
-        s2 = math.lcm(*[b**3 * dd * dd for _, _, b, _, dd in spread])
-        t1 = sum(dn * a * self._n[e.eid] * (s1 // (b * b * dd)) for e, a, b, dn, dd in spread)
-        t2 = sum(dn * dn * a**3 * (s2 // (b**3 * dd * dd)) for _, a, b, dn, dd in spread)
-        # phi_mu(v) = t1 / (6 det s1) + s P_v / (det den) = F_v / Z
-        w = self._w = math.lcm(6 * s1, den)
+        # phi_mu(v) = t1 / (6 det D^2) + s P_v / (2 D det) = F_v / Z
+        w = self._w = 6 * den * den
         z = self._z = det * w
-        p = res.potentials(mass)
-        sw = res._scale * (w // den)
-        self._f = {v: t1 * (w // (6 * s1)) + sw * x for v, x in p.items()}
-        # c = sum_v M_v phi_mu(v) + t1 / (6 det s1) - t2 / (6 s2)
-        cd = math.lcm(den * z, 6 * s2)
+        sd = 3 * den * res._scale
+        self._f = {v: t1 + sd * x for v, x in res.potentials(mass).items()}
+        # c = sum_v M_v phi_mu(v) + t1 / (6 det D^2) - t2 / (6 D^3) = C / (2 D Z)
         mf = sum(mass[v] * f for v, f in self._f.items())
-        self.c = Fraction(
-            mf * (cd // (den * z)) + t1 * (cd // (6 * det * s1)) - t2 * (cd // (6 * s2)), cd
-        )
+        self._c = mf + 2 * den * t1 - 2 * det * t2
 
     def bend(self, e):
         """(numerator, denominator) of k_e - d_e on edge ``e``, where
@@ -461,15 +462,15 @@ def green(graph, mu, x, y):
     """Green's function g_mu(x, y) for a total-mass-1 measure, exact."""
     px, py = _norm_point(graph, x), _norm_point(graph, y)
     kernel = _Kernel(mu, _Resistances(graph))
-    return (kernel.phi(px) + kernel.phi(py) - kernel.res.between(px, py) - kernel.c) / 2
+    c = Fraction(kernel._c, 2 * kernel._den * kernel._z)
+    return (kernel.phi(px) + kernel.phi(py) - kernel.res.between(px, py) - c) / 2
 
 
 def green_diagonal(graph, mu):
     """x -> g_mu(x, x) = phi_mu(x) - c/2 as an exact per-edge quadratic."""
     kernel = _Kernel(mu, _Resistances(graph))
-    f, z, w = kernel._f, kernel._z, kernel._w
-    cn, cd = kernel.c.numerator, 2 * kernel.c.denominator
-    values = {v: Fraction(cd * x - cn * z, cd * z) for v, x in f.items()}
+    f, z, w, c4 = kernel._f, kernel._z, kernel._w, 4 * kernel._den
+    values = {v: Fraction(c4 * x - kernel._c, c4 * z) for v, x in f.items()}
     coeffs = {}
     for e in graph.edges:
         a, b = e.length.numerator, e.length.denominator
@@ -487,7 +488,8 @@ def epsilon_phi(graph):
     epsilon = sum_v K(v) phi_mu(v) and phi = (6 g c - epsilon - delta) / 4
     with mu the admissible measure (S.-W. Zhang, "Gross-Schoen cycles and
     dualising sheaves", 2010), both in integers over one common denominator:
-    with N_e, A, Q, the masses (MQ)_v, P_w and S of README.md, "Metrized
+    with N_e, A = lcm(a_e b_e) over the non-bridges, Q = 2 g det A, the
+    masses (MQ)_v, P_w and S = t / (6 g det^2 A) of README.md, "Metrized
     graphs",
 
     epsilon = (2g - 2) S + s (K . P) / (det Q),
@@ -501,36 +503,34 @@ def epsilon_phi(graph):
         n = res.foster(e)
         if n:
             spread.append((e, e.length.numerator, e.length.denominator, n))
-    # *list, not *generator: a resized argument tuple stays on CPython's free list
-    a_lcm = math.lcm(*[a for _, a, _, _ in spread])
-    ab_lcm = math.lcm(*[a * b for _, a, b, _ in spread])
-    q = 2 * g * det * a_lcm
-    mq = {v: 2 * det * a_lcm * gv for v, gv in graph.genus.items()}
-    t = 0  # S = t / (6 g det^2 ab_lcm)
+    # A; *list, not *generator: a resized argument tuple stays on CPython's free list
+    lcm_ab = math.lcm(*[a * b for _, a, b, _ in spread])
+    q = 2 * g * det * lcm_ab
+    mq = {v: 2 * det * lcm_ab * gv for v, gv in graph.genus.items()}
+    t = 0  # S = t / (6 g det^2 A)
     for e, a, b, n in spread:
-        half = n * (a_lcm // a)
+        half = n * (lcm_ab // a)
         mq[e.u] += half
         mq[e.v] += half
-        t += n * n * (ab_lcm // (a * b))
+        t += n * n * (lcm_ab // (a * b))
     if sum(mq.values()) != q:
         raise ValueError("Foster's identity fails: the masses do not sum to 1")
     p = res.potentials(mq)
     k = canonical_divisor(graph)
     kp = sum(k[v] * x for v, x in p.items())
     mqp = sum(mq[v] * x for v, x in p.items())
-    # with h = ab_lcm / A: s / (det Q) = 3 h s / (6 g det^2 ab_lcm) and
-    # 6 g s / (det Q^2) = 3 h s / (2 g det^3 A ab_lcm)
-    h, s = ab_lcm // a_lcm, res._scale
-    den = 6 * g * det**2 * ab_lcm
-    eps = (2 * g - 2) * t + 3 * h * s * kp  # epsilon = eps / den
+    # s / (det Q) = 3 s / (6 g det^2 A) and 6 g s / (det Q^2) = 3 s / (2 g det^3 A^2)
+    s = res._scale
+    den = 6 * g * det**2 * lcm_ab
+    eps = (2 * g - 2) * t + 3 * s * kp  # epsilon = eps / den
     # with wide = den det A: 6 g c = six_gc / wide, epsilon = eps det A / wide
     # and delta = dn / dd, so phi = ((six_gc - eps det A) dd - dn wide) / (4 wide dd)
-    wide = den * det * a_lcm
-    six_gc = 3 * (2 * (2 * g - 1) * det * a_lcm * t + 3 * h * s * mqp)
+    wide = den * det * lcm_ab
+    six_gc = 3 * (2 * (2 * g - 1) * det * lcm_ab * t + 3 * s * mqp)
     dn, dd = _length_ratio(graph)
     return (
         Fraction(eps, den),
-        Fraction((six_gc - eps * det * a_lcm) * dd - dn * wide, 4 * wide * dd),
+        Fraction((six_gc - eps * det * lcm_ab) * dd - dn * wide, 4 * wide * dd),
     )
 
 
@@ -565,40 +565,33 @@ def verify_admissible(graph, mu):
     best constant.
 
     Exactly 0 iff mu is the admissible measure (checked at vertices and edge
-    midpoints, which pins the per-edge quadratics).  With D = deg K = 2g - 2
+    midpoints, which pins the per-edge quadratics).  With K of degree 2g - 2
     and psi_K(y) = sum_v K(v) r(v, y) the potential of delta_K (README.md,
-    "Metrized graphs"), f(y) = ((D + 2) phi_mu(y) + sum_v K(v) phi_mu(v) -
-    (D + 1) c - psi_K(y)) / 2, in which only h = (D + 2) phi_mu - psi_K varies
+    "Metrized graphs"), f(y) = (2g phi_mu(y) + sum_v K(v) phi_mu(v) -
+    (2g - 1) c - psi_K(y)) / 2, in which only h = 2g phi_mu - psi_K varies
     with y: the deviation, half the spread of f, is a quarter of h's spread.
     At the midpoint of an edge of length a / b, h is (h_u + h_v) / 2 +
-    N_e / (2 b det) - (D + 2) a^2 d_e / (4 b^2); every h is an integer over
-    U = 2 det lcm(W, every b), so the one Fraction is the result.
+    N_e / (2 b det) - g a^2 d_e / (2 b^2).  The kernel's one denominator D
+    covers every b, so every h is an integer over U = 2 det W = 12 det D^2,
+    and the one Fraction is the result.
     """
     res = _Resistances(graph)
     kernel = _Kernel(mu, res)
-    k = canonical_divisor(graph)
-    d2, det, w = sum(k.values()) + 2, res._det, kernel._w
+    g, det, w, den = graph.total_genus, res._det, kernel._w, kernel._den
     # h = H_v / Z at the vertices, as psi_K(v) = s P_v / det = s W P_v / Z
-    sw = res._scale * w
-    h = {v: d2 * kernel._f[v] - sw * x for v, x in res.potentials(k).items()}
-    # *list, not *generator: a resized argument tuple stays on CPython's free list
-    wb = math.lcm(w, *[e.length.denominator for e in graph.edges])
-    m = wb // w
-    values = [2 * m * x for x in h.values()]  # h U with U = 2 det wb
-    for e in graph.edges:
+    sw, psi = res._scale * w, res.potentials(canonical_divisor(graph))
+    h = {v: 2 * g * kernel._f[v] - sw * x for v, x in psi.items()}
+    values = [2 * x for x in h.values()]  # h U with U = 2 Z
+    for e, n, (p, q) in zip(graph.edges, kernel._n, kernel._d):
         a, b = e.length.numerator, e.length.denominator
-        dn, dd = kernel._d[e.eid]
-        values.append(
-            (h[e.u] + h[e.v]) * m
-            + kernel._n[e.eid] * (wb // b)
-            - d2 * a * a * dn * det * (wb // (2 * b * b * dd))
-        )
-    return Fraction(max(values) - min(values), 8 * det * wb)
+        density = 6 * g * det * a * a * p * (den // b) * (den // (b * q))
+        values.append(h[e.u] + h[e.v] + n * (w // b) - density)
+    return Fraction(max(values) - min(values), 8 * det * w)
 
 
 def subdivide(graph, eid, s):
     """Split edge ``eid`` at interior arc length ``s`` with a genus-0 vertex."""
-    e = graph.edges[eid]
+    e = _edge(graph, eid)
     s = require_rational(s, "subdivision point")
     if not 0 < s < e.length:
         raise ValueError("subdivision point must be interior")

@@ -102,6 +102,17 @@ def test_mult_x_representative_independent():
                 assert mult_x(tree, node, r) == min(node.level, d)
 
 
+@pytest.mark.parametrize("r", [-1, 6, 10])
+def test_root_index_outside_the_configuration_is_refused(r):
+    # a negative index would silently read the last roots' rows
+    tree = build_tree(CFG3, 3)
+    node = tree.node_of_root[0]
+    with pytest.raises(KeyError):
+        mult_x(tree, node, r)
+    with pytest.raises(KeyError):
+        v_mult(tree, r, node)
+
+
 def test_v_mult_vanishes_on_own_component():
     tree = build_tree(CFG3, 3)
     for k in range(6):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -341,6 +342,24 @@ def test_subdivision_invariance():
     assert sub.total_genus == g.total_genus
     with pytest.raises(ValueError):
         subdivide(g, 1, F(2))
+
+
+@pytest.mark.parametrize(
+    "eid, detail",
+    [
+        (True, "edge id is not an integer: True"),
+        ("0", "edge id is not an integer: '0'"),
+        (1.0, "edge id is not an integer: 1.0"),
+        (-1, "no edge -1 in a graph of 3 edges"),
+        (3, "no edge 3 in a graph of 3 edges"),
+        (5, "no edge 5 in a graph of 3 edges"),
+    ],
+)
+def test_subdivide_refuses_an_edge_id_off_the_graph(eid, detail):
+    # True once split edge 1, -1 read as "graph must be connected", 5 raised
+    # IndexError and "0" TypeError
+    with pytest.raises(ValueError, match=f"^{re.escape(detail)}$"):
+        subdivide(theta(1, 2, 3), eid, F(1, 2))
 
 
 def test_homogeneity():

@@ -2,6 +2,7 @@
 solve, larger graphs against the old kernel, and cost guards."""
 
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
@@ -436,6 +437,27 @@ def test_verify_admissible_builds_as_many_fractions_on_any_necklace(monkeypatch)
         assert metgraph.verify_admissible(graph, mu) == 0
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize(
+    "call, lcms",
+    [
+        (lambda g, mu: metgraph.green_diagonal(g, mu), 2),
+        (lambda g, mu: metgraph.verify_admissible(g, mu), 2),
+        (lambda g, mu: metgraph.epsilon_phi(g), 3),
+    ],
+    ids=["green_diagonal", "verify_admissible", "epsilon_phi"],
+)
+def test_one_denominator_per_integer_route(monkeypatch, call, lcms):
+    # the solve's scale s, then one lcm for the kernel (D) or for epsilon_phi
+    # (A, and delta's own): no route sums over a denominator per edge term
+    graph = LARGE["random(10, 15)"](random.Random("large:random(10, 15)"))
+    mu = metgraph.admissible_measure(graph)
+    calls = []
+    original = math.lcm
+    monkeypatch.setattr(math, "lcm", lambda *args: calls.append(args) or original(*args))
+    call(graph, mu)
+    assert len(calls) == lcms
 
 
 def test_epsilon_phi_builds_no_measure_or_kernel(monkeypatch):

@@ -115,11 +115,12 @@ AGREE = [
     ("curve --prime", curve(prime=True)),
     ("curve --prime", curve(prime=None)),
     ("curve --prime", curve(prime=1)),
+    ("curve", curve(prime=None)),
 ]
 
 INTEGRAL_FLOATS = [
     ("curve", curve(genus=2.0), "curve genus is not an integer: 2.0"),
-    ("curve", curve(prime=3.0), "not a prime: 3.0"),
+    ("curve", curve(prime=3.0), "curve prime is not an integer: 3.0"),
     ("graph", graph_vertex(genus=1.0), "genus of vertex 'v' is not an integer: 1.0"),
     ("places", place(genus=2.0), "genus of place '3' is not an integer: 2.0"),
     ("curve --prime", curve(prime=3.0), "curve prime is not an integer: 3.0"),
