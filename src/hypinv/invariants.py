@@ -16,6 +16,30 @@ from fractions import Fraction
 _set = object.__setattr__  # how a frozen type sets its fields
 
 
+# The rules and wording of rational.require_int and require_rational, kept
+# here because hypinv.chi_nonarch loads this module alone.
+def _require_genus(g):
+    """ValueError unless ``g`` is an ``int``, not a ``bool``, of at least 2."""
+    if isinstance(g, bool) or not isinstance(g, int):
+        raise ValueError(f"genus is not an integer: {g!r}")
+    if g < 2:
+        raise ValueError("genus must be at least 2")
+
+
+def _exact(value, what):
+    """``value`` itself if it is an ``int`` (not a ``bool``) or a
+    ``Fraction``; ValueError otherwise, so no float or string is coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{what} is not an int or a Fraction: {value!r}")
+    return value
+
+
+def _fraction(value, what):
+    """``_exact(value, what)`` as a ``Fraction``."""
+    value = _exact(value, what)
+    return value if type(value) is Fraction else Fraction(value)
+
+
 class _Frozen:
     """A value type whose fields, named in ``_fields``, are set once in
     ``__init__``; ``==``, ``hash`` and ``repr`` read them in that order."""
@@ -53,11 +77,10 @@ class NodeCounts(_Frozen):
 
     def __init__(self, genus, xi0=Fraction(0), xi=(), delta_i=()):
         g = genus
-        if g < 2:
-            raise ValueError("genus must be at least 2")
-        xi0 = Fraction(xi0)
-        xi = tuple(Fraction(x) for x in xi)
-        delta_i = tuple(Fraction(x) for x in delta_i)
+        _require_genus(g)
+        xi0 = _fraction(xi0, "xi0")
+        xi = tuple(_fraction(x, "xi weight") for x in xi)
+        delta_i = tuple(_fraction(x, "delta_i weight") for x in delta_i)
         if len(xi) > (g - 1) // 2:
             raise ValueError(
                 f"at most {(g - 1) // 2} subtype weights for genus {g}"
@@ -90,9 +113,8 @@ def d_from_counts(counts):
 
 def chi_nonarch(g, d, eps, delta):
     """chi = (3d - (2g+1)(eps + delta)) / (2g - 2), exact."""
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-    d, eps, delta = Fraction(d), Fraction(eps), Fraction(delta)
+    _require_genus(g)
+    d, eps, delta = _exact(d, "d"), _exact(eps, "eps"), _exact(delta, "delta")
     den = math.lcm(d.denominator, eps.denominator, delta.denominator)
     num = 3 * d.numerator * (den // d.denominator) - (2 * g + 1) * (
         eps.numerator * (den // eps.denominator)
@@ -159,7 +181,7 @@ def _genus2_params(fiber_type, params):
     Fractions."""
     if fiber_type not in GENUS2_ARITY:
         raise ValueError(f"unknown genus-2 type: {fiber_type}")
-    params = tuple(Fraction(x) for x in params)
+    params = tuple(_fraction(x, "thickness parameter") for x in params)
     if len(params) != GENUS2_ARITY[fiber_type]:
         raise ValueError(
             f"type {fiber_type} takes {GENUS2_ARITY[fiber_type]} parameters, "

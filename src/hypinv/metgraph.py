@@ -202,7 +202,7 @@ def _edge_point(x):
     """The edge id and ``Fraction`` offset of a tuple point (edge id, offset)."""
     if len(x) != 2:
         raise ValueError(f"an edge point is a pair (edge id, offset), not {x!r}")
-    return require_int(x[0], "edge id"), Fraction(x[1])
+    return require_int(x[0], "edge id"), require_rational(x[1], "edge offset")
 
 
 def _edge(graph, eid):

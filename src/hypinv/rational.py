@@ -97,7 +97,7 @@ def _int_val(n, p):
 def val(q, p):
     """p-adic order of the rational ``q``; ``math.inf`` iff q = 0."""
     require_prime(p)
-    q = Fraction(q)
+    q = require_rational(q, "valuation argument")
     if q == 0:
         return math.inf
     return _int_val(q.numerator, p) - _int_val(q.denominator, p)
@@ -124,7 +124,7 @@ def valuation_table(roots, p):
 
 def log_abs(q, p):
     """-val(q, p): the log of |q|_p in units of one (caller scales by log p)."""
-    q = Fraction(q)
+    q = require_rational(q, "log argument")
     if q == 0:
         raise ValueError("log of zero")
     return -val(q, p)

@@ -24,7 +24,7 @@ from fractions import Fraction
 import oracle_kernel
 from hypinv import invariants, metgraph
 from hypinv.invariants import NodeCounts
-from hypinv.rational import format_rat
+from hypinv.rational import format_rat, require_int, require_rational
 
 
 def reach(graph, start, skip=None):
@@ -96,11 +96,12 @@ def d_from_counts(counts):
 
 
 def chi_nonarch(g, d, eps, delta):
-    if g < 2:
+    # the arguments are checked by rational's rules, which the library's
+    # scalar layer repeats without importing rational
+    if require_int(g, "genus") < 2:
         raise ValueError("genus must be at least 2")
-    return (3 * Fraction(d) - (2 * g + 1) * (Fraction(eps) + Fraction(delta))) / (
-        2 * g - 2
-    )
+    d, eps, delta = (require_rational(x, name) for x, name in ((d, "d"), (eps, "eps"), (delta, "delta")))
+    return (3 * d - (2 * g + 1) * (eps + delta)) / (2 * g - 2)
 
 
 def place_values(graph):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -103,6 +104,43 @@ def test_genus2_row_errors():
             build("II", (-1,))
         with pytest.raises(ValueError, match="must be positive"):
             build("VII", (1, 0, 2))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: chi_nonarch(2, 0.1, 0, 0), "d is not an int or a Fraction: 0.1"),
+        (lambda: chi_nonarch(2, 0, "1/3", 0), "eps is not an int or a Fraction: '1/3'"),
+        (lambda: chi_nonarch(2, 0, 0, True), "delta is not an int or a Fraction: True"),
+        (lambda: chi_nonarch(2.0, 0, 0, 0), "genus is not an integer: 2.0"),
+        (lambda: NodeCounts(2, "1/2"), "xi0 is not an int or a Fraction: '1/2'"),
+        (lambda: NodeCounts(3, 0, (0.5,)), "xi weight is not an int or a Fraction: 0.5"),
+        (lambda: NodeCounts(2, 0, (), (True,)), "delta_i weight is not an int or a Fraction"),
+        (lambda: NodeCounts(2.0, 1), "genus is not an integer: 2.0"),
+        (lambda: NodeCounts(True), "genus is not an integer: True"),
+        (lambda: genus2_row("II", (True,)), "thickness parameter is not an int or a Fraction"),
+        (lambda: genus2_row("III", (0.5,)), "thickness parameter is not an int or a Fraction"),
+        (lambda: genus2_graph("VII", (1, "2", 3)), "thickness parameter is not an int or a Fraction"),
+    ],
+    ids=[
+        "chi_nonarch d", "chi_nonarch eps", "chi_nonarch delta", "chi_nonarch genus",
+        "NodeCounts xi0", "NodeCounts xi", "NodeCounts delta_i", "NodeCounts float genus",
+        "NodeCounts bool genus", "genus2_row bool", "genus2_row float", "genus2_graph str",
+    ],
+)
+def test_scalar_layer_refuses_what_is_not_exact(call, message):
+    # once coerced: chi_nonarch(2, 0.1, 0, 0) gave a fraction over 2**56,
+    # genus2_row("II", (True,)) the II(1) row, and NodeCounts(2.0, 1) raised
+    # TypeError from inside
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        call()
+
+
+def test_scalar_layer_keeps_exact_arguments():
+    half = F(1, 2)
+    assert NodeCounts(2, half).xi0 is half
+    assert NodeCounts(2, 1).xi0 == 1 and type(NodeCounts(2, 1).xi0) is F
+    assert chi_nonarch(2, 6, F(5, 9), 3) == chi_nonarch(2, F(6), F(5, 9), F(3))
 
 
 def test_genus2_graphs_have_genus_two():

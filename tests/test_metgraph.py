@@ -205,6 +205,24 @@ def test_piecewise_poly_reads_its_edge_ends_and_keeps_lengths_out_of_equality():
         bare.evaluate((0, -1))
 
 
+@pytest.mark.parametrize("offset", ["1/2", 0.1, True], ids=repr)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, x: resistance(g, x, "a"),
+        lambda g, x: green(g, canonical_measure(g), x, "a"),
+        lambda g, x: green_diagonal(g, canonical_measure(g)).evaluate(x),
+    ],
+    ids=["resistance", "green", "evaluate"],
+)
+def test_edge_offset_that_is_not_rational_rejected(call, offset):
+    # the offset was once coerced: resistance gave 5/12 at "1/2", a fraction
+    # over 3 * 2**110 at 0.1, and True was read as 1
+    g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1)), ("b", "a", F(2))])
+    with pytest.raises(ValueError, match="^edge offset is not an int or a Fraction"):
+        call(g, (0, offset))
+
+
 def test_edge_point_in_range_accepted():
     g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1)), ("b", "a", F(2))])
     # a circle of circumference 3: r = s (3 - s) / 3 at arc distance s from a;

@@ -125,7 +125,7 @@ def test_scalar_assembly_matches_the_oracle(seed):
     eps = F(rng.randint(-50, 50), rng.randint(1, 40))
     dlt = rng.choice((rng.randint(0, 9), F(rng.randint(0, 90), rng.randint(1, 30))))
     for g in (counts.genus, rng.randint(2, 30)):
-        for args in ((g, d, eps, dlt), (g, str(d), 0, "1/3"), (g, 1, 2, 3)):
+        for args in ((g, d, eps, dlt), (g, d, 0, F(1, 3)), (g, 1, 2, 3)):
             assert invariants.chi_nonarch(*args) == old.chi_nonarch(*args)
 
 

@@ -36,7 +36,7 @@ def test_is_prime_carmichael_and_large():
 
 
 def test_val_examples():
-    assert val(Fraction(18), 3) == 2
+    assert val(Fraction(18), 3) == val(18, 3) == 2
     assert val(Fraction(1, 9), 3) == -2
     assert val(Fraction(10, 3), 5) == 1
     assert val(Fraction(0), 3) == math.inf
@@ -48,9 +48,18 @@ def test_val_rejects_nonprime():
 
 
 def test_log_abs():
-    assert log_abs(Fraction(9), 3) == -2
+    assert log_abs(Fraction(9), 3) == log_abs(9, 3) == -2
     with pytest.raises(ValueError):
         log_abs(Fraction(0), 3)
+
+
+@pytest.mark.parametrize("q", [0.1, "1/9", True], ids=repr)
+@pytest.mark.parametrize("call", [val, log_abs], ids=["val", "log_abs"])
+def test_val_and_log_abs_refuse_what_is_not_rational(call, q):
+    # val(0.1, 5) was once 0 (1/10 has 5-adic order -1), val("1/9", 3) was
+    # -2 and True was read as 1
+    with pytest.raises(ValueError, match="is not an int or a Fraction"):
+        call(q, 5)
 
 
 @given(
