@@ -10,59 +10,11 @@ floats.
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 
-_set = object.__setattr__  # how a frozen type sets its fields
-
-
-# The rules and wording of rational.require_int and require_rational, kept
-# here because hypinv.chi_nonarch loads this module alone.
-def _require_genus(g):
-    """ValueError unless ``g`` is an ``int``, not a ``bool``, of at least 2."""
-    if isinstance(g, bool) or not isinstance(g, int):
-        raise ValueError(f"genus is not an integer: {g!r}")
-    if g < 2:
-        raise ValueError("genus must be at least 2")
-
-
-def _exact(value, what):
-    """``value`` itself if it is an ``int`` (not a ``bool``) or a
-    ``Fraction``; ValueError otherwise, so no float or string is coerced."""
-    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
-        raise ValueError(f"{what} is not an int or a Fraction: {value!r}")
-    return value
-
-
-def _fraction(value, what):
-    """``_exact(value, what)`` as a ``Fraction``."""
-    value = _exact(value, what)
-    return value if type(value) is Fraction else Fraction(value)
-
-
-class _Frozen:
-    """A value type whose fields, named in ``_fields``, are set once in
-    ``__init__``; ``==``, ``hash`` and ``repr`` read them in that order."""
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
-        return f"{type(self).__qualname__}({fields})"
+from .rational import _Frozen, _set, require_genus, require_rational
 
 
 class NodeCounts(_Frozen):
@@ -76,11 +28,10 @@ class NodeCounts(_Frozen):
     _fields = ("genus", "xi0", "xi", "delta_i")
 
     def __init__(self, genus, xi0=Fraction(0), xi=(), delta_i=()):
-        g = genus
-        _require_genus(g)
-        xi0 = _fraction(xi0, "xi0")
-        xi = tuple(_fraction(x, "xi weight") for x in xi)
-        delta_i = tuple(_fraction(x, "delta_i weight") for x in delta_i)
+        g = require_genus(genus)
+        xi0 = require_rational(xi0, "xi0")
+        xi = tuple(require_rational(x, "xi weight") for x in xi)
+        delta_i = tuple(require_rational(x, "delta_i weight") for x in delta_i)
         if len(xi) > (g - 1) // 2:
             raise ValueError(
                 f"at most {(g - 1) // 2} subtype weights for genus {g}"
@@ -113,8 +64,9 @@ def d_from_counts(counts):
 
 def chi_nonarch(g, d, eps, delta):
     """chi = (3d - (2g+1)(eps + delta)) / (2g - 2), exact."""
-    _require_genus(g)
-    d, eps, delta = _exact(d, "d"), _exact(eps, "eps"), _exact(delta, "delta")
+    require_genus(g)
+    d, eps = require_rational(d, "d"), require_rational(eps, "eps")
+    delta = require_rational(delta, "delta")
     den = math.lcm(d.denominator, eps.denominator, delta.denominator)
     num = 3 * d.numerator * (den // d.denominator) - (2 * g + 1) * (
         eps.numerator * (den // eps.denominator)
@@ -149,8 +101,7 @@ def chi_arch(g, log_norm_delta_g, delta_faltings):
 
     Pure arithmetic plumbing; computing the inputs is out of scope.
     """
-    if g < 2:
-        raise ValueError("genus must be at least 2")
+    require_genus(g)
     n = math.comb(2 * g, g + 1)
     return (
         -(8 * g * (2 * g + 1)) / (2 * g - 2) * math.log(2 * math.pi)
@@ -168,8 +119,20 @@ def chi_from_pairings(g, log_two, pairing_sum):
     return -2 * g * (log_two + pairing_sum)
 
 
-#: genus-2 fiber types and their parameter arities
-GENUS2_ARITY = {"I": 0, "II": 1, "III": 1, "IV": 2, "V": 2, "VI": 3, "VII": 3}
+#: genus-2 fiber types: the vertex genera and the edges, as (u, v, parameter
+#: index), of the reduction graph that ``genus2_graph`` builds
+_GENUS2_SHAPES = {
+    "I": ({"v": 2}, ()),
+    "II": ({"v1": 1, "v2": 1}, (("v1", "v2", 0),)),
+    "III": ({"v": 1}, (("v", "v", 0),)),
+    "IV": ({"v1": 1, "v2": 0}, (("v1", "v2", 0), ("v2", "v2", 1))),
+    "V": ({"v": 0}, (("v", "v", 0), ("v", "v", 1))),
+    "VI": ({"v1": 1, "v2": 0, "v3": 0}, (("v1", "v2", 0), ("v2", "v3", 1), ("v2", "v3", 2))),
+    "VII": ({"v1": 0, "v2": 0}, (("v1", "v2", 0), ("v1", "v2", 1), ("v1", "v2", 2))),
+}
+
+#: genus-2 fiber types and their parameter arities, one per edge
+GENUS2_ARITY = {t: len(edges) for t, (_, edges) in _GENUS2_SHAPES.items()}
 
 
 class Genus2Row(namedtuple("Genus2Row", "d_half delta eps chi")):
@@ -181,7 +144,7 @@ def _genus2_params(fiber_type, params):
     Fractions."""
     if fiber_type not in GENUS2_ARITY:
         raise ValueError(f"unknown genus-2 type: {fiber_type}")
-    params = tuple(_fraction(x, "thickness parameter") for x in params)
+    params = tuple(require_rational(x, "thickness parameter") for x in params)
     if len(params) != GENUS2_ARITY[fiber_type]:
         raise ValueError(
             f"type {fiber_type} takes {GENUS2_ARITY[fiber_type]} parameters, "
@@ -236,33 +199,8 @@ def genus2_graph(fiber_type, params=()):
     from .metgraph import MetrizedGraph
 
     params = _genus2_params(fiber_type, params)
-    if fiber_type == "I":
-        return MetrizedGraph({"v": 2}, [])
-    if fiber_type == "II":
-        (a,) = params
-        return MetrizedGraph({"v1": 1, "v2": 1}, [("v1", "v2", a)])
-    if fiber_type == "III":
-        (a,) = params
-        return MetrizedGraph({"v": 1}, [("v", "v", a)])
-    if fiber_type == "IV":
-        a, b = params
-        return MetrizedGraph(
-            {"v1": 1, "v2": 0}, [("v1", "v2", a), ("v2", "v2", b)]
-        )
-    if fiber_type == "V":
-        a, b = params
-        return MetrizedGraph({"v": 0}, [("v", "v", a), ("v", "v", b)])
-    if fiber_type == "VI":
-        a, b, c = params
-        return MetrizedGraph(
-            {"v1": 1, "v2": 0, "v3": 0},
-            [("v1", "v2", a), ("v2", "v3", b), ("v2", "v3", c)],
-        )
-    a, b, c = params  # VII
-    return MetrizedGraph(
-        {"v1": 0, "v2": 0},
-        [("v1", "v2", a), ("v1", "v2", b), ("v1", "v2", c)],
-    )
+    genus, edges = _GENUS2_SHAPES[fiber_type]
+    return MetrizedGraph(genus, [(u, v, params[i]) for u, v, i in edges])
 
 
 def node_counts_from_graph(graph):
@@ -275,9 +213,7 @@ def node_counts_from_graph(graph):
     is attached (for genus 2 there are no subtypes and xi0 is forced).
     Returns (NodeCounts, warnings).
     """
-    g = graph.total_genus
-    if g < 2:
-        raise ValueError("genus too small")
+    g = require_genus(graph.total_genus)
     _, sides = graph.bridge_search()
     # lengths summed as integers over the lcm of their denominators
     # *list, not *generator: a resized argument tuple stays on CPython's free list
@@ -316,6 +252,8 @@ def node_counts_from_graph(graph):
 class PlaceReport(_Frozen):
     """Invariants (d, eps, delta, phi, chi) of one place, in nu units.
 
+    ``log_nv`` is an ``int`` or a ``float``, finite as a float, and positive;
+    d, eps, delta, phi and chi are each an ``int`` or a ``Fraction``.
     ``warnings``, a tuple of strings, is outside ``==``, ``hash`` and
     ``repr``: it says how d was counted, it is not a value of the place.
     """
@@ -323,8 +261,12 @@ class PlaceReport(_Frozen):
     _fields = ("label", "genus", "log_nv", "d", "eps", "delta", "phi", "chi")
 
     def __init__(self, label, genus, log_nv, d, eps, delta, phi, chi, warnings=()):
+        # a bool's type is not int; abs(10**400) <= max is False (isfinite overflows)
+        if type(log_nv) not in (int, float) or not abs(log_nv) <= sys.float_info.max:
+            raise ValueError(f"logNv is not a finite int or float: {log_nv!r}")
         if log_nv <= 0:
             raise ValueError("logNv must be positive")
+        phi, chi = require_rational(phi, "phi"), require_rational(chi, "chi")
         expected = chi_nonarch(genus, d, eps, delta)
         if expected != chi:
             raise ValueError(

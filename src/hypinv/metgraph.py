@@ -24,7 +24,8 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import format_rat, parse_rat, require_int, require_keys, require_rational
+from .rational import format_rat, parse_rat, require_genus, require_int
+from .rational import require_keys, require_rational
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,11 @@ class MetrizedGraph:
     def __init__(self, genus, edges):
         """``genus``: mapping vertex id -> genus >= 0; ``edges``: iterable of
         (u, v, length) triples, each length an ``int`` or a ``Fraction``."""
-        self.genus = {
-            str(v): require_int(g, f"genus of vertex {v!r}")
-            for v, g in dict(genus).items()
-        }
+        self.genus = {}
+        for v, g in dict(genus).items():
+            if (vid := str(v)) in self.genus:
+                raise ValueError(f"duplicate vertex id: {vid!r}")
+            self.genus[vid] = require_int(g, f"genus of vertex {v!r}")
         if not self.genus:
             raise ValueError("graph needs at least one vertex")
         if any(g < 0 for g in self.genus.values()):
@@ -440,19 +442,13 @@ def canonical_measure(graph):
     return Measure(masses, densities)
 
 
-def _require_genus(graph):
-    if graph.total_genus < 2:
-        raise ValueError("genus too small")
-
-
 def admissible_measure(graph):
     """(delta_K + 2 mu_can) / (2 total_genus); total mass 1.
 
     That is mass genus(v) / g at v, since K(v) + 2 (1 - valence(v) / 2) =
     2 genus(v), and the canonical density over g on each edge.
     """
-    _require_genus(graph)
-    g, res = graph.total_genus, _Resistances(graph)
+    g, res = require_genus(graph.total_genus), _Resistances(graph)
     masses = {v: Fraction(h, g) for v, h in graph.genus.items()}
     densities = {e.eid: res.density(e) / g for e in graph.edges}
     return Measure(masses, densities)
@@ -495,8 +491,7 @@ def epsilon_phi(graph):
     epsilon = (2g - 2) S + s (K . P) / (det Q),
     c = (2g - 1) S / g + s (MQ . P) / (det Q^2).
     """
-    _require_genus(graph)
-    g, res = graph.total_genus, _Resistances(graph)
+    g, res = require_genus(graph.total_genus), _Resistances(graph)
     det = res._det
     spread = []  # (edge, a_e, b_e, N_e) where N_e != 0: not a bridge
     for e in graph.edges:

@@ -12,6 +12,10 @@ that p is prime on every call; ``_int_val`` and ``valuation_table`` do not.
 ``valuation_table`` is the table of pairwise valuations that
 ``symroots.RootConfig`` keeps, built once per (configuration, prime) after
 the prime is checked; every p-adic function reads it.
+
+``require_int``, ``require_rational`` and ``require_genus`` are the one
+statement of which inputs are exact, and ``_Frozen`` is the one frozen
+record base; every layer reads them here.
 """
 
 from __future__ import annotations
@@ -175,6 +179,14 @@ def require_int(value, what):
     return value
 
 
+def require_genus(g):
+    """``g`` if it is an ``int``, not a ``bool``, of at least 2; ValueError
+    otherwise."""
+    if require_int(g, "genus") < 2:
+        raise ValueError("genus must be at least 2")
+    return g
+
+
 def require_rational(value, what):
     """``value`` as a ``Fraction`` if it is an ``int`` (not a ``bool``) or a
     ``Fraction``; ValueError otherwise, so no float or string is coerced."""
@@ -193,6 +205,34 @@ def require_keys(doc, keys, what, strings=()):
     if bad := [doc[k] for k in strings if not isinstance(doc.get(k, ""), str)]:
         raise ValueError(f"{what} fields {list(strings)} must be strings: {bad!r}")
     return doc
+
+
+_set = object.__setattr__  # how a frozen type sets its fields
+
+
+class _Frozen:
+    """A value type whose fields, named in ``_fields``, are set once in
+    ``__init__``; ``==``, ``hash`` and ``repr`` read them in that order."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 def mobius(x, a, b, c, d):

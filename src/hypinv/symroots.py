@@ -41,12 +41,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .rational import INF, mobius, require_odd_prime, valuation_table
+from .rational import INF, _Frozen, _set, mobius, require_genus, require_odd_prime
+from .rational import valuation_table
 
-_set = object.__setattr__  # how a frozen type sets its fields
 
-
-class RootConfig:
+class RootConfig(_Frozen):
     """Genus plus the 2g+2 pairwise-distinct branch points, each an ``int``,
     a ``Fraction`` or ``INF`` (at most one); a float or a bool is refused.
 
@@ -54,9 +53,10 @@ class RootConfig:
     ``note``, ``all_finite`` or the tables.
     """
 
+    _fields = ("genus", "roots")
+
     def __init__(self, genus, roots, note=""):
-        if genus < 2:
-            raise ValueError("genus must be at least 2")
+        require_genus(genus)
         roots = tuple(roots)
         if len(roots) != 2 * genus + 2:
             raise ValueError(
@@ -76,19 +76,6 @@ class RootConfig:
         _set(self, "all_finite", len(finite) == len(roots))
         #: prime -> (V, S), filled by ``_valuations``; the roots never change.
         _set(self, "_tables", {})
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.genus, self.roots) == (other.genus, other.roots)
-
-    def __hash__(self):
-        return hash((self.genus, self.roots))
 
     def __repr__(self):
         return (

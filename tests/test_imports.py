@@ -1,4 +1,5 @@
-"""Cost guards on start-up: ``import hypinv`` loads no layer, each CLI
+"""Cost guards on start-up: ``import hypinv`` loads no layer, access to a
+public name loads the home layer and the layers it imports, each CLI
 subcommand loads only the layers it runs (``hypinv.verify`` only for
 ``verify``), and the subcommands of the p-adic and scalar layers do not load
 ``dataclasses``.
@@ -52,7 +53,9 @@ def test_import_hypinv_loads_no_layer():
 
 
 def test_attribute_access_loads_only_the_home_layer():
-    assert loaded("import hypinv\nhypinv.chi_nonarch\n") == ["hypinv", "hypinv.invariants"]
+    assert loaded("import hypinv\nhypinv.chi_nonarch\n") == [
+        "hypinv", "hypinv.invariants", "hypinv.rational"
+    ]
     assert loaded("import hypinv\nhypinv.metgraph.MetrizedGraph\n") == [
         "hypinv", "hypinv.metgraph", "hypinv.rational"
     ]

@@ -121,17 +121,19 @@ def test_genus2_row_errors():
         (lambda: genus2_row("II", (True,)), "thickness parameter is not an int or a Fraction"),
         (lambda: genus2_row("III", (0.5,)), "thickness parameter is not an int or a Fraction"),
         (lambda: genus2_graph("VII", (1, "2", 3)), "thickness parameter is not an int or a Fraction"),
+        (lambda: chi_arch(2.0, 1.0, 1.0), "genus is not an integer: 2.0"),
     ],
     ids=[
         "chi_nonarch d", "chi_nonarch eps", "chi_nonarch delta", "chi_nonarch genus",
         "NodeCounts xi0", "NodeCounts xi", "NodeCounts delta_i", "NodeCounts float genus",
         "NodeCounts bool genus", "genus2_row bool", "genus2_row float", "genus2_graph str",
+        "chi_arch float genus",
     ],
 )
 def test_scalar_layer_refuses_what_is_not_exact(call, message):
     # once coerced: chi_nonarch(2, 0.1, 0, 0) gave a fraction over 2**56,
-    # genus2_row("II", (True,)) the II(1) row, and NodeCounts(2.0, 1) raised
-    # TypeError from inside
+    # genus2_row("II", (True,)) the II(1) row, and NodeCounts(2.0, 1) and
+    # chi_arch(2.0, 1.0, 1.0) raised TypeError from inside
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         call()
 
@@ -141,6 +143,12 @@ def test_scalar_layer_keeps_exact_arguments():
     assert NodeCounts(2, half).xi0 is half
     assert NodeCounts(2, 1).xi0 == 1 and type(NodeCounts(2, 1).xi0) is F
     assert chi_nonarch(2, 6, F(5, 9), 3) == chi_nonarch(2, F(6), F(5, 9), F(3))
+
+
+def test_genus2_arity_is_pinned():
+    # read off the shape table: the same types, order and arities as ever
+    assert GENUS2_ARITY == {"I": 0, "II": 1, "III": 1, "IV": 2, "V": 2, "VI": 3, "VII": 3}
+    assert list(GENUS2_ARITY) == ["I", "II", "III", "IV", "V", "VI", "VII"]
 
 
 def test_genus2_graphs_have_genus_two():

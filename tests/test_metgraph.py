@@ -63,6 +63,12 @@ def test_non_integer_vertex_genus_rejected(genus):
         MetrizedGraph({"v": genus}, [("v", "v", F(1))])
 
 
+def test_vertex_ids_that_read_alike_rejected():
+    # ids are kept as strings: 1 and "1" were merged into one vertex of genus 2
+    with pytest.raises(ValueError, match=r"^duplicate vertex id: '1'$"):
+        MetrizedGraph({1: 0, "1": 2}, [])
+
+
 def test_genus_accounting():
     assert loop1().total_genus == 2
     assert theta().total_genus == 2

@@ -8,6 +8,7 @@ not coerced."""
 
 import copy
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -127,6 +128,9 @@ def test_root_config_compares_genus_and_roots_only():
 def test_validation_runs_in_the_constructors():
     with pytest.raises(ValueError, match="genus must be at least 2"):
         RootConfig(1, ROOTS[:4])
+    for genus in (2.0, F(2), "2"):  # once accepted, or a TypeError from inside
+        with pytest.raises(ValueError, match="^genus is not an integer"):
+            RootConfig(genus, ROOTS)
     with pytest.raises(ValueError, match="expected 6 roots for genus 2, got 5"):
         RootConfig(genus=2, roots=ROOTS[:5])
     with pytest.raises(ValueError, match="counts must be nonnegative"):
@@ -145,6 +149,40 @@ def test_root_config_refuses_a_root_that_is_not_rational(bad):
     # symroot_pow 72/35 before it was refused
     with pytest.raises(ValueError, match=r"is not an int, a Fraction or INF"):
         RootConfig(2, (bad,) + ROOTS[1:])
+
+
+@pytest.mark.parametrize(
+    "field,bad,message",
+    [
+        ("phi", "0.1", "phi is not an int or a Fraction: '0.1'"),
+        ("phi", 0.5, "phi is not an int or a Fraction: 0.5"),
+        ("chi", 1.5, "chi is not an int or a Fraction: 1.5"),
+        ("log_nv", "1", "logNv is not a finite int or float: '1'"),
+        ("log_nv", True, "logNv is not a finite int or float: True"),
+        ("log_nv", F(1), "logNv is not a finite int or float: Fraction(1, 1)"),
+        ("log_nv", math.inf, "logNv is not a finite int or float: inf"),
+        ("log_nv", math.nan, "logNv is not a finite int or float: nan"),
+        ("log_nv", 10**400, f"logNv is not a finite int or float: {10**400}"),
+        ("log_nv", -1, "logNv must be positive"),
+    ],
+    ids=[
+        "phi str", "phi float", "chi float", "logNv str", "logNv bool", "logNv Fraction",
+        "logNv inf", "logNv nan", "logNv huge int", "logNv negative",
+    ],
+)
+def test_place_report_refuses_what_it_cannot_store(field, bad, message):
+    # phi was stored unchecked, a chi of 1.5 passed as equal to 3/2, and a
+    # string logNv raised TypeError from inside
+    fields = dict(label="p", genus=2, log_nv=1.0, d=F(6), eps=F(0), delta=F(3))
+    fields.update(phi=F(1, 2), chi=F(3, 2))
+    fields[field] = bad
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PlaceReport(**fields)
+
+
+def test_place_report_keeps_exact_values():
+    rep = PlaceReport("p", 2, 1, F(6), F(0), F(3), 1, F(3, 2))
+    assert rep.log_nv == 1 and type(rep.phi) is F and rep.phi == 1
 
 
 def test_root_config_accepts_ints_fractions_and_one_inf():
