@@ -253,7 +253,8 @@ class PlaceReport(_Frozen):
     """Invariants (d, eps, delta, phi, chi) of one place, in nu units.
 
     ``log_nv`` is an ``int`` or a ``float``, finite as a float, and positive;
-    d, eps, delta, phi and chi are each an ``int`` or a ``Fraction``.
+    d, eps, delta, phi and chi are each an ``int`` or a ``Fraction``, stored
+    as a ``Fraction``.
     ``warnings``, a tuple of strings, is outside ``==``, ``hash`` and
     ``repr``: it says how d was counted, it is not a value of the place.
     """
@@ -266,7 +267,9 @@ class PlaceReport(_Frozen):
             raise ValueError(f"logNv is not a finite int or float: {log_nv!r}")
         if log_nv <= 0:
             raise ValueError("logNv must be positive")
-        phi, chi = require_rational(phi, "phi"), require_rational(chi, "chi")
+        d, eps = require_rational(d, "d"), require_rational(eps, "eps")
+        delta, phi = require_rational(delta, "delta"), require_rational(phi, "phi")
+        chi = require_rational(chi, "chi")
         expected = chi_nonarch(genus, d, eps, delta)
         if expected != chi:
             raise ValueError(

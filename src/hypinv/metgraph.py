@@ -10,8 +10,10 @@ solve on every use, with no cache.  The measure kernel (``_Kernel``, which
 serves ``green``, ``green_diagonal`` and ``verify_admissible``) works in
 integers over one lcm D of the mass denominators and every b_e q_e (density
 p_e / q_e), ``epsilon_phi`` over one A = lcm(a_e b_e) of the non-bridges;
-both build ``Fraction``s only for results.  README.md, "Metrized graphs",
-states the forms with their sources.
+both build ``Fraction``s only for results.  Points are integer pairs too:
+``_on_edge`` takes and returns them, and ``resistance`` and ``green`` each
+build one ``Fraction``, the result.  README.md, "Metrized graphs", states
+the forms with their sources.
 
 Points are addressed by vertex id or as a pair (int edge index, offset)
 with a rational offset in [0, L]; offsets 0 and L normalize to the endpoints.
@@ -283,10 +285,6 @@ class _Resistances:
         i, j, adj = self._index[a], self._index[b], self._adj
         return adj[i][i] + adj[j][j] - 2 * adj[i][j]
 
-    def vertex(self, a, b):
-        """r(a, b) between two vertices."""
-        return Fraction(self._scale * self._r(a, b), self._det)
-
     def foster(self, e):
         """N_e = a det - b s R_e for ``e`` of length a / b, so that
         k_e = b N_e / (a^2 det); 0 exactly on bridges."""
@@ -315,24 +313,39 @@ class _Resistances:
         return Fraction(b * self.foster(e), a * a * self._det)
 
     def between(self, x, y):
-        """r(x, y) between two normalized points."""
+        """r(x, y) between two normalized points as an integer pair (num, den)
+        with den = det w(x) w(y), where w is 1 at a vertex and b n^2 at the
+        point s / L = m / n of an edge of length a / b (``_ratio``)."""
         if x[0] == "v":
             x, y = y, x
         if x[0] == "v":
-            return self.vertex(x[1], y[1])
+            return self._scale * self._r(x[1], y[1]), self._det
         e, s = self.graph.edges[x[1]], x[2]
+        b, n_e = e.length.denominator, self.foster(e)
         if y[0] == "e" and y[1] == e.eid:
-            t = abs(s - y[2])
-            return t - t * t * self.density(e)
-        ru, rv = self.between(y, ("v", e.u)), self.between(y, ("v", e.v))
-        return _on_edge(e, s, ru, rv, self.density(e))
+            # t - t^2 k_e, t / L = |m n' - m' n| / (n n'), L^2 k_e = N_e / (b det)
+            (m, n), (m2, n2) = _ratio(e, s), _ratio(e, y[2])
+            t = abs(m * n2 - m2 * n)
+            num = e.length.numerator * self._det * t * n * n2 - t * t * n_e
+            return b * num, self._det * (b * n * n2) ** 2
+        (ru, den), (rv, _) = self.between(y, ("v", e.u)), self.between(y, ("v", e.v))
+        # the bulge L^2 k_e = N_e / (b det) over the endpoints' b den
+        return _on_edge(e, s, b * ru, b * rv, n_e * (den // self._det), b * den)
 
 
-def _on_edge(e, s, at_u, at_v, bend):
-    """((L - s) at_u + s at_v) / L + s (L - s) bend at offset s on edge ``e``:
-    the chord between the endpoint values plus the bulge (README.md)."""
-    length = e.length
-    return ((length - s) * at_u + s * at_v) / length + s * (length - s) * bend
+def _ratio(e, s):
+    """(m, n) with s / L = m / n for the offset ``s`` on edge ``e``."""
+    return s.numerator * e.length.denominator, s.denominator * e.length.numerator
+
+
+def _on_edge(e, s, at_u, at_v, bulge, den):
+    """The value at offset s on edge ``e`` of a function whose second
+    derivative is constant there: with x = s / L = m / n, the chord between
+    the endpoint values at_u / den and at_v / den plus the bulge
+    x (1 - x) bulge / den, where bulge / den = -L^2 f'' / 2 (README.md).
+    All integers; returns (num, n^2 den), polynomial in m and n."""
+    m, n = _ratio(e, s)
+    return (n - m) * (n * at_u + m * bulge) + n * m * at_v, n * n * den
 
 
 class _Kernel:
@@ -402,12 +415,26 @@ class _Kernel:
         return dd * b * self._n[e.eid] - dn * a2det, dd * a2det
 
     def phi(self, x):
+        """phi_mu(x) as an integer pair (num, den) with den = Z w(x), w as in
+        ``_Resistances.between``."""
         f, z = self._f, self._z
         if x[0] == "v":
-            return Fraction(f[x[1]], z)
+            return f[x[1]], z
         e = self.graph.edges[x[1]]
-        u, v = Fraction(f[e.u], z), Fraction(f[e.v], z)
-        return _on_edge(e, x[2], u, v, Fraction(*self.bend(e)))
+        b, dd = e.length.denominator, self._d[e.eid][1]
+        # the bulge L^2 (k_e - d_e) = bn / (b^2 dd det) over b Z = 6 b det D^2
+        bulge = 6 * self._den * (self._den // (b * dd)) * self.bend(e)[0]
+        return _on_edge(e, x[2], b * f[e.u], b * f[e.v], bulge, b * z)
+
+    def green(self, x, y):
+        """g_mu(x, y) = (phi(x) + phi(y) - r(x, y) - c) / 2 as an integer pair
+        (num, den): phi over Z w, r over det w(x) w(y) = Z w(x) w(y) / W and
+        c over 2 D Z, so 4 D Z w(x) w(y) holds every term."""
+        (fx, dx), (fy, dy) = self.phi(x), self.phi(y)
+        r = self.res.between(x, y)[0]
+        wx, wy = dx // self._z, dy // self._z
+        d2 = 2 * self._den
+        return d2 * (fx * wy + fy * wx - self._w * r) - self._c * wx * wy, 2 * d2 * dx * wy
 
 
 def canonical_divisor(graph):
@@ -422,7 +449,7 @@ def canonical_divisor(graph):
 def resistance(graph, x, y):
     """Effective resistance between two points, exact."""
     px, py = _norm_point(graph, x), _norm_point(graph, y)
-    return _Resistances(graph).between(px, py)
+    return Fraction(*_Resistances(graph).between(px, py))
 
 
 def canonical_measure(graph):
@@ -457,9 +484,7 @@ def admissible_measure(graph):
 def green(graph, mu, x, y):
     """Green's function g_mu(x, y) for a total-mass-1 measure, exact."""
     px, py = _norm_point(graph, x), _norm_point(graph, y)
-    kernel = _Kernel(mu, _Resistances(graph))
-    c = Fraction(kernel._c, 2 * kernel._den * kernel._z)
-    return (kernel.phi(px) + kernel.phi(py) - kernel.res.between(px, py) - c) / 2
+    return Fraction(*_Kernel(mu, _Resistances(graph)).green(px, py))
 
 
 def green_diagonal(graph, mu):

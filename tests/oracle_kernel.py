@@ -8,7 +8,10 @@ the closed forms, so the tests compare the two paths on random graphs and
 require exactly equal ``Fraction``s.
 
 At the end, the ``Fraction`` closed-form kernel that came after it and
-before the integer one, for the Green's-function calls.
+before the integer one, for the Green's-function calls, with the
+``Fraction`` point path (``_Resistances.vertex`` and ``between``, and
+``_on_edge``) that ``resistance`` and ``green`` took before they moved to
+integer pairs, copied verbatim.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from hypinv.metgraph import (
     Measure,
     PiecewisePoly,
     _norm_point,
-    _on_edge,
     _Resistances,
     canonical_divisor,
     delta,
@@ -414,9 +416,45 @@ def verify_canonical(graph, mu):
 # ``verify_admissible`` as they were before the kernel moved to integers over
 # one common denominator, kept verbatim (renamed with a ``fraction_`` prefix)
 # as a test oracle.  They sum Fractions edge by edge on the closed forms of
-# README.md, "Metrized graphs", and share with the code they check only the
-# resistance layer (``_Resistances``, ``_on_edge``), which that move left as
-# it was.
+# README.md, "Metrized graphs".  The point path they read, ``vertex``,
+# ``between`` and ``_on_edge`` as they were before ``resistance`` and
+# ``green`` moved to integer pairs, is copied below verbatim too, so the
+# oracle shares with the code it checks only the solve (``_invert``,
+# ``foster``, ``potentials`` and ``density`` of ``_Resistances``).
+
+
+class _FractionResistances(_Resistances):
+    """``_Resistances`` with its ``Fraction`` point path."""
+
+    def vertex(self, a, b):
+        """r(a, b) between two vertices."""
+        return Fraction(self._scale * self._r(a, b), self._det)
+
+    def between(self, x, y):
+        """r(x, y) between two normalized points."""
+        if x[0] == "v":
+            x, y = y, x
+        if x[0] == "v":
+            return self.vertex(x[1], y[1])
+        e, s = self.graph.edges[x[1]], x[2]
+        if y[0] == "e" and y[1] == e.eid:
+            t = abs(s - y[2])
+            return t - t * t * self.density(e)
+        ru, rv = self.between(y, ("v", e.u)), self.between(y, ("v", e.v))
+        return _on_edge(e, s, ru, rv, self.density(e))
+
+
+def _on_edge(e, s, at_u, at_v, bend):
+    """((L - s) at_u + s at_v) / L + s (L - s) bend at offset s on edge ``e``:
+    the chord between the endpoint values plus the bulge (README.md)."""
+    length = e.length
+    return ((length - s) * at_u + s * at_v) / length + s * (length - s) * bend
+
+
+def fraction_resistance(graph, x, y):
+    """Effective resistance between two points, exact."""
+    px, py = _norm_point(graph, x), _norm_point(graph, y)
+    return _FractionResistances(graph).between(px, py)
 
 
 class _FractionKernel:
@@ -469,7 +507,7 @@ class _FractionKernel:
 def fraction_green(graph, mu, x, y):
     """Green's function g_mu(x, y) for a total-mass-1 measure, exact."""
     px, py = _norm_point(graph, x), _norm_point(graph, y)
-    kernel = _FractionKernel(mu, _Resistances(graph))
+    kernel = _FractionKernel(mu, _FractionResistances(graph))
     return (kernel.phi(px) + kernel.phi(py) - kernel.res.between(px, py) - kernel.c) / 2
 
 

@@ -143,7 +143,7 @@ def test_potentials_of_the_canonical_divisor(graph):
     psi = res.potentials(k)  # numerators over det / s
     for w in graph.vertices:
         psi_w = F(res._scale * psi[w], res._det)
-        assert psi_w == sum(k[v] * res.vertex(v, w) for v in graph.vertices)
+        assert psi_w == sum(k[v] * metgraph.resistance(graph, v, w) for v in graph.vertices)
 
 
 @PROPERTY
@@ -241,23 +241,63 @@ def interior_point(draw, graph, eid):
     return (eid, graph.edges[eid].length * t)
 
 
+def point_pairs(draw, graph):
+    """Vertex-vertex, vertex-interior, interior-vertex, same-edge, equal and
+    distinct-edge point pairs on ``graph``, as far as it has edges."""
+    vertex = st.sampled_from(graph.vertices)
+    pairs = [(draw(vertex), draw(vertex))]
+    if graph.edges:
+        eids = st.integers(0, len(graph.edges) - 1)
+        e1 = draw(eids)
+        x = interior_point(draw, graph, e1)
+        y = interior_point(draw, graph, e1)
+        pairs += [(draw(vertex), x), (x, draw(vertex)), (x, y), (x, x)]
+        if len(graph.edges) >= 2:
+            e2 = draw(eids.filter(lambda i: i != e1))
+            pairs.append((x, interior_point(draw, graph, e2)))
+    return pairs
+
+
 @PROPERTY
 @given(graphs_with_measures(), st.data())
 def test_green_matches_the_fraction_kernel_on_arbitrary_measures(case, data):
     graph, mu = case
-    vertex = st.sampled_from(graph.vertices)
-    pairs = [(data.draw(vertex), data.draw(vertex))]
-    if graph.edges:
-        eids = st.integers(0, len(graph.edges) - 1)
-        e1 = data.draw(eids)
-        x = interior_point(data.draw, graph, e1)
-        y = interior_point(data.draw, graph, e1)
-        pairs += [(data.draw(vertex), x), (x, data.draw(vertex)), (x, y), (x, x)]
-        if len(graph.edges) >= 2:
-            e2 = data.draw(eids.filter(lambda i: i != e1))
-            pairs.append((x, interior_point(data.draw, graph, e2)))
-    for a, b in pairs:
+    for a, b in point_pairs(data.draw, graph):
         assert metgraph.green(graph, mu, a, b) == old.fraction_green(graph, mu, a, b)
+
+
+@PROPERTY
+@given(graphs(), st.data())
+def test_resistance_matches_the_fraction_point_path(graph, data):
+    for a, b in point_pairs(data.draw, graph):
+        r = metgraph.resistance(graph, a, b)
+        assert type(r) is F and r == old.fraction_resistance(graph, a, b)
+
+
+@PROPERTY
+@given(graphs_with_measures(), st.data())
+def test_green_is_its_diagonal_and_gives_back_resistance(case, data):
+    # g(x, x) = phi(x) - c / 2 and r(x, y) = g(x, x) + g(y, y) - 2 g(x, y)
+    graph, mu = case
+    diagonal = metgraph.green_diagonal(graph, mu)
+    for a, b in point_pairs(data.draw, graph):
+        gaa, gbb = metgraph.green(graph, mu, a, a), metgraph.green(graph, mu, b, b)
+        assert gaa == diagonal.evaluate(a) and gbb == diagonal.evaluate(b)
+        r = metgraph.resistance(graph, a, b)
+        assert r == gaa + gbb - 2 * metgraph.green(graph, mu, a, b)
+
+
+@PROPERTY
+@given(graphs_with_measures())
+def test_one_kernel_reads_green_on_every_vertex_pair(case):
+    graph, mu = case
+    kernel = metgraph._Kernel(mu, metgraph._Resistances(graph))
+    values = {
+        (a, b): F(*kernel.green(("v", a), ("v", b)))
+        for a, b in itertools.product(graph.vertices, repeat=2)
+    }
+    for (a, b), g in values.items():
+        assert g == values[b, a] == metgraph.green(graph, mu, a, b)
 
 
 @PROPERTY
@@ -397,31 +437,28 @@ def test_larger_graphs_match_oracle(name):
 
 
 @pytest.mark.parametrize(
-    "call, vertex",
+    "call",
     [
-        (lambda g, mu: metgraph.epsilon_phi(g), lambda g: 0),
-        (lambda g, mu: metgraph.green_diagonal(g, mu), lambda g: 0),
-        (lambda g, mu: metgraph.verify_admissible(g, mu), lambda g: 0),
+        lambda g, mu: metgraph.epsilon_phi(g),
+        lambda g, mu: metgraph.green_diagonal(g, mu),
+        lambda g, mu: metgraph.verify_admissible(g, mu),
     ],
     ids=["epsilon_phi", "green_diagonal", "verify_admissible"],
 )
-def test_no_per_point_vertex_resistances(monkeypatch, call, vertex):
+def test_no_per_point_vertex_resistances(monkeypatch, call):
     # the potentials come from one product with the adjugate and every
-    # canonical density from the integer N_e: no vertex resistance is read
-    # as a Fraction, and no resistance to any point is evaluated
+    # canonical density from the integer N_e: no resistance to any point is
+    # evaluated
     graph = LARGE["necklace(8)"](random.Random("large:necklace(8)"))
     mu = metgraph.admissible_measure(graph)
-    counts = {"vertex": 0, "between": 0}
-    for name in counts:
-        original = getattr(metgraph._Resistances, name)
-
-        def counting(self, *args, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(self, *args)
-
-        monkeypatch.setattr(metgraph._Resistances, name, counting)
+    calls = []
+    original = metgraph._Resistances.between
+    monkeypatch.setattr(
+        metgraph._Resistances, "between",
+        lambda self, *args: calls.append(args) or original(self, *args),
+    )
     call(graph, mu)
-    assert counts == {"vertex": vertex(graph), "between": 0}
+    assert calls == []
 
 
 def test_verify_admissible_builds_as_many_fractions_on_any_necklace(monkeypatch):
@@ -437,6 +474,24 @@ def test_verify_admissible_builds_as_many_fractions_on_any_necklace(monkeypatch)
         assert metgraph.verify_admissible(graph, mu) == 0
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("call", ["resistance", "green"])
+def test_point_queries_build_one_fraction_on_any_necklace(monkeypatch, call):
+    # phi, r and c are integer pairs over one denominator at any two points,
+    # so the one Fraction that metgraph builds is the result
+    calls = []
+    monkeypatch.setattr(metgraph, "Fraction", lambda *a: calls.append(a) or F(*a))
+    for n in (4, 8):
+        graph = necklace(random.Random(f"fractions:{n}"), n)
+        mu = metgraph.admissible_measure(graph)
+        args = (graph,) if call == "resistance" else (graph, mu)
+        x, y = (0, graph.edges[0].length / 3), (n, graph.edges[n].length / 2)
+        pairs = [("v0", "v1"), ("v0", y), (x, "v1"), (x, (0, F(1, 7))), (x, y), (y, x)]
+        for a, b in pairs:
+            calls.clear()
+            getattr(metgraph, call)(*args, a, b)
+            assert len(calls) == 1, (n, a, b)
 
 
 @pytest.mark.parametrize(

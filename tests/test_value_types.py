@@ -185,6 +185,16 @@ def test_place_report_keeps_exact_values():
     assert rep.log_nv == 1 and type(rep.phi) is F and rep.phi == 1
 
 
+def test_place_report_stores_every_invariant_as_a_fraction():
+    # d, eps and delta were stored as given: an int d showed as d=6 in repr
+    rep = PlaceReport("p", 2, 1.0, 6, 0, 3, 1, F(3, 2))
+    values = [rep.d, rep.eps, rep.delta, rep.phi, rep.chi]
+    assert [type(x) for x in values] == [F] * 5
+    assert values == [6, 0, 3, 1, F(3, 2)]
+    assert repr(rep) == repr(PlaceReport("p", 2, 1.0, F(6), F(0), F(3), F(1), F(3, 2)))
+    assert "d=Fraction(6, 1), eps=Fraction(0, 1), delta=Fraction(3, 1)" in repr(rep)
+
+
 def test_root_config_accepts_ints_fractions_and_one_inf():
     roots = (0, F(1, 2), 2, F(3), -4, INF)
     assert RootConfig(2, roots).roots == roots
