@@ -40,6 +40,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
+from .rational import _Record
 from .symroots import _check_triple, _valuations
 
 
@@ -75,32 +76,19 @@ class NormalFormError(ValueError):
         self.report = report
 
 
-class ClusterTree:
+class ClusterTree(_Record):
     """The proper clusters of a configuration at a prime, one node each.
 
-    Mutable; ``==`` compares the attributes and an instance is unhashable.
+    ``config`` is the ``RootConfig``; ``nodes`` the proper clusters, sorted
+    by (level, min member); ``parent`` maps a cluster to the cluster
+    enclosing it, absent for the top; ``node_of_root`` maps a root index to
+    the smallest cluster containing it; ``depth`` maps a root index r to
+    n_r = max_{s != r} val(a_r - a_s); ``vals[r][s]`` = val(a_r - a_s),
+    ``math.inf`` on the diagonal; ``wv2[r][k]`` = 2 * (W_r, V_k), an int.
+    Mutable and unhashable.
     """
 
-    def __init__(self, config, prime, nodes, parent, node_of_root, depth, vals, wv2):
-        self.config = config  # RootConfig
-        self.prime = prime
-        self.nodes = nodes  # the proper clusters, sorted by (level, min member)
-        self.parent = parent  # cluster -> the cluster enclosing it, absent for the top
-        self.node_of_root = node_of_root  # root index -> smallest cluster containing it
-        self.depth = depth  # root index r -> n_r = max_{s != r} val(a_r - a_s)
-        self.vals = vals  # vals[r][s] = val(a_r - a_s), math.inf on the diagonal
-        self.wv2 = wv2  # wv2[r][k] = 2 * (W_r, V_k), an int
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
-        return f"ClusterTree({fields})"
+    _fields = ("config", "prime", "nodes", "parent", "node_of_root", "depth", "vals", "wv2")
 
     def levels(self):
         """{n: the clusters alive at level n, by min member}: the classes

@@ -45,6 +45,7 @@ class NodeCounts(_Frozen):
         delta_i += (Fraction(0),) * (g // 2 - len(delta_i))
         if xi0 < 0 or any(x < 0 for x in xi + delta_i):
             raise ValueError("counts must be nonnegative")
+        # one _set per field, not the base's loop: every graph place builds one
         _set(self, "genus", genus)
         _set(self, "xi0", xi0)
         _set(self, "xi", xi)
@@ -276,6 +277,7 @@ class PlaceReport(_Frozen):
                 f"place {label}: chi = {chi} inconsistent with "
                 f"(3d - (2g+1)(eps+delta))/(2g-2) = {expected}"
             )
+        # one _set per field, not the base's loop: built on every graph place
         _set(self, "label", label)
         _set(self, "genus", genus)
         _set(self, "log_nv", log_nv)

@@ -26,16 +26,12 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational import format_rat, parse_rat, require_genus, require_int
+from .rational import _Frozen, _Record, format_rat, parse_rat, require_genus, require_int
 from .rational import require_keys, require_rational
 
 
-@dataclass(frozen=True)
-class Edge:
-    eid: int
-    u: str
-    v: str
-    length: Fraction
+class Edge(_Frozen):
+    _fields = ("eid", "u", "v", "length")
 
     @property
     def is_loop(self):
@@ -156,12 +152,14 @@ class MetrizedGraph:
         }
 
 
-@dataclass
-class Measure:
-    """Point masses at vertices plus a constant density per edge."""
+class Measure(_Record):
+    """Point masses at vertices (vertex id -> mass) plus a constant density
+    per edge (edge id -> density)."""
 
-    vertex_mass: dict
-    edge_density: dict  # edge id -> density
+    _fields = ("vertex_mass", "edge_density")
+
+    def __init__(self, vertex_mass, edge_density):  # named, for keyword callers
+        super().__init__(vertex_mass, edge_density)
 
     def total_mass(self, graph):
         total = sum(self.vertex_mass.values(), Fraction(0))
@@ -176,7 +174,7 @@ class Measure:
         return self.edge_density.get(eid, Fraction(0))
 
 
-@dataclass
+@dataclass  # the one dataclass: perfbench's checks call dataclasses.replace on it
 class PiecewisePoly:
     """Per-edge quadratic in arc length from the edge's u-endpoint."""
 
@@ -210,8 +208,9 @@ def _edge_point(x):
 
 
 def _edge(graph, eid):
-    """The edge of ``graph`` with the int id ``eid``; ValueError otherwise."""
-    if require_int(eid, "edge id") not in range(len(graph.edges)):
+    """The edge of ``graph`` with the id ``eid``, an int the caller checked;
+    ValueError if there is none."""
+    if eid not in range(len(graph.edges)):
         raise ValueError(f"no edge {eid} in a graph of {len(graph.edges)} edges")
     return graph.edges[eid]
 
@@ -611,7 +610,7 @@ def verify_admissible(graph, mu):
 
 def subdivide(graph, eid, s):
     """Split edge ``eid`` at interior arc length ``s`` with a genus-0 vertex."""
-    e = _edge(graph, eid)
+    e = _edge(graph, require_int(eid, "edge id"))
     s = require_rational(s, "subdivision point")
     if not 0 < s < e.length:
         raise ValueError("subdivision point must be interior")

@@ -14,8 +14,8 @@ that p is prime on every call; ``_int_val`` and ``valuation_table`` do not.
 the prime is checked; every p-adic function reads it.
 
 ``require_int``, ``require_rational`` and ``require_genus`` are the one
-statement of which inputs are exact, and ``_Frozen`` is the one frozen
-record base; every layer reads them here.
+statement of which inputs are exact, and ``_Record`` (with its frozen
+``_Frozen``) is the one record base; every layer reads them here.
 """
 
 from __future__ import annotations
@@ -207,17 +207,20 @@ def require_keys(doc, keys, what, strings=()):
     return doc
 
 
-_set = object.__setattr__  # how a frozen type sets its fields
+_set = object.__setattr__  # how a record sets its fields past a frozen block
 
 
-class _Frozen:
-    """A value type whose fields, named in ``_fields``, are set once in
-    ``__init__``; ``==``, ``hash`` and ``repr`` read them in that order."""
+class _Record:
+    """A value type with its field names in ``_fields``: ``__init__`` takes
+    the fields positionally in that order, and ``==`` and ``repr`` read them
+    in that order.  Unhashable, as a record may change."""
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} "
+                            f"fields {self._fields}, got {len(values)} values")
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
 
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)
@@ -227,12 +230,23 @@ class _Frozen:
             return NotImplemented
         return self._values() == other._values()
 
-    def __hash__(self):
-        return hash(self._values())
+    __hash__ = None
 
     def __repr__(self):
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
         return f"{type(self).__qualname__}({fields})"
+
+
+class _Frozen(_Record):
+    """A ``_Record`` that refuses assignment after ``__init__`` and hashes."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def mobius(x, a, b, c, d):

@@ -70,8 +70,7 @@ class RootConfig(_Frozen):
         finite = [r for r in roots if r is not INF]
         if len(set(finite)) != len(finite):
             raise ValueError("roots must be pairwise distinct")
-        _set(self, "genus", genus)
-        _set(self, "roots", roots)
+        super().__init__(genus, roots)
         _set(self, "note", note)
         _set(self, "all_finite", len(finite) == len(roots))
         #: prime -> (V, S), filled by ``_valuations``; the roots never change.

@@ -98,11 +98,9 @@ def _suite_identities(tally, rng, configs_per_genus=100, mobius_maps=5):
             n = len(cfg.roots)
             i, j, k, r = rng.sample(range(n), 4)
             tag = f"g={g} case={case}"
-            cocycle = (
-                symroots.symroot_pow(cfg, i, j, k)
-                * symroots.symroot_pow(cfg, j, k, i)
-                * symroots.symroot_pow(cfg, k, i, j)
-            )
+            base = symroots.symroot_pow(cfg, i, j, k)
+            cocycle = base * symroots.symroot_pow(cfg, j, k, i)
+            cocycle *= symroots.symroot_pow(cfg, k, i, j)
             tally.check(cocycle == -1, f"cocycle {tag}")
             prod = Fraction(1)
             for m in range(n):
@@ -112,14 +110,10 @@ def _suite_identities(tally, rng, configs_per_genus=100, mobius_maps=5):
             lhs = symroots.sym_discriminant(cfg, i, k) / symroots.sym_discriminant(
                 cfg, j, k
             )
-            rhs = -symroots.symroot_pow(cfg, i, j, k) ** (g2 + 1)
-            tally.check(lhs == rhs, f"disc-ratio {tag}")
-            quot = symroots.symroot_pow(cfg, i, j, k) / symroots.symroot_pow(
-                cfg, i, j, r
-            )
+            tally.check(lhs == -base ** (g2 + 1), f"disc-ratio {tag}")
+            quot = base / symroots.symroot_pow(cfg, i, j, r)
             mu = symroots.cross_ratio(cfg, i, j, k, r)
             tally.check(quot == mu**g2, f"cross-ratio-quotient {tag}")
-            base = symroots.symroot_pow(cfg, i, j, k)
             ok = True
             for _ in range(mobius_maps):
                 moved = _apply_mobius(cfg, random_mobius(rng))

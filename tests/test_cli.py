@@ -162,6 +162,16 @@ def test_cluster_rejects_bad_form(tmp_path, capsys):
     assert "tree" not in doc
 
 
+def test_cluster_without_a_prime_exits_1(tmp_path, capsys):
+    curve = write(tmp_path, "c.json", CURVE6)
+    code, out = run(capsys, "cluster", "--curve", curve)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "validation",
+        "detail": "cluster requires --prime (or a prime in the curve JSON)",
+    }
+
+
 def _count_valuation_tables(monkeypatch):
     calls = []
     real = rational.valuation_table

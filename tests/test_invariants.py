@@ -32,6 +32,8 @@ def test_node_counts_validation():
         NodeCounts(3, xi=(1, 2))  # genus 3 has one subtype
     with pytest.raises(ValueError):
         NodeCounts(2, delta_i=(-1,))
+    with pytest.raises(ValueError, match="at most 1 separating-type weights for genus 3"):
+        NodeCounts(3, delta_i=(1, 1))
 
 
 def test_d_from_counts():

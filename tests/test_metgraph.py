@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracle_kernel
-from hypinv import invariants
+from hypinv import invariants, metgraph
 from hypinv.metgraph import (
     Measure,
     MetrizedGraph,
@@ -143,7 +143,8 @@ def test_resistance_theta():
 @pytest.mark.parametrize(
     "point",
     [("e", 0, F(5)), ("e", 0, F(1, 2)), (-1, F(1, 2)), (2, F(1, 2)), (5, F(1, 2)),
-     (True, F(1, 2)), (1.0, F(1, 2)), ("0", F(1, 2)), (F(0), F(1, 2))],
+     (True, F(1, 2)), (1.0, F(1, 2)), ("0", F(1, 2)), (F(0), F(1, 2)),
+     (0, F(3, 2)), (1, -1), "c"],
 )
 @pytest.mark.parametrize(
     "call",
@@ -158,7 +159,8 @@ def test_resistance_theta():
 def test_edge_point_outside_the_graph_rejected(call, point):
     # a point on an edge is exactly (int edge id in range, offset): a tagged
     # 3-tuple, a negative id (read as the last edge), an id past the end and
-    # a non-int id all raise ValueError; ("e", 0, 5) once gave r = -10/3
+    # a non-int id all raise ValueError, as do an offset outside [0, L] and
+    # an unknown vertex; ("e", 0, 5) once gave r = -10/3
     g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1)), ("b", "a", F(2))])
     with pytest.raises(ValueError):
         call(g, point)
@@ -237,6 +239,33 @@ def test_edge_point_in_range_accepted():
     assert resistance(g, (1, F(1, 2)), "a") == F(3, 2) * F(3, 2) / 3
     mu = canonical_measure(g)
     assert green(g, mu, (1, F(1, 2)), "a") == green(g, mu, "a", (1, F(1, 2)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [resistance, lambda g, x, y: green(g, canonical_measure(g), x, y)],
+    ids=["resistance", "green"],
+)
+def test_edge_point_at_an_end_is_the_endpoint_vertex(call):
+    # edge 1 runs b -> a: offset 0 is b and offset L = 2 is a
+    g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1)), ("b", "a", F(2))])
+    for other in ("a", "b", (0, F(1, 2))):
+        assert call(g, (0, 0), other) == call(g, "a", other) == call(g, (1, F(2)), other)
+        assert call(g, other, (0, F(1))) == call(g, other, "b") == call(g, other, (1, 0))
+
+
+def test_an_edge_point_id_is_checked_once(monkeypatch):
+    g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1)), ("b", "a", F(2))])
+    calls = []
+    real = metgraph.require_int
+
+    def counted(value, what):
+        calls.append(what)
+        return real(value, what)
+
+    monkeypatch.setattr(metgraph, "require_int", counted)
+    assert resistance(g, (1, F(1, 2)), "a") == F(9, 4) / 3
+    assert calls == ["edge id"]
 
 
 def test_canonical_measure_loop():

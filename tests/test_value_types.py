@@ -1,7 +1,8 @@
-"""Value semantics of the p-adic and scalar records, which are plain classes
-and namedtuples rather than dataclasses: equal values are ``==`` and hash
-alike, the frozen ones refuse assignment with ``AttributeError``, and each
-``repr`` is the one the dataclass gave.  The exact-value boundary: a root,
+"""Value semantics of the records, which are ``rational._Record`` classes
+and namedtuples rather than dataclasses (``PiecewisePoly`` aside): equal
+values are ``==`` and hash alike, or are unhashable where mutable, the
+frozen ones refuse assignment with ``AttributeError``, and each ``repr`` is
+the one the dataclass gave.  The exact-value boundary: a root,
 an edge length, a scale factor, a subdivision point, or a measure's vertex
 mass or edge density that is not an ``int`` or a ``Fraction`` is refused,
 not coerced."""
@@ -17,7 +18,7 @@ import pytest
 from hypinv import clustertree, invariants, metgraph, symroots
 from hypinv.clustertree import ClusterNode, ClusterTree, NormalFormReport
 from hypinv.invariants import Genus2Row, NodeCounts, NoetherReport, PlaceReport
-from hypinv.metgraph import MetrizedGraph
+from hypinv.metgraph import Edge, Measure, MetrizedGraph
 from hypinv.rational import INF
 from hypinv.symroots import RootConfig
 
@@ -81,6 +82,22 @@ VALUES = {
         _node, ClusterNode(4, frozenset({0, 1}), F(0)), "ClusterNode(level=2, members={0,1})",
         "level",
     ),
+    "Edge": (
+        lambda: Edge(0, "a", "b", F(1, 2)),
+        Edge(0, "b", "a", F(1, 2)),
+        "Edge(eid=0, u='a', v='b', length=Fraction(1, 2))",
+        "length",
+    ),
+}
+
+#: the mutable records, in the form of VALUES
+MUTABLE = {
+    "Measure": (
+        lambda: Measure({"a": F(1, 2)}, {0: F(1, 4)}),
+        Measure({"a": F(1, 2)}, {0: F(1, 3)}),
+        "Measure(vertex_mass={'a': Fraction(1, 2)}, edge_density={0: Fraction(1, 4)})",
+        "edge_density",
+    ),
 }
 
 
@@ -112,6 +129,41 @@ def test_assignment_to_a_frozen_type_raises_attribute_error(name):
     with pytest.raises(AttributeError):
         obj.no_such_field = 1
     assert getattr(obj, field) == before
+
+
+@pytest.mark.parametrize("name", MUTABLE)
+def test_a_mutable_record_compares_by_value_and_is_unhashable(name):
+    make, other, expected, field = MUTABLE[name]
+    a, b = make(), make()
+    assert a is not b and a == b and a != other
+    assert a.__eq__(expected) is NotImplemented
+    assert repr(a) == expected
+    with pytest.raises(TypeError):
+        hash(a)
+    setattr(b, field, getattr(other, field))
+    assert b == other and a != b
+
+
+def test_measure_takes_its_fields_by_name():
+    mu = Measure(vertex_mass={"a": F(1)}, edge_density={})
+    assert mu == Measure({"a": F(1)}, {}) and mu.mass("a") == 1 and mu.density(0) == 0
+    assert Measure(edge_density={}, vertex_mass={}) == Measure({}, {})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Edge(0, "a", "b"),
+        lambda: Edge(0, "a", "b", F(1), F(1)),
+        lambda: Measure({}),
+        lambda: ClusterTree(*range(7)),
+        lambda: ClusterTree(*range(9)),
+    ],
+    ids=["Edge 3", "Edge 5", "Measure 1", "ClusterTree 7", "ClusterTree 9"],
+)
+def test_a_record_takes_exactly_its_fields(make):
+    with pytest.raises(TypeError):
+        make()
 
 
 def test_root_config_compares_genus_and_roots_only():

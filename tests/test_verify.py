@@ -99,6 +99,23 @@ def test_subdivision_suite():
     assert doc["failed"] == 0
 
 
+#: (passed, failed) of each suite at seed 7; a new suite adds its own pin
+SEED_7 = {
+    "identities": (1500, 0),
+    "cluster-vs-symroots": (200, 0),
+    "genus2-table": (316, 0),
+    "phi-equals-chi": (79, 0),
+    "subdivision": (48, 0),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(set(verify.SUITES) | set(SEED_7)))
+def test_every_suite_passes_its_pinned_count_at_seed_7(suite):
+    assert suite in SEED_7, f"no (passed, failed) pinned for suite {suite!r}"
+    doc = verify.run_suite(suite, 7)  # raises for a pinned suite that is gone
+    assert (doc["passed"], doc["failed"], doc["failures"]) == (*SEED_7[suite], [])
+
+
 def test_determinism():
     a = verify.run_suite("cluster-vs-symroots", 11, n_configs=12)
     b = verify.run_suite("cluster-vs-symroots", 11, n_configs=12)
