@@ -208,14 +208,15 @@ def node_counts_from_graph(graph):
     """Classify edges of a reduction graph into thickness-weighted counts.
 
     Bridges split the graph and are binned by the genus of the smaller side,
-    both read off one ``MetrizedGraph.bridge_search``.
+    both read off the graph's ``bridge_sides``, kept from the constructor's
+    one ``bridge_search``.
     Non-separating edges default to xi0: whether such a node is fixed by the
     hyperelliptic involution is not graph data, so for genus >= 3 a warning
     is attached (for genus 2 there are no subtypes and xi0 is forced).
     Returns (NodeCounts, warnings).
     """
     g = require_genus(graph.total_genus)
-    _, sides = graph.bridge_search()
+    sides = graph.bridge_sides
     # lengths summed as integers over the lcm of their denominators
     # *list, not *generator: a resized argument tuple stays on CPython's free list
     den = math.lcm(*[e.length.denominator for e in graph.edges])

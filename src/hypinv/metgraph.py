@@ -1,12 +1,14 @@
 """Exact potential theory on metrized reduction graphs.
 
 Vertices carry genus markings, edges carry positive rational lengths (loops
-and multi-edges allowed).  Each public computation makes one exact solve,
-``_invert`` of the grounded Laplacian on the vertices, and derives
-resistances, measures, potentials, Green's functions and Zhang's epsilon
-and phi in closed form from its integer adjugate, each form at one code
-site; k_e = b N_e / (a^2 det) on an edge of length a / b is read from the
-solve on every use, with no cache.  The measure kernel (``_Kernel``, which
+and multi-edges allowed).  A ``MetrizedGraph`` is immutable and makes one
+exact solve, ``_invert`` of the grounded Laplacian on the vertices, on its
+first computation and keeps it (``MetrizedGraph._solve``); every public
+computation on the graph derives resistances, measures, potentials, Green's
+functions and Zhang's epsilon and phi in closed form from that solve's
+integer adjugate, each form at one code site.  The solve works out the
+Foster numerator N_e of every edge once, and k_e = b N_e / (a^2 det) on an
+edge of length a / b is read from it.  The measure kernel (``_Kernel``, which
 serves ``green``, ``green_diagonal`` and ``verify_admissible``) works in
 integers over one lcm D of the mass denominators and every b_e q_e (density
 p_e / q_e), ``epsilon_phi`` over one A = lcm(a_e b_e) of the non-bridges;
@@ -25,9 +27,10 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .rational import _Frozen, _Record, format_rat, parse_rat, require_genus, require_int
-from .rational import require_keys, require_rational
+from .rational import _set, require_keys, require_rational
 
 
 class Edge(_Frozen):
@@ -39,31 +42,53 @@ class Edge(_Frozen):
 
 
 class MetrizedGraph:
-    """Connected multigraph with genus-marked vertices and rational lengths."""
+    """Connected multigraph with genus-marked vertices and rational lengths.
+
+    Immutable once built: ``edges`` is a tuple of ``Edge``s, ``genus`` a
+    read-only mapping, and assignment raises ``AttributeError`` as on a
+    ``_Frozen`` record; ``==`` and ``hash`` are by identity.  The graph keeps
+    ``total_genus``, the constructor's ``bridge_sides`` (the ``sides`` of
+    ``bridge_search``, read-only) and, from the first computation on, its one
+    Laplacian solve (``_solve``)."""
+
+    __setattr__ = __delattr__ = _Frozen.__setattr__
+    _res = None  # the kept solve, set by ``_solve``
 
     def __init__(self, genus, edges):
         """``genus``: mapping vertex id -> genus >= 0; ``edges``: iterable of
         (u, v, length) triples, each length an ``int`` or a ``Fraction``."""
-        self.genus = {}
+        marks = {}
         for v, g in dict(genus).items():
-            if (vid := str(v)) in self.genus:
+            if (vid := str(v)) in marks:
                 raise ValueError(f"duplicate vertex id: {vid!r}")
-            self.genus[vid] = require_int(g, f"genus of vertex {v!r}")
-        if not self.genus:
+            marks[vid] = require_int(g, f"genus of vertex {v!r}")
+        if not marks:
             raise ValueError("graph needs at least one vertex")
-        if any(g < 0 for g in self.genus.values()):
+        if any(g < 0 for g in marks.values()):
             raise ValueError("vertex genus must be nonnegative")
-        self.edges = []
+        links = []
         for i, (u, v, length) in enumerate(edges):
             u, v = str(u), str(v)
-            if u not in self.genus or v not in self.genus:
+            if u not in marks or v not in marks:
                 raise ValueError(f"edge ({u}, {v}) references unknown vertex")
             length = require_rational(length, f"length of edge ({u}, {v})")
             if length <= 0:
                 raise ValueError("edge lengths must be positive")
-            self.edges.append(Edge(i, u, v, length))
-        if not self.bridge_search()[0]:
+            links.append(Edge(i, u, v, length))
+        _set(self, "genus", MappingProxyType(marks))
+        _set(self, "edges", tuple(links))
+        _set(self, "total_genus", self.betti + sum(marks.values()))
+        connected, sides = self.bridge_search()
+        if not connected:
             raise ValueError("graph must be connected")
+        _set(self, "bridge_sides", MappingProxyType(sides))
+
+    def _solve(self):
+        """The graph's one ``_Resistances``: built on the first call, then
+        kept, so every computation on the graph reads the same solve."""
+        if self._res is None:
+            _set(self, "_res", _Resistances(self))
+        return self._res
 
     def bridge_search(self):
         """One depth-first search with low links (Tarjan, SIAM J. Comput. 1,
@@ -118,10 +143,6 @@ class MetrizedGraph:
     @property
     def betti(self):
         return len(self.edges) - len(self.genus) + 1
-
-    @property
-    def total_genus(self):
-        return self.betti + sum(self.genus.values())
 
     @classmethod
     def from_json(cls, doc):
@@ -195,6 +216,7 @@ class PiecewisePoly:
                 raise ValueError(f"offset {s} outside edge {eid}")
             c0, c1, c2 = self.edge_coeffs[eid]
             return c0 + c1 * s + c2 * s * s
+        point = str(point)  # as ``_norm_point`` reads a vertex id
         if point not in self.vertex_values:
             raise ValueError(f"unknown vertex: {point}")
         return self.vertex_values[point]
@@ -258,6 +280,8 @@ class _Resistances:
     Conductance 1/length per edge, scaled by the lcm s of the length
     numerators to integers; grounded at the first vertex the Laplacian is
     positive definite, with adjugate adj and determinant det: G = s adj / det.
+    The constructor also works out the Foster numerator N_e of every edge
+    (``foster``), which every reader of k_e takes from ``_n``.
     """
 
     def __init__(self, graph):
@@ -278,6 +302,7 @@ class _Resistances:
         # grounded at the first vertex, whose row and column stay 0
         adj, self._det = _invert([row[1:] for row in lap[1:]])
         self._adj = [[0] * n] + [[0] + row for row in adj]
+        self._n = [self.foster(e) for e in graph.edges]
 
     def _r(self, a, b):
         """det r(a, b) / s, an integer."""
@@ -307,9 +332,9 @@ class _Resistances:
 
     def density(self, e):
         """Canonical density k_e = (L - r(u, v)) / L^2 of edge ``e``, read as
-        b N_e / (a^2 det) from ``foster`` on every call; nothing is cached."""
+        b N_e / (a^2 det) from the solve's N_e."""
         a, b = e.length.numerator, e.length.denominator
-        return Fraction(b * self.foster(e), a * a * self._det)
+        return Fraction(b * self._n[e.eid], a * a * self._det)
 
     def between(self, x, y):
         """r(x, y) between two normalized points as an integer pair (num, den)
@@ -320,7 +345,7 @@ class _Resistances:
         if x[0] == "v":
             return self._scale * self._r(x[1], y[1]), self._det
         e, s = self.graph.edges[x[1]], x[2]
-        b, n_e = e.length.denominator, self.foster(e)
+        b, n_e = e.length.denominator, self._n[e.eid]
         if y[0] == "e" and y[1] == e.eid:
             # t - t^2 k_e, t / L = |m n' - m' n| / (n n'), L^2 k_e = N_e / (b det)
             (m, n), (m2, n2) = _ratio(e, s), _ratio(e, y[2])
@@ -364,17 +389,20 @@ class _Kernel:
         if unknown:
             unknown = sorted(unknown, key=str)
             raise ValueError(f"measure has densities on unknown edges: {unknown}")
-        not_mass_one = "measure must have total mass 1 on the graph's points"
-        if not mu.vertex_mass.keys() <= graph.genus.keys():
-            raise ValueError(not_mass_one)
+        unknown = mu.vertex_mass.keys() - graph.genus.keys()
+        if unknown:
+            unknown = sorted(unknown, key=str)
+            raise ValueError(
+                f"measure has masses on unknown vertices, not on the graph's points: "
+                f"{unknown}"
+            )
         self.res, det = res, res._det
         masses = [
             (v, require_rational(m, f"mass of vertex {v!r}"))
             for v, m in mu.vertex_mass.items()
         ]
-        self._n, self._d = [], []  # per edge: N_e, (numerator, denominator) of d_e
+        self._d = []  # per edge: (numerator, denominator) of d_e
         for e in graph.edges:
-            self._n.append(res.foster(e))
             d = require_rational(mu.edge_density.get(e.eid, 0), f"density of edge {e.eid}")
             self._d.append((d.numerator, d.denominator))
         # *list, not *generator: a resized argument tuple stays on CPython's free list
@@ -387,7 +415,7 @@ class _Kernel:
         mass = dict.fromkeys(graph.genus, 0)
         mass.update((v, 2 * m.numerator * (den // m.denominator)) for v, m in masses)
         t1 = t2 = 0
-        for e, n, (p, q) in zip(graph.edges, self._n, self._d):
+        for e, n, (p, q) in zip(graph.edges, res._n, self._d):
             a, b = e.length.numerator, e.length.denominator
             x = p * a * (den // (b * q))  # D d_e L_e
             mass[e.u] += x
@@ -395,7 +423,7 @@ class _Kernel:
             t1 += x * n * (den // b)
             t2 += x * x * a * (den // b)
         if sum(mass.values()) != 2 * den:
-            raise ValueError(not_mass_one)
+            raise ValueError("measure must have total mass 1 on the graph's points")
         # phi_mu(v) = t1 / (6 det D^2) + s P_v / (2 D det) = F_v / Z
         w = self._w = 6 * den * den
         z = self._z = det * w
@@ -411,7 +439,7 @@ class _Kernel:
         a, b = e.length.numerator, e.length.denominator
         dn, dd = self._d[e.eid]
         a2det = a * a * self.res._det
-        return dd * b * self._n[e.eid] - dn * a2det, dd * a2det
+        return dd * b * self.res._n[e.eid] - dn * a2det, dd * a2det
 
     def phi(self, x):
         """phi_mu(x) as an integer pair (num, den) with den = Z w(x), w as in
@@ -448,7 +476,7 @@ def canonical_divisor(graph):
 def resistance(graph, x, y):
     """Effective resistance between two points, exact."""
     px, py = _norm_point(graph, x), _norm_point(graph, y)
-    return Fraction(*_Resistances(graph).between(px, py))
+    return Fraction(*graph._solve().between(px, py))
 
 
 def canonical_measure(graph):
@@ -461,7 +489,7 @@ def canonical_measure(graph):
     1993).  That is 1/L on a loop and 0 on a bridge.  Foster's identity,
     sum over edges of (1 - r(u, v)/L) = betti, makes the mass 1.
     """
-    res = _Resistances(graph)
+    res = graph._solve()
     k = canonical_divisor(graph)
     masses = {v: Fraction(2 * graph.genus[v] - kv, 2) for v, kv in k.items()}
     densities = {e.eid: res.density(e) for e in graph.edges}
@@ -474,7 +502,7 @@ def admissible_measure(graph):
     That is mass genus(v) / g at v, since K(v) + 2 (1 - valence(v) / 2) =
     2 genus(v), and the canonical density over g on each edge.
     """
-    g, res = require_genus(graph.total_genus), _Resistances(graph)
+    g, res = require_genus(graph.total_genus), graph._solve()
     masses = {v: Fraction(h, g) for v, h in graph.genus.items()}
     densities = {e.eid: res.density(e) / g for e in graph.edges}
     return Measure(masses, densities)
@@ -483,12 +511,12 @@ def admissible_measure(graph):
 def green(graph, mu, x, y):
     """Green's function g_mu(x, y) for a total-mass-1 measure, exact."""
     px, py = _norm_point(graph, x), _norm_point(graph, y)
-    return Fraction(*_Kernel(mu, _Resistances(graph)).green(px, py))
+    return Fraction(*_Kernel(mu, graph._solve()).green(px, py))
 
 
 def green_diagonal(graph, mu):
     """x -> g_mu(x, x) = phi_mu(x) - c/2 as an exact per-edge quadratic."""
-    kernel = _Kernel(mu, _Resistances(graph))
+    kernel = _Kernel(mu, graph._solve())
     f, z, w, c4 = kernel._f, kernel._z, kernel._w, 4 * kernel._den
     values = {v: Fraction(c4 * x - kernel._c, c4 * z) for v, x in f.items()}
     coeffs = {}
@@ -515,13 +543,13 @@ def epsilon_phi(graph):
     epsilon = (2g - 2) S + s (K . P) / (det Q),
     c = (2g - 1) S / g + s (MQ . P) / (det Q^2).
     """
-    g, res = require_genus(graph.total_genus), _Resistances(graph)
+    g, res = require_genus(graph.total_genus), graph._solve()
     det = res._det
-    spread = []  # (edge, a_e, b_e, N_e) where N_e != 0: not a bridge
-    for e in graph.edges:
-        n = res.foster(e)
-        if n:
-            spread.append((e, e.length.numerator, e.length.denominator, n))
+    spread = [  # (edge, a_e, b_e, N_e) where N_e != 0: not a bridge
+        (e, e.length.numerator, e.length.denominator, n)
+        for e, n in zip(graph.edges, res._n)
+        if n
+    ]
     # A; *list, not *generator: a resized argument tuple stays on CPython's free list
     lcm_ab = math.lcm(*[a * b for _, a, b, _ in spread])
     q = 2 * g * det * lcm_ab
@@ -594,14 +622,14 @@ def verify_admissible(graph, mu):
     covers every b, so every h is an integer over U = 2 det W = 12 det D^2,
     and the one Fraction is the result.
     """
-    res = _Resistances(graph)
+    res = graph._solve()
     kernel = _Kernel(mu, res)
     g, det, w, den = graph.total_genus, res._det, kernel._w, kernel._den
     # h = H_v / Z at the vertices, as psi_K(v) = s P_v / det = s W P_v / Z
     sw, psi = res._scale * w, res.potentials(canonical_divisor(graph))
     h = {v: 2 * g * kernel._f[v] - sw * x for v, x in psi.items()}
     values = [2 * x for x in h.values()]  # h U with U = 2 Z
-    for e, n, (p, q) in zip(graph.edges, kernel._n, kernel._d):
+    for e, n, (p, q) in zip(graph.edges, res._n, kernel._d):
         a, b = e.length.numerator, e.length.denominator
         density = 6 * g * det * a * a * p * (den // b) * (den // (b * q))
         values.append(h[e.u] + h[e.v] + n * (w // b) - density)

@@ -11,7 +11,8 @@ At the end, the ``Fraction`` closed-form kernel that came after it and
 before the integer one, for the Green's-function calls, with the
 ``Fraction`` point path (``_Resistances.vertex`` and ``between``, and
 ``_on_edge``) that ``resistance`` and ``green`` took before they moved to
-integer pairs, copied verbatim.
+integer pairs, copied verbatim, except that a measure with a mass off the
+graph is refused with the integer kernel's message, which names the vertices.
 """
 
 from __future__ import annotations
@@ -471,7 +472,14 @@ class _FractionKernel:
         if unknown:
             unknown = sorted(unknown, key=str)
             raise ValueError(f"measure has densities on unknown edges: {unknown}")
-        if mu.total_mass(graph) != 1 or not mu.vertex_mass.keys() <= graph.genus.keys():
+        unknown = mu.vertex_mass.keys() - graph.genus.keys()
+        if unknown:
+            unknown = sorted(unknown, key=str)
+            raise ValueError(
+                f"measure has masses on unknown vertices, not on the graph's points: "
+                f"{unknown}"
+            )
+        if mu.total_mass(graph) != 1:
             raise ValueError("measure must have total mass 1 on the graph's points")
         self.mu, self.res = mu, res
         mass = {v: mu.mass(v) for v in graph.genus}  # M_v

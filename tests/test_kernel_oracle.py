@@ -127,15 +127,22 @@ CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", CALLS)
-def test_one_vertex_laplacian_inverse_per_call(monkeypatch, name):
-    graph = metgraph.MetrizedGraph(
+def inverse_test_graph():
+    return metgraph.MetrizedGraph(
         {"a": 0, "b": 1, "c": 0, "d": 0},
         [("a", "b", 1), ("b", "c", 2), ("c", "a", 3), ("a", "c", 1),
          ("c", "d", F(1, 2)), ("d", "d", 2)],
     )
-    mu = metgraph.admissible_measure(graph)
-    can = metgraph.canonical_measure(graph)
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_one_vertex_laplacian_inverse_per_call(monkeypatch, name):
+    # one solve per graph: the first call inverts, every later call on the
+    # graph reads the kept solve, and scale and subdivide, which build new
+    # graphs, invert once each; the measures come from an equal twin graph
+    twin = inverse_test_graph()
+    mu = metgraph.admissible_measure(twin)
+    can = metgraph.canonical_measure(twin)
     original, sizes = metgraph._invert, []
 
     def counting(matrix):
@@ -143,5 +150,15 @@ def test_one_vertex_laplacian_inverse_per_call(monkeypatch, name):
         return original(matrix)
 
     monkeypatch.setattr(metgraph, "_invert", counting)
+    graph = inverse_test_graph()
     CALLS[name](graph, mu, can)
     assert sizes == [len(graph.genus) - 1]
+    for call in CALLS.values():
+        call(graph, mu, can)
+    assert sizes == [len(graph.genus) - 1]
+    for derived in (metgraph.scale(graph, 3), metgraph.subdivide(graph, 5, F(1, 2))):
+        mu, can = metgraph.admissible_measure(derived), metgraph.canonical_measure(derived)
+        for call in CALLS.values():
+            call(derived, mu, can)
+    # the scaled graph has as many vertices, the subdivided one a vertex more
+    assert sizes == [3, 3, 4]

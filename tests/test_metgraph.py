@@ -197,6 +197,38 @@ def test_piecewise_poly_rejects_a_point_off_the_graph(point, message):
         poly.evaluate(point)
 
 
+def test_every_point_function_reads_an_int_vertex_id_alike():
+    # ids are strings on the graph; green_diagonal's evaluate(0) once raised
+    # "unknown vertex: 0" where resistance and green took the int 0
+    g = MetrizedGraph({0: 1, 1: 1}, [(0, 1, 2), (0, 1, 3)])
+    mu = admissible_measure(g)
+    poly = green_diagonal(g, mu)
+    assert poly.evaluate(0) == poly.evaluate("0") == green(g, mu, 0, 0)
+    assert poly.evaluate(1) == green(g, mu, "1", 1)
+    assert resistance(g, 0, 1) == resistance(g, "0", "1") == F(6, 5)
+    with pytest.raises(ValueError, match="unknown vertex: 2"):
+        poly.evaluate(2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, mu: green(g, mu, "0", "1"),
+        green_diagonal,
+        verify_admissible,
+    ],
+    ids=["green", "green_diagonal", "verify_admissible"],
+)
+def test_measure_with_mass_off_the_graph_names_the_vertices(call):
+    # the masses total 1, so "total mass 1" would not say what is wrong: the
+    # graph's ids are strings and the mass sits on the int 0
+    g = MetrizedGraph({0: 1, 1: 1}, [(0, 1, 2), (0, 1, 3)])
+    with pytest.raises(ValueError, match=r"unknown vertices, .*: \[0\]$"):
+        call(g, Measure({0: F(1, 2), "1": F(1, 2)}, {}))
+    with pytest.raises(ValueError, match=r"unknown vertices, .*: \[2, 'x'\]$"):
+        call(g, Measure({"0": F(1, 2), 2: F(1, 4), "x": F(1, 4)}, {}))
+
+
 def test_piecewise_poly_reads_its_edge_ends_and_keeps_lengths_out_of_equality():
     g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1)), ("b", "a", F(2))])
     poly = green_diagonal(g, admissible_measure(g))
@@ -609,3 +641,17 @@ def test_node_counts_classify_bridges(graph):
     counts, _ = invariants.node_counts_from_graph(graph)
     assert counts.xi0 == sum((e.length for e in graph.edges if density(e.eid) > 0), F(0))
     assert counts.delta_i == tuple(delta_i)
+
+
+@pytest.mark.parametrize("graph", RANDOM[:4])
+def test_node_counts_read_the_constructors_bridge_search(monkeypatch, graph):
+    # the graph keeps the sides and the genus its constructor found, so a
+    # place report runs no second search
+    assert graph.bridge_sides == graph.bridge_search()[1]
+    assert graph.total_genus == graph.betti + sum(graph.genus.values())
+    expected = invariants.node_counts_from_graph(graph)
+    monkeypatch.setattr(MetrizedGraph, "bridge_search", lambda self: pytest.fail("searched"))
+    assert invariants.node_counts_from_graph(graph) == expected
+    assert invariants.place_report_from_graph("p", graph).d == invariants.d_from_counts(
+        expected[0]
+    )

@@ -287,6 +287,39 @@ def test_green_is_its_diagonal_and_gives_back_resistance(case, data):
         assert r == gaa + gbb - 2 * metgraph.green(graph, mu, a, b)
 
 
+#: The seven public computations on one graph, on (graph, mu, x, y), and
+#: their oracles: the Fraction kernel where it exists, else the old one.
+SEVEN = {
+    "resistance": (lambda g, mu, x, y: metgraph.resistance(g, x, y),
+                   lambda g, mu, x, y: old.fraction_resistance(g, x, y)),
+    "green": (metgraph.green, old.fraction_green),
+    "green_diagonal": (lambda g, mu, x, y: metgraph.green_diagonal(g, mu),
+                       lambda g, mu, x, y: old.fraction_green_diagonal(g, mu)),
+    "verify_admissible": (lambda g, mu, x, y: metgraph.verify_admissible(g, mu),
+                          lambda g, mu, x, y: old.fraction_verify_admissible(g, mu)),
+    "canonical_measure": (lambda g, mu, x, y: metgraph.canonical_measure(g),
+                          lambda g, mu, x, y: old.canonical_measure(g)),
+    "admissible_measure": (lambda g, mu, x, y: metgraph.admissible_measure(g),
+                           lambda g, mu, x, y: old.admissible_measure(g)),
+    "epsilon_phi": (lambda g, mu, x, y: metgraph.epsilon_phi(g),
+                    lambda g, mu, x, y: old.epsilon_phi(g)),
+}
+
+
+@PROPERTY
+@given(graphs_with_measures(), st.data())
+def test_the_kept_solve_gives_what_a_fresh_graph_gives_in_any_order(case, data):
+    # the first call on the graph builds its solve and the rest read it; each
+    # result equals the same call as the first on an equal fresh graph, and
+    # the oracle's
+    graph, mu = case
+    x, y = data.draw(st.sampled_from(point_pairs(data.draw, graph)))
+    for name in data.draw(st.permutations(list(SEVEN))):
+        call, oracle = SEVEN[name]
+        fresh = MetrizedGraph(graph.genus, [(e.u, e.v, e.length) for e in graph.edges])
+        assert call(graph, mu, x, y) == call(fresh, mu, x, y) == oracle(graph, mu, x, y)
+
+
 @PROPERTY
 @given(graphs_with_measures())
 def test_one_kernel_reads_green_on_every_vertex_pair(case):
@@ -504,15 +537,20 @@ def test_point_queries_build_one_fraction_on_any_necklace(monkeypatch, call):
     ids=["green_diagonal", "verify_admissible", "epsilon_phi"],
 )
 def test_one_denominator_per_integer_route(monkeypatch, call, lcms):
-    # the solve's scale s, then one lcm for the kernel (D) or for epsilon_phi
-    # (A, and delta's own): no route sums over a denominator per edge term
-    graph = LARGE["random(10, 15)"](random.Random("large:random(10, 15)"))
-    mu = metgraph.admissible_measure(graph)
-    calls = []
+    # the solve's scale s, once per graph, then one lcm for the kernel (D) or
+    # for epsilon_phi (A, and delta's own): no route sums over a denominator
+    # per edge term; the measure comes from an equal twin graph
+    def build():
+        return LARGE["random(10, 15)"](random.Random("large:random(10, 15)"))
+
+    mu = metgraph.admissible_measure(build())
+    graph, calls = build(), []
     original = math.lcm
     monkeypatch.setattr(math, "lcm", lambda *args: calls.append(args) or original(*args))
     call(graph, mu)
     assert len(calls) == lcms
+    call(graph, mu)  # the kept solve: no second s
+    assert len(calls) == 2 * lcms - 1
 
 
 def test_epsilon_phi_builds_no_measure_or_kernel(monkeypatch):

@@ -305,6 +305,28 @@ def test_the_kernel_refuses_a_mass_or_density_that_is_not_rational(call, bad):
         call(graph, metgraph.Measure({"v": F(1, 2)}, {0: bad}))
 
 
+def test_a_metrized_graph_refuses_mutation_and_compares_by_identity():
+    # its kept solve and bridge sides would go stale under any change
+    graph = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", 2), ("b", "a", F(1, 3)), ("a", "a", 1)])
+    before = graph.to_json()
+    for name, value in [("edges", ()), ("genus", {}), ("total_genus", 5),
+                        ("bridge_sides", {}), ("_res", None), ("color", "red")]:
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(graph, name, value)
+    for name in ("edges", "genus", "_res"):
+        with pytest.raises(AttributeError):
+            delattr(graph, name)
+    with pytest.raises(TypeError):
+        graph.genus["a"] = 3
+    with pytest.raises(TypeError):
+        graph.bridge_sides[0] = 1
+    with pytest.raises(AttributeError):
+        graph.edges.append(graph.edges[0])
+    assert type(graph.edges) is tuple and graph.to_json() == before
+    twin = MetrizedGraph(graph.genus, [(e.u, e.v, e.length) for e in graph.edges])
+    assert graph == graph and graph != twin and len({graph, twin}) == 2
+
+
 def test_metrized_graph_takes_ints_and_fractions_as_fractions():
     graph = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", 2), ("b", "a", F(1, 3)), ("a", "a", 1)])
     assert [e.length for e in graph.edges] == [F(2), F(1, 3), F(1)]
