@@ -3,7 +3,8 @@
 Subcommands: symroots, cluster, graph, genus2, invariants, global, verify.
 All exact values are emitted as rational strings "n/d"; real (log-scaled)
 companions are decimal strings and never replace the exact values.  Exit
-codes: 0 success, 1 input/validation error, 2 internal failure.
+codes: 0 success, 1 input/validation error, 2 internal failure, 3 a verify
+suite ran and one of its checks failed (its document is printed as on 0).
 """
 
 from __future__ import annotations
@@ -306,14 +307,15 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _emit(args.func(args), args.out)
+        doc = args.func(args)
+        _emit(doc, args.out)
     except ValueError as exc:
         _emit({"error": "validation", "detail": str(exc)}, None)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _emit({"error": "internal", "detail": f"{type(exc).__name__}: {exc}"}, None)
         return 2
-    return 0
+    return 3 if args.func is _cmd_verify and doc["failed"] else 0
 
 
 if __name__ == "__main__":

@@ -8,10 +8,12 @@ computation on the graph derives resistances, measures, potentials, Green's
 functions and Zhang's epsilon and phi in closed form from that solve's
 integer adjugate, each form at one code site.  The solve works out the
 Foster numerator N_e of every edge once, and k_e = b N_e / (a^2 det) on an
-edge of length a / b is read from it.  The measure kernel (``_Kernel``, which
-serves ``green``, ``green_diagonal`` and ``verify_admissible``) works in
-integers over one lcm D of the mass denominators and every b_e q_e (density
-p_e / q_e), ``epsilon_phi`` over one A = lcm(a_e b_e) of the non-bridges;
+edge of length a / b is read from it.  A ``Measure`` is immutable too, and
+the graph keeps the measure kernel (``_Kernel``, which serves ``green``,
+``green_diagonal`` and ``verify_admissible``) of the last measure it was
+asked about (``MetrizedGraph._kernel``).  The kernel works in integers over
+one lcm D of the mass denominators and every b_e q_e (density p_e / q_e),
+``epsilon_phi`` over one A = lcm(a_e b_e) of the non-bridges;
 both build ``Fraction``s only for results.  Points are integer pairs too:
 ``_on_edge`` takes and returns them, and ``resistance`` and ``green`` each
 build one ``Fraction``, the result.  README.md, "Metrized graphs", states
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
-from .rational import _Frozen, _Record, format_rat, parse_rat, require_genus, require_int
+from .rational import _Frozen, format_rat, parse_rat, require_genus, require_int
 from .rational import _set, require_keys, require_rational
 
 
@@ -49,10 +51,11 @@ class MetrizedGraph:
     ``_Frozen`` record; ``==`` and ``hash`` are by identity.  The graph keeps
     ``total_genus``, the constructor's ``bridge_sides`` (the ``sides`` of
     ``bridge_search``, read-only) and, from the first computation on, its one
-    Laplacian solve (``_solve``)."""
+    Laplacian solve (``_solve``) and the kernel of the last measure asked
+    about (``_kernel``)."""
 
     __setattr__ = __delattr__ = _Frozen.__setattr__
-    _res = None  # the kept solve, set by ``_solve``
+    _res = _ker = None  # the kept solve and kernel, set by ``_solve`` and ``_kernel``
 
     def __init__(self, genus, edges):
         """``genus``: mapping vertex id -> genus >= 0; ``edges``: iterable of
@@ -89,6 +92,16 @@ class MetrizedGraph:
         if self._res is None:
             _set(self, "_res", _Resistances(self))
         return self._res
+
+    def _kernel(self, mu):
+        """The ``_Kernel`` of the measure ``mu`` on this graph: the kept one if
+        it was built for ``mu`` itself, else a new one, kept in its place.  A
+        ``Measure`` is immutable, so the kept kernel's checks still hold."""
+        kernel = self._ker
+        if kernel is None or kernel.mu is not mu:
+            kernel = _Kernel(mu, self._solve())
+            _set(self, "_ker", kernel)
+        return kernel
 
     def bridge_search(self):
         """One depth-first search with low links (Tarjan, SIAM J. Comput. 1,
@@ -173,14 +186,26 @@ class MetrizedGraph:
         }
 
 
-class Measure(_Record):
+class Measure(_Frozen):
     """Point masses at vertices (vertex id -> mass) plus a constant density
-    per edge (edge id -> density)."""
+    per edge (edge id -> density).
+
+    Immutable, so that a graph can keep its kernel: both mappings are
+    read-only copies and assignment raises ``AttributeError``; ``==`` and
+    ``hash`` are by value."""
 
     _fields = ("vertex_mass", "edge_density")
 
     def __init__(self, vertex_mass, edge_density):  # named, for keyword callers
-        super().__init__(vertex_mass, edge_density)
+        super().__init__(MappingProxyType(dict(vertex_mass)),
+                         MappingProxyType(dict(edge_density)))
+
+    def __hash__(self):
+        return hash(tuple(frozenset(m.items()) for m in self._values()))
+
+    def __repr__(self):
+        masses, densities = map(dict, self._values())
+        return f"Measure(vertex_mass={masses!r}, edge_density={densities!r})"
 
     def total_mass(self, graph):
         total = sum(self.vertex_mass.values(), Fraction(0))
@@ -375,6 +400,9 @@ def _on_edge(e, s, at_u, at_v, bulge, den):
 class _Kernel:
     """Potential computations for one (graph, measure) pair, in integers.
 
+    Built, and its measure checked, once per pair: the graph keeps it
+    (``MetrizedGraph._kernel``), and a ``Measure`` cannot change.
+
     Over one denominator D, the lcm of the vertex-mass denominators and of
     b_e q_e on every edge of length a_e / b_e and density p_e / q_e, the
     potential phi(x) = int r(x, .) dmu is kept at the vertices as integer
@@ -384,6 +412,7 @@ class _Kernel:
     """
 
     def __init__(self, mu, res):
+        self.mu = mu  # the measure itself: ``MetrizedGraph._kernel`` tests identity
         graph = self.graph = res.graph
         unknown = mu.edge_density.keys() - {e.eid for e in graph.edges}
         if unknown:
@@ -511,12 +540,12 @@ def admissible_measure(graph):
 def green(graph, mu, x, y):
     """Green's function g_mu(x, y) for a total-mass-1 measure, exact."""
     px, py = _norm_point(graph, x), _norm_point(graph, y)
-    return Fraction(*_Kernel(mu, graph._solve()).green(px, py))
+    return Fraction(*graph._kernel(mu).green(px, py))
 
 
 def green_diagonal(graph, mu):
     """x -> g_mu(x, x) = phi_mu(x) - c/2 as an exact per-edge quadratic."""
-    kernel = _Kernel(mu, graph._solve())
+    kernel = graph._kernel(mu)
     f, z, w, c4 = kernel._f, kernel._z, kernel._w, 4 * kernel._den
     values = {v: Fraction(c4 * x - kernel._c, c4 * z) for v, x in f.items()}
     coeffs = {}
@@ -622,8 +651,7 @@ def verify_admissible(graph, mu):
     covers every b, so every h is an integer over U = 2 det W = 12 det D^2,
     and the one Fraction is the result.
     """
-    res = graph._solve()
-    kernel = _Kernel(mu, res)
+    res, kernel = graph._solve(), graph._kernel(mu)
     g, det, w, den = graph.total_genus, res._det, kernel._w, kernel._den
     # h = H_v / Z at the vertices, as psi_K(v) = s P_v / det = s W P_v / Z
     sw, psi = res._scale * w, res.potentials(canonical_divisor(graph))

@@ -281,6 +281,27 @@ def test_verify_cli(capsys):
     assert doc["failed"] == 0 and doc["passed"] > 0
 
 
+def test_verify_exits_3_when_a_check_fails(monkeypatch, tmp_path, capsys):
+    # the same document as on a pass, so a script can tell the two apart by
+    # the exit code alone
+    original, calls = metgraph.verify_admissible, []
+
+    def first_fails(graph, mu):
+        calls.append(graph)
+        return original(graph, mu) + (len(calls) == 1)
+
+    monkeypatch.setattr(metgraph, "verify_admissible", first_fails)
+    code, out = run(capsys, "verify", "--suite", "subdivision", "--seed", "7")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["failed"] == 1 and doc["failures"] == ["admissible II(1,)"]
+    assert doc["passed"] > 0
+    calls.clear()
+    path = tmp_path / "out.json"
+    code, out = run(capsys, "verify", "--suite", "subdivision", "--seed", "7", "--out", str(path))
+    assert (code, out) == (3, "") and json.loads(path.read_text()) == doc
+
+
 def test_verify_unknown_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "nope")
     assert code == 1

@@ -95,10 +95,11 @@ def test_green_diagonal_and_admissibility_match_oracle(case):
     mu = metgraph.admissible_measure(graph)
     assert metgraph.green_diagonal(graph, mu) == old.green_diagonal(graph, mu)
     assert metgraph.verify_admissible(graph, mu) == old.verify_admissible(graph, mu) == 0
-    bad = metgraph.Measure(dict(mu.vertex_mass), dict(mu.edge_density))
     a, b = list(graph.genus)[:2]
-    bad.vertex_mass[a] += F(1, 7)
-    bad.vertex_mass[b] -= F(1, 7)
+    masses = mu.vertex_mass
+    bad = metgraph.Measure(
+        {**masses, a: masses[a] + F(1, 7), b: masses[b] - F(1, 7)}, mu.edge_density
+    )
     assert metgraph.verify_admissible(graph, bad) == old.verify_admissible(graph, bad) > 0
     can = metgraph.canonical_measure(graph)
     assert old.verify_canonical(graph, can) == 0
@@ -114,6 +115,23 @@ def test_point_queries_match_oracle(case):
     for x, y in point_pairs(rng, graph, loop, bridge):
         assert metgraph.resistance(graph, x, y) == old.resistance(graph, x, y)
         assert metgraph.green(graph, mu, x, y) == old.green(graph, mu, x, y)
+
+
+def test_alternating_measures_on_one_graph_match_oracle(case):
+    # the graph keeps one kernel, for the last measure asked about: switching
+    # between two measures rebuilds it each time and never reads the other's
+    rng, graph, loop, bridge = case
+    measures = [metgraph.admissible_measure(graph), metgraph.canonical_measure(graph)]
+    pairs = point_pairs(rng, graph, loop, bridge)
+    for _ in range(2):
+        for mu in measures:
+            for x, y in pairs:
+                assert metgraph.green(graph, mu, x, y) == old.fraction_green(graph, mu, x, y)
+            diag, ref = metgraph.green_diagonal(graph, mu), old.fraction_green_diagonal(graph, mu)
+            assert (diag.vertex_values, diag.edge_coeffs) == (ref.vertex_values, ref.edge_coeffs)
+            got = metgraph.verify_admissible(graph, mu)
+            assert got == old.fraction_verify_admissible(graph, mu)
+            assert (got == 0) == (mu is measures[0])
 
 
 CALLS = {
@@ -133,6 +151,31 @@ def inverse_test_graph():
         [("a", "b", 1), ("b", "c", 2), ("c", "a", 3), ("a", "c", 1),
          ("c", "d", F(1, 2)), ("d", "d", 2)],
     )
+
+
+def test_one_kernel_per_graph_and_measure(monkeypatch):
+    # green, green_diagonal and verify_admissible on one (graph, measure)
+    # build one _Kernel between them; another measure, even an equal one,
+    # builds its own and takes the kept kernel's place
+    graph = inverse_test_graph()
+    mu, can = metgraph.admissible_measure(graph), metgraph.canonical_measure(graph)
+    built, original = [], metgraph._Kernel.__init__
+
+    def init(self, nu, res):
+        built.append(nu)
+        original(self, nu, res)
+
+    monkeypatch.setattr(metgraph._Kernel, "__init__", init)
+    queries = [CALLS[name] for name in ("green", "green_diagonal", "verify_admissible")]
+    for _ in range(3):
+        for query in queries:
+            query(graph, mu, can)
+    assert built == [mu] and built[0] is mu
+    twin = metgraph.Measure(mu.vertex_mass, mu.edge_density)
+    assert twin == mu
+    for nu in (can, can, mu, twin, twin):
+        metgraph.green_diagonal(graph, nu)
+    assert [id(nu) for nu in built] == [id(mu), id(can), id(mu), id(twin)]
 
 
 @pytest.mark.parametrize("name", CALLS)

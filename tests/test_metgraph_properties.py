@@ -115,18 +115,20 @@ def test_verify_admissible_matches_oracle_off_the_admissible_measure(graph, data
     wrong = []
     if len(graph.genus) >= 2:
         a, b = data.draw(st.permutations(graph.vertices))[:2]
-        moved = metgraph.Measure(dict(mu.vertex_mass), dict(mu.edge_density))
-        moved.vertex_mass[a] += F(1, 7)
-        moved.vertex_mass[b] -= F(1, 7)
+        masses = mu.vertex_mass
+        moved = metgraph.Measure(
+            {**masses, a: masses[a] + F(1, 7), b: masses[b] - F(1, 7)}, mu.edge_density
+        )
         wrong.append(moved)
     spread = [e for e in graph.edges if mu.density(e.eid)]
     if spread:
         e = data.draw(st.sampled_from(spread))
         t = data.draw(st.fractions(0, 3, max_denominator=4).filter(lambda t: t != 1))
         w = data.draw(st.sampled_from(graph.vertices))
-        scaled = metgraph.Measure(dict(mu.vertex_mass), dict(mu.edge_density))
-        scaled.edge_density[e.eid] *= t
-        scaled.vertex_mass[w] = scaled.mass(w) + (1 - t) * mu.density(e.eid) * e.length
+        scaled = metgraph.Measure(
+            {**mu.vertex_mass, w: mu.mass(w) + (1 - t) * mu.density(e.eid) * e.length},
+            {**mu.edge_density, e.eid: mu.density(e.eid) * t},
+        )
         wrong.append(scaled)
     for nu in wrong:
         assert nu.total_mass(graph) == 1
@@ -318,6 +320,23 @@ def test_the_kept_solve_gives_what_a_fresh_graph_gives_in_any_order(case, data):
         call, oracle = SEVEN[name]
         fresh = MetrizedGraph(graph.genus, [(e.u, e.v, e.length) for e in graph.edges])
         assert call(graph, mu, x, y) == call(fresh, mu, x, y) == oracle(graph, mu, x, y)
+
+
+@PROPERTY
+@given(graphs(), st.data())
+def test_the_kept_kernel_gives_the_oracle_under_any_interleaving(graph, data):
+    # queries on one graph under several measures in a drawn order: the graph
+    # keeps the last measure's kernel, and every result equals the oracle's
+    pool = [metgraph.canonical_measure(graph), metgraph.admissible_measure(graph)]
+    pool += data.draw(st.lists(measures(graph), min_size=1, max_size=2))
+    pairs = point_pairs(data.draw, graph)
+    names = ["green", "green_diagonal", "verify_admissible"]
+    steps = st.tuples(st.sampled_from(pool), st.sampled_from(names), st.sampled_from(pairs))
+    for mu, name, (x, y) in data.draw(st.lists(steps, min_size=1, max_size=12)):
+        call, oracle = SEVEN[name]
+        got = call(graph, mu, x, y)
+        assert graph._ker.mu is mu
+        assert got == oracle(graph, mu, x, y)
 
 
 @PROPERTY
@@ -528,18 +547,20 @@ def test_point_queries_build_one_fraction_on_any_necklace(monkeypatch, call):
 
 
 @pytest.mark.parametrize(
-    "call, lcms",
+    "call, lcms, again",
     [
-        (lambda g, mu: metgraph.green_diagonal(g, mu), 2),
-        (lambda g, mu: metgraph.verify_admissible(g, mu), 2),
-        (lambda g, mu: metgraph.epsilon_phi(g), 3),
+        (lambda g, mu: metgraph.green_diagonal(g, mu), 2, 0),
+        (lambda g, mu: metgraph.verify_admissible(g, mu), 2, 0),
+        (lambda g, mu: metgraph.epsilon_phi(g), 3, 2),
     ],
     ids=["green_diagonal", "verify_admissible", "epsilon_phi"],
 )
-def test_one_denominator_per_integer_route(monkeypatch, call, lcms):
+def test_one_denominator_per_integer_route(monkeypatch, call, lcms, again):
     # the solve's scale s, once per graph, then one lcm for the kernel (D) or
     # for epsilon_phi (A, and delta's own): no route sums over a denominator
-    # per edge term; the measure comes from an equal twin graph
+    # per edge term; the measure comes from an equal twin graph.  A second
+    # call reads the kept solve (no second s) and, on a kernel route, the
+    # kept kernel (no lcm at all)
     def build():
         return LARGE["random(10, 15)"](random.Random("large:random(10, 15)"))
 
@@ -549,8 +570,8 @@ def test_one_denominator_per_integer_route(monkeypatch, call, lcms):
     monkeypatch.setattr(math, "lcm", lambda *args: calls.append(args) or original(*args))
     call(graph, mu)
     assert len(calls) == lcms
-    call(graph, mu)  # the kept solve: no second s
-    assert len(calls) == 2 * lcms - 1
+    call(graph, mu)
+    assert len(calls) == lcms + again
 
 
 def test_epsilon_phi_builds_no_measure_or_kernel(monkeypatch):

@@ -88,15 +88,22 @@ VALUES = {
         "Edge(eid=0, u='a', v='b', length=Fraction(1, 2))",
         "length",
     ),
-}
-
-#: the mutable records, in the form of VALUES
-MUTABLE = {
     "Measure": (
         lambda: Measure({"a": F(1, 2)}, {0: F(1, 4)}),
         Measure({"a": F(1, 2)}, {0: F(1, 3)}),
         "Measure(vertex_mass={'a': Fraction(1, 2)}, edge_density={0: Fraction(1, 4)})",
         "edge_density",
+    ),
+}
+
+#: the mutable records, in the form of VALUES
+MUTABLE = {
+    "ClusterTree": (
+        lambda: ClusterTree(None, 3, (), {}, {}, {}, [], []),
+        ClusterTree(None, 5, (), {}, {}, {}, [], []),
+        "ClusterTree(config=None, prime=3, nodes=(), parent={}, node_of_root={}, "
+        "depth={}, vals=[], wv2=[])",
+        "prime",
     ),
 }
 
@@ -148,6 +155,24 @@ def test_measure_takes_its_fields_by_name():
     mu = Measure(vertex_mass={"a": F(1)}, edge_density={})
     assert mu == Measure({"a": F(1)}, {}) and mu.mass("a") == 1 and mu.density(0) == 0
     assert Measure(edge_density={}, vertex_mass={}) == Measure({}, {})
+
+
+def test_a_measure_keeps_read_only_copies_of_its_mappings():
+    # a graph keeps the kernel of a measure, which must not change under it
+    masses, densities = {"a": F(1, 2)}, {0: F(1, 4)}
+    mu = Measure(masses, densities)
+    masses["a"], densities[1] = F(1), F(1)
+    assert mu == Measure({"a": F(1, 2)}, {0: F(1, 4)})
+    with pytest.raises(TypeError):
+        mu.vertex_mass["a"] = F(1)
+    with pytest.raises(TypeError):
+        mu.edge_density[0] = F(1)
+    with pytest.raises(TypeError):
+        del mu.vertex_mass["a"]
+    assert mu.vertex_mass == {"a": F(1, 2)} and mu.edge_density == {0: F(1, 4)}
+    # by value: an int mass equals its Fraction and hashes alike
+    one, same = Measure({"a": 1}, {}), Measure({"a": F(1)}, {})
+    assert one == same and hash(one) == hash(same)
 
 
 @pytest.mark.parametrize(
