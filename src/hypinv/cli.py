@@ -76,10 +76,10 @@ def _triple_record(cfg, prime, i, j, k):
 
     rec = {"l_pow_2g": format_rat(symroots.symroot_pow(cfg, i, j, k))}
     if prime is not None:
-        nu = symroots.symroot_val(cfg, prime, i, j, k)
-        rec["nu_l"] = format_rat(nu)
-        rec["pairing_nu"] = format_rat(nu / 2)
-        rec["pairing_log"] = str(float(nu / 2) * math.log(prime))
+        half = symroots.pairing_difference(cfg, prime, i, j, k)
+        rec["nu_l"] = format_rat(symroots.symroot_val(cfg, prime, i, j, k))
+        rec["pairing_nu"] = format_rat(half)
+        rec["pairing_log"] = str(float(half) * math.log(prime))
     return rec
 
 

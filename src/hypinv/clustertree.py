@@ -40,7 +40,7 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
-from .rational import _Record
+from .rational import _fraction, _Record
 from .symroots import _check_triple, _valuations
 
 
@@ -201,7 +201,7 @@ def _twice_mult_y(vals, node):
 
 def mult_y(tree, node):
     """Multiplicity of y along the component: half the sum of mult_x over r."""
-    return Fraction(_twice_mult_y(tree.vals, node), 2)
+    return _fraction(_twice_mult_y(tree.vals, node), 2)
 
 
 def _twice_v_row(g, vals, sums, depth, node):
@@ -227,7 +227,7 @@ def v_mult(tree, k, node):
         raise KeyError(k)
     vals, sums = _valuations(tree.config, tree.prime)  # tree.vals and its sums
     row = _twice_v_row(tree.config.genus, vals, sums, tree.depth, node)
-    return Fraction(row[k], 2)
+    return _fraction(row[k], 2)
 
 
 def pairing_from_tree(tree, i, j, k):
@@ -238,7 +238,7 @@ def pairing_from_tree(tree, i, j, k):
     builds one ``Fraction``.
     """
     _check_triple(tree.config, i, j, k)
-    return Fraction(_twice_pairing(tree.wv2, 2 * tree.config.genus - 1, i, j, k), 2)
+    return _fraction(_twice_pairing(tree.wv2, 2 * tree.config.genus - 1, i, j, k), 2)
 
 
 def _twice_pairing(wv2, g21, i, j, k):

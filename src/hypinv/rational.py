@@ -13,6 +13,13 @@ that p is prime on every call; ``_int_val`` and ``valuation_table`` do not.
 ``symroots.RootConfig`` keeps, built once per (configuration, prime) after
 the prime is checked; every p-adic function reads it.
 
+``_fraction(n, d)`` is the one step where the p-adic layer turns an integer
+pair into a result.  For ints it returns the ``Fraction(n, d)`` that the
+constructor builds (reduced, positive denominator, the same ``==``, ``hash``
+and ``repr``; ``ZeroDivisionError`` when d = 0), but sets the two slots of a
+new instance itself, as ``fractions`` does for its arithmetic results,
+instead of going through the constructor's type dispatch.
+
 ``require_int``, ``require_rational`` and ``require_genus`` are the one
 statement of which inputs are exact, and ``_Record`` (with its frozen
 ``_Frozen``) is the one record base; every layer reads them here.
@@ -126,6 +133,19 @@ def valuation_table(roots, p):
     return table
 
 
+def _fraction(n, d):
+    """``Fraction(n, d)`` for ints n and d, without its type dispatch."""
+    if d <= 0:
+        if d == 0:
+            raise ZeroDivisionError(f"Fraction({n}, 0)")
+        n, d = -n, -d
+    g = math.gcd(n, d)
+    q = object.__new__(Fraction)
+    q._numerator = n // g
+    q._denominator = d // g
+    return q
+
+
 def log_abs(q, p):
     """-val(q, p): the log of |q|_p in units of one (caller scales by log p)."""
     q = require_rational(q, "log argument")
@@ -145,7 +165,7 @@ def parse_rat(s):
     if not match:
         raise ValueError(f"not a rational 'n' or 'n/d' with d != 0: {s!r}")
     num, den = match.groups()
-    return Fraction(int(num), 1 if den is None else int(den))
+    return _fraction(int(num), 1 if den is None else int(den))
 
 
 def parse_int(s):
@@ -264,10 +284,10 @@ def mobius(x, a, b, c, d):
     if a * d - b * c == 0:
         raise ValueError("degenerate fractional-linear map")
     if x is INF:
-        return INF if c == 0 else Fraction(a, c)
+        return INF if c == 0 else _fraction(a, c)
     # Fraction(x) for any other type keeps its conversions and errors
     n, q = (x if type(x) in (Fraction, int) else Fraction(x)).as_integer_ratio()
     den = c * n + d * q
     if den == 0:
         return INF
-    return Fraction(a * n + b * q, den)
+    return _fraction(a * n + b * q, den)

@@ -41,8 +41,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .rational import INF, _Frozen, _set, mobius, require_genus, require_odd_prime
-from .rational import valuation_table
+from .rational import INF, _fraction, _Frozen, _set, mobius, require_genus
+from .rational import require_odd_prime, valuation_table
 
 
 class RootConfig(_Frozen):
@@ -168,7 +168,7 @@ def symroot_pow(cfg, i, j, k):
         if r != i and r != j:
             prod_i *= ni * d - n * di
             prod_j *= nj * d - n * dj
-    return Fraction(
+    return _fraction(
         (ni * dk - nk * di) ** g2 * prod_j, (nj * dk - nk * dj) ** g2 * prod_i
     )
 
@@ -182,7 +182,7 @@ def symroot_val(cfg, p, i, j, k):
     vals, sums = _valuations(cfg, p)
     _check_triple(cfg, i, j, k)
     g2 = 2 * cfg.genus
-    return Fraction(_twice_g_val(vals, sums, g2, i, j, k), g2)
+    return _fraction(_twice_g_val(vals, sums, g2, i, j, k), g2)
 
 
 def _twice_g_val(vals, sums, g2, i, j, k):
@@ -202,7 +202,7 @@ def cross_ratio(cfg, i, j, k, r):
     nk, dk = a[k].as_integer_ratio()
     nr, dr = a[r].as_integer_ratio()
     num = (ni * dk - nk * di) * (nj * dr - nr * dj)
-    return Fraction(num, (nj * dk - nk * dj) * (ni * dr - nr * di))
+    return _fraction(num, (nj * dk - nk * dj) * (ni * dr - nr * di))
 
 
 def sym_discriminant(cfg, i, j):
@@ -228,7 +228,7 @@ def sym_discriminant(cfg, i, j):
     for n, d in others:
         den *= (ni * d - n * di) * (nj * d - n * dj)
     num = (-1) ** cfg.genus * (ni * dj - nj * di) ** (g2 * (g2 - 1)) * delta**2
-    return Fraction(num, den ** (g2 - 1))
+    return _fraction(num, den ** (g2 - 1))
 
 
 def pairing_difference(cfg, p, i, j, k):
@@ -236,8 +236,13 @@ def pairing_difference(cfg, p, i, j, k):
 
     Exact rational; multiply by log p externally for the real value.
     Semistability of the underlying curve is the caller's responsibility.
+    Read from the valuation table as 2g val(l_ijk) / 4g, with the checks of
+    ``symroot_val``.
     """
-    return symroot_val(cfg, p, i, j, k) / 2
+    vals, sums = _valuations(cfg, p)
+    _check_triple(cfg, i, j, k)
+    g2 = 2 * cfg.genus
+    return _fraction(_twice_g_val(vals, sums, g2, i, j, k), 2 * g2)
 
 
 def pairing_cross_ratio(cfg, p, i, j, k, r):
@@ -249,4 +254,4 @@ def pairing_cross_ratio(cfg, p, i, j, k, r):
     """
     vals, _ = _valuations(cfg, p)
     _check_triple(cfg, i, j, k, r)
-    return Fraction(vals[i][k] + vals[j][r] - vals[j][k] - vals[i][r], 2)
+    return _fraction(vals[i][k] + vals[j][r] - vals[j][k] - vals[i][r], 2)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from hypinv.rational import (
     INF,
+    _fraction,
     format_point,
     format_rat,
     is_prime,
@@ -77,6 +78,31 @@ def test_ultrametric(a, b, p):
 @given(st.fractions(min_value=-10**6, max_value=10**6))
 def test_rat_roundtrip(q):
     assert parse_rat(format_rat(q)) == q
+
+
+_BIG = st.integers(min_value=-(2**400), max_value=2**400)
+#: small and 300+ bit integers of either sign, zero among them
+_INTS = st.one_of(st.integers(-50, 50), _BIG, _BIG.map(lambda n: n * 2**300 + 1))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(_INTS, _INTS.filter(bool), st.integers(0, 2**310))
+def test_fraction_equals_the_stdlib_constructor(n, d, k):
+    # the same Fraction, field by field; a common factor k + 1 (up to 310
+    # bits) must be reduced away, and zero and both signs must be normalised
+    for num, den in ((n, d), (n * (k + 1), d * (k + 1)), (0, d), (-n, -d)):
+        got, want = _fraction(num, den), Fraction(num, den)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got.denominator > 0
+        assert got == want and hash(got) == hash(want)
+        assert repr(got) == repr(want) and format_rat(got) == format_rat(want)
+
+
+@pytest.mark.parametrize("n", [0, 1, -7, 2**300 + 1])
+def test_fraction_refuses_a_zero_denominator(n):
+    with pytest.raises(ZeroDivisionError):
+        _fraction(n, 0)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypinv import clustertree, rational, verify
+from hypinv import clustertree, rational, symroots, verify
 from hypinv.rational import INF
 from hypinv.symroots import (
     RootConfig,
@@ -288,3 +288,39 @@ def test_valuations_per_call_do_not_grow_with_genus(monkeypatch):
                 pairing_cross_ratio(cfg, 3, *quad)
             assert tables == [(cfg.roots, 3)]
             assert int_vals == []
+
+
+# --- cost guard: one rational._fraction per query, no Fraction(...) ----------
+
+
+def test_per_triple_queries_build_one_fraction_without_the_constructor(monkeypatch):
+    # each query's result is the one Fraction that rational._fraction makes
+    # of an integer pair: no Fraction(...) type dispatch, no Fraction
+    # arithmetic after it
+    cfg = RootConfig(3, (0, 9, 81, 1, 10, 82, 2, 11))
+    tree = clustertree.build_tree(cfg, 3)
+    symroot_val(cfg, 3, 0, 1, 2)  # the table is kept before counting starts
+    made, constructed, real = [], [], rational._fraction
+
+    def counted(n, d):
+        made.append(real(n, d))
+        return made[-1]
+
+    for module in (symroots, clustertree):
+        monkeypatch.setattr(module, "_fraction", counted)
+        monkeypatch.setattr(module, "Fraction", lambda *a: constructed.append(a) or Fraction(*a))
+    n = len(cfg.roots)
+    queries = [
+        lambda i, j, k: symroot_val(cfg, 3, i, j, k),
+        lambda i, j, k: pairing_difference(cfg, 3, i, j, k),
+        lambda i, j, k: pairing_cross_ratio(cfg, 3, i, j, k, min({0, 1, 2, 3} - {i, j, k})),
+        lambda i, j, k: clustertree.pairing_from_tree(tree, i, j, k),
+        lambda i, j, k: clustertree.mult_y(tree, tree.node_of_root[i]),
+        lambda i, j, k: clustertree.v_mult(tree, k, tree.node_of_root[i]),
+    ]
+    for i, j, k in itertools.permutations(range(n), 3):
+        for query in queries:
+            made.clear()
+            result = query(i, j, k)
+            assert len(made) == 1 and made[0] is result, (i, j, k)
+    assert constructed == []
