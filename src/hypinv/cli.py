@@ -242,51 +242,44 @@ def _cmd_verify(args):
 
 def build_parser():
     parser = _Parser(prog="hypinv", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", help="write the JSON document to a file")
-    curve = argparse.ArgumentParser(add_help=False)
-    curve.add_argument("--curve", required=True)
-    curve.add_argument("--prime", type=parse_int)
-    curve.add_argument("--triple")
-    curve.add_argument("--all-triples", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, *parents, **kw):
-        return sub.add_parser(name, parents=[common, *parents], **kw)
+    def add_parser(name, func, help, curve=False):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--out", help="write the JSON document to a file")
+        if curve:
+            p.add_argument("--curve", required=True)
+            p.add_argument("--prime", type=parse_int)
+            p.add_argument("--triple")
+            p.add_argument("--all-triples", action="store_true")
+        return p
 
-    p = add_parser("symroots", curve, help="symmetric roots and pairings")
-    p.set_defaults(func=_cmd_symroots)
+    add_parser("symroots", _cmd_symroots, "symmetric roots and pairings", curve=True)
+    add_parser("cluster", _cmd_cluster, "residue-class tree cross-check", curve=True)
 
-    p = add_parser("cluster", curve, help="residue-class tree cross-check")
-    p.set_defaults(func=_cmd_cluster)
-
-    p = add_parser("graph", help="metrized-graph invariants")
+    p = add_parser("graph", _cmd_graph, "metrized-graph invariants")
     p.add_argument("action", choices=["eval"])
     p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=_cmd_graph)
 
-    p = add_parser("genus2", help="genus-2 closed-form table")
+    p = add_parser("genus2", _cmd_genus2, "genus-2 closed-form table")
     p.add_argument("--type", required=True)
     p.add_argument("--params", default="")
     p.add_argument("--graph-check", action="store_true")
-    p.set_defaults(func=_cmd_genus2)
 
-    p = add_parser("invariants", help="scalar invariant algebra")
+    p = add_parser("invariants", _cmd_invariants, "scalar invariant algebra")
     p.add_argument("action", choices=["chi"])
     p.add_argument("--d", required=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--delta", required=True)
     p.add_argument("--genus", type=parse_int, required=True)
-    p.set_defaults(func=_cmd_invariants)
 
-    p = add_parser("global", help="adelic aggregation over places")
+    p = add_parser("global", _cmd_global, "adelic aggregation over places")
     p.add_argument("--places", required=True)
-    p.set_defaults(func=_cmd_global)
 
-    p = add_parser("verify", help="built-in verification suites")
+    p = add_parser("verify", _cmd_verify, "built-in verification suites")
     p.add_argument("--suite", required=True)
     p.add_argument("--seed", type=parse_int, default=0)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 

@@ -8,7 +8,9 @@ computation on the graph derives resistances, measures, potentials, Green's
 functions and Zhang's epsilon and phi in closed form from that solve's
 integer adjugate, each form at one code site.  The solve works out the
 Foster numerator N_e of every edge once, and k_e = b N_e / (a^2 det) on an
-edge of length a / b is read from it.  A ``Measure`` is immutable too, and
+edge of length a / b is read from it; it keeps the potential psi_K of the
+canonical divisor (``_Resistances.psi_k``) from the first
+``verify_admissible`` on.  A ``Measure`` is immutable too, and
 the graph keeps the measure kernel (``_Kernel``, which serves ``green``,
 ``green_diagonal`` and ``verify_admissible``) of the last measure it was
 asked about (``MetrizedGraph._kernel``).  The kernel works in integers over
@@ -21,13 +23,16 @@ the forms with their sources.
 
 Points are addressed by vertex id or as a pair (int edge index, offset)
 with a rational offset in [0, L]; offsets 0 and L normalize to the endpoints.
+
+``green_diagonal`` returns a ``PiecewisePoly``, a dataclass defined in
+``_piecewise`` and read here through the module ``__getattr__`` (PEP 562),
+so that importing this module loads neither ``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -220,31 +225,15 @@ class Measure(_Frozen):
         return self.edge_density.get(eid, Fraction(0))
 
 
-@dataclass  # the one dataclass: perfbench's checks call dataclasses.replace on it
-class PiecewisePoly:
-    """Per-edge quadratic in arc length from the edge's u-endpoint."""
+def __getattr__(name):
+    """``PiecewisePoly`` from ``_piecewise`` on first access (PEP 562), then
+    bound in this module, so later reads and ``green_diagonal`` skip this."""
+    if name != "PiecewisePoly":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from ._piecewise import PiecewisePoly
 
-    vertex_values: dict
-    edge_coeffs: dict  # eid -> (c0, c1, c2)
-    # eid -> L, to check offsets; the graph's data, not the function's
-    edge_lengths: dict = field(default_factory=dict, compare=False)
-
-    def evaluate(self, point):
-        """The value at a vertex id or an (edge id, offset) pair; ValueError
-        for a point off the function's edges and vertices."""
-        if isinstance(point, tuple):
-            eid, s = _edge_point(point)
-            if eid not in self.edge_coeffs:
-                raise ValueError(f"no edge {eid} in this function")
-            # an edge whose length is not recorded bounds the offset below only
-            if not 0 <= s <= self.edge_lengths.get(eid, s):
-                raise ValueError(f"offset {s} outside edge {eid}")
-            c0, c1, c2 = self.edge_coeffs[eid]
-            return c0 + c1 * s + c2 * s * s
-        point = str(point)  # as ``_norm_point`` reads a vertex id
-        if point not in self.vertex_values:
-            raise ValueError(f"unknown vertex: {point}")
-        return self.vertex_values[point]
+    globals()[name] = PiecewisePoly
+    return PiecewisePoly
 
 
 def _edge_point(x):
@@ -306,8 +295,11 @@ class _Resistances:
     numerators to integers; grounded at the first vertex the Laplacian is
     positive definite, with adjugate adj and determinant det: G = s adj / det.
     The constructor also works out the Foster numerator N_e of every edge
-    (``foster``), which every reader of k_e takes from ``_n``.
+    (``foster``), which every reader of k_e takes from ``_n``; ``psi_k``
+    keeps the potential of the canonical divisor once it is asked for.
     """
+
+    _psi = None  # P of the canonical divisor, set by ``psi_k``
 
     def __init__(self, graph):
         self.graph = graph
@@ -354,6 +346,13 @@ class _Resistances:
             v: total * adj[i][i] + diag - 2 * sum(map(operator.mul, adj[i], m))
             for v, i in self._index.items()
         }
+
+    def psi_k(self):
+        """``potentials`` of the canonical divisor K, psi_K(v) = s P_v / det:
+        built on the first call, then kept, as it depends on the graph only."""
+        if self._psi is None:
+            self._psi = self.potentials(canonical_divisor(self.graph))
+        return self._psi
 
     def density(self, e):
         """Canonical density k_e = (L - r(u, v)) / L^2 of edge ``e``, read as
@@ -556,7 +555,11 @@ def green_diagonal(graph, mu):
         # (F_v - F_u) / (L Z) + L (k_e - d_e) over a b dd Z, as Z = det W
         c1 = Fraction((f[e.v] - f[e.u]) * b * b * dd + bn * w, a * b * dd * z)
         coeffs[e.eid] = (values[e.u], c1, Fraction(-bn, bd))
-    return PiecewisePoly(values, coeffs, {e.eid: e.length for e in graph.edges})
+    try:
+        poly = PiecewisePoly
+    except NameError:  # the first call binds it, through ``__getattr__``
+        poly = __getattr__("PiecewisePoly")
+    return poly(values, coeffs, {e.eid: e.length for e in graph.edges})
 
 
 def epsilon_phi(graph):
@@ -654,8 +657,8 @@ def verify_admissible(graph, mu):
     res, kernel = graph._solve(), graph._kernel(mu)
     g, det, w, den = graph.total_genus, res._det, kernel._w, kernel._den
     # h = H_v / Z at the vertices, as psi_K(v) = s P_v / det = s W P_v / Z
-    sw, psi = res._scale * w, res.potentials(canonical_divisor(graph))
-    h = {v: 2 * g * kernel._f[v] - sw * x for v, x in psi.items()}
+    sw = res._scale * w
+    h = {v: 2 * g * kernel._f[v] - sw * x for v, x in res.psi_k().items()}
     values = [2 * x for x in h.values()]  # h U with U = 2 Z
     for e, n, (p, q) in zip(graph.edges, res._n, kernel._d):
         a, b = e.length.numerator, e.length.denominator

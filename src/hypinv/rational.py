@@ -176,8 +176,9 @@ def parse_int(s):
 
 
 def format_rat(q):
-    """Serialize a Fraction as "n/d", or "n" when the denominator is 1."""
-    q = Fraction(q)
+    """Serialize an int or a Fraction as "n/d", or "n" when the denominator
+    is 1; ValueError for anything else, so no float is coerced."""
+    q = require_rational(q, "value to format")
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -592,3 +593,23 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     code, out = run(capsys, "graph", "eval", "--in", path)
     assert code == 2
     assert json.loads(out)["error"] == "internal"
+
+
+HELP = Path(__file__).parent / "golden" / "help"
+
+
+@pytest.mark.parametrize(
+    "command", ["", "symroots", "cluster", "graph", "genus2", "invariants", "global", "verify"],
+    ids=lambda c: c or "hypinv",
+)
+def test_help_text_is_pinned(capsys, monkeypatch, command):
+    # the text of `hypinv [<cmd>] --help` at 80 columns without colour:
+    # build_parser may change how it adds the options, not what help shows
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("NO_COLOR", "1")
+    with pytest.raises(SystemExit) as done:
+        cli.main([command, "--help"] if command else ["--help"])
+    assert done.value.code == 0
+    text = capsys.readouterr().out.replace("optional arguments:", "options:")  # Python 3.10
+    golden = HELP / (f"hypinv-{command}.txt" if command else "hypinv.txt")
+    assert text == golden.read_text()

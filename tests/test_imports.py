@@ -1,8 +1,8 @@
 """Cost guards on start-up: ``import hypinv`` loads no layer, access to a
 public name loads the home layer and the layers it imports, each CLI
 subcommand loads only the layers it runs (``hypinv.verify`` only for
-``verify``), and the subcommands of the p-adic and scalar layers do not load
-``dataclasses``.
+``verify``), and no subcommand loads ``dataclasses`` or ``inspect``: the one
+dataclass, ``PiecewisePoly``, loads with the first ``green_diagonal``.
 
 Every case starts a fresh interpreter and compares the sorted ``hypinv.*``
 entries of its ``sys.modules`` with the expected list.
@@ -94,6 +94,40 @@ def test_identities_suite_loads_only_symroots():
     assert cli_loaded(argv) == sorted(CLI + ["hypinv.symroots", "hypinv.verify"])
 
 
+def assert_no_dataclasses(argv, tmp_path):
+    """Run the CLI on ``argv`` in a fresh interpreter, its file arguments
+    written to ``tmp_path``, and assert it loads neither ``dataclasses`` nor
+    the ``inspect`` module that ``dataclasses`` imports, together over 10 ms
+    of a child's start-up."""
+    bare = held("")
+    if "dataclasses" in bare or "inspect" in bare:
+        pytest.skip("a bare interpreter already holds dataclasses or inspect")
+    files = {
+        "PLACES": tmp_path / "places.json",
+        "CURVE": tmp_path / "curve.json",
+        "GRAPH": tmp_path / "graph.json",
+    }
+    files["PLACES"].write_text(json.dumps([{
+        "genus": 2, "logNv": 1.0986, "d": "2", "eps": "0", "delta": "1",
+        "phi": "1/2", "chi": "1/2",
+    }]))
+    # in normal form at 3, so that cluster builds its tree
+    files["CURVE"].write_text(json.dumps({"genus": 2, "roots": ["0", "9", "1", "10", "2", "11"]}))
+    files["GRAPH"].write_text(json.dumps({
+        "vertices": [{"id": "a", "genus": 0}, {"id": "b", "genus": 1}],
+        "edges": [{"u": "a", "v": "b", "length": "1/2"}, {"u": "a", "v": "b", "length": "2"},
+                  {"u": "a", "v": "a", "length": "3"}],
+    }))
+    argv = [str(files[a]) if a in files else a for a in argv]
+    modules = held(cli_code(argv))
+    assert "dataclasses" not in modules
+    assert "inspect" not in modules
+
+
+def command_id(argv):
+    return " ".join(argv[:1] + argv[1:3] * (argv[0] == "verify"))
+
+
 @pytest.mark.parametrize("argv", [
     ["invariants", "chi", "--d", "6", "--eps", "5/9", "--delta", "3", "--genus", "2"],
     ["global", "--places", "PLACES"],
@@ -101,20 +135,30 @@ def test_identities_suite_loads_only_symroots():
     ["cluster", "--curve", "CURVE", "--prime", "3", "--all-triples"],
     ["verify", "--suite", "identities", "--seed", "7"],
     ["verify", "--suite", "cluster-vs-symroots", "--seed", "7"],
-], ids=lambda argv: " ".join(argv[:1] + argv[1:3] * (argv[0] == "verify")))
+], ids=command_id)
 def test_padic_and_scalar_commands_load_no_dataclasses(argv, tmp_path):
-    # dataclasses imports inspect, together over 10 ms of a child's start-up
-    if "dataclasses" in held(""):
-        pytest.skip("a bare interpreter already holds dataclasses")
-    files = {"PLACES": tmp_path / "places.json", "CURVE": tmp_path / "curve.json"}
-    files["PLACES"].write_text(json.dumps([{
-        "genus": 2, "logNv": 1.0986, "d": "2", "eps": "0", "delta": "1",
-        "phi": "1/2", "chi": "1/2",
-    }]))
-    # in normal form at 3, so that cluster builds its tree
-    files["CURVE"].write_text(json.dumps({"genus": 2, "roots": ["0", "9", "1", "10", "2", "11"]}))
-    argv = [str(files[a]) if a in files else a for a in argv]
-    assert "dataclasses" not in held(cli_code(argv))
+    assert_no_dataclasses(argv, tmp_path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph", "eval", "--in", "GRAPH"],
+    ["genus2", "--type", "VII", "--params", "1,2,3", "--graph-check"],
+    ["verify", "--suite", "genus2-table", "--seed", "7"],
+    ["verify", "--suite", "phi-equals-chi", "--seed", "7"],
+    ["verify", "--suite", "subdivision", "--seed", "7"],
+], ids=command_id)
+def test_graph_commands_load_no_dataclasses(argv, tmp_path):
+    # metgraph reads PiecewisePoly from _piecewise, which no command imports
+    assert_no_dataclasses(argv, tmp_path)
+
+
+def test_piecewise_poly_loads_with_green_diagonal_only():
+    code = "from hypinv import metgraph\nimport sys\nassert 'dataclasses' not in sys.modules\n"
+    assert loaded(code) == ["hypinv", "hypinv.metgraph", "hypinv.rational"]
+    code += ("g = metgraph.MetrizedGraph({'v': 1}, [('v', 'v', 1)])\n"
+             "metgraph.green_diagonal(g, metgraph.admissible_measure(g))\n")
+    assert loaded(code) == ["hypinv", "hypinv._piecewise", "hypinv.metgraph", "hypinv.rational"]
+    assert "dataclasses" in held(code)
 
 
 def test_star_import_binds_every_public_name():

@@ -178,6 +178,28 @@ def test_one_kernel_per_graph_and_measure(monkeypatch):
     assert [id(nu) for nu in built] == [id(mu), id(can), id(mu), id(twin)]
 
 
+def test_one_psi_k_per_graph(monkeypatch):
+    # verify_admissible reads psi_K from the kept solve: the first call on a
+    # graph works it out, later calls, on any measure, do not; it is the
+    # potential of the canonical divisor, and each result the oracle's
+    graph = inverse_test_graph()
+    mu, can = metgraph.admissible_measure(graph), metgraph.canonical_measure(graph)
+    want = {nu: old.fraction_verify_admissible(graph, nu) for nu in (mu, can)}
+    masses, original = [], metgraph._Resistances.potentials
+
+    def potentials(self, mass):
+        masses.append(dict(mass))
+        return original(self, mass)
+
+    monkeypatch.setattr(metgraph._Resistances, "potentials", potentials)
+    for nu in (mu, mu, can, mu):
+        assert metgraph.verify_admissible(graph, nu) == want[nu]
+    k = metgraph.canonical_divisor(graph)
+    assert masses.count(k) == 1
+    res = graph._solve()
+    assert res.psi_k() is res.psi_k() == original(res, k)
+
+
 @pytest.mark.parametrize("name", CALLS)
 def test_one_vertex_laplacian_inverse_per_call(monkeypatch, name):
     # one solve per graph: the first call inverts, every later call on the

@@ -1,3 +1,5 @@
+import builtins
+import dataclasses
 import itertools
 import random
 import re
@@ -243,6 +245,43 @@ def test_piecewise_poly_reads_its_edge_ends_and_keeps_lengths_out_of_equality():
     assert bare.evaluate((0, 7)) == c0 + 7 * c1 + 49 * c2
     with pytest.raises(ValueError, match="offset -1 outside edge 0"):
         bare.evaluate((0, -1))
+
+
+def test_green_diagonal_returns_the_piecewise_poly_dataclass():
+    # PiecewisePoly lives in hypinv._piecewise and stays a dataclass:
+    # dataclasses.replace works on a green_diagonal result, and repr and ==
+    # are those of the dataclass that metgraph once defined itself
+    g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1, 2)), ("b", "a", 2)])
+    poly = green_diagonal(g, admissible_measure(g))
+    assert type(poly) is PiecewisePoly is metgraph.PiecewisePoly
+    assert dataclasses.is_dataclass(poly)
+    coeffs = (
+        "{0: (Fraction(121, 480), Fraction(-3, 10), Fraction(-1, 5)), "
+        "1: (Fraction(5, 96), Fraction(1, 2), Fraction(-1, 5))}"
+    )
+    assert repr(poly) == (
+        "PiecewisePoly(vertex_values={'a': Fraction(121, 480), 'b': Fraction(5, 96)}, "
+        f"edge_coeffs={coeffs}, edge_lengths={{0: Fraction(1, 2), 1: Fraction(2, 1)}})"
+    )
+    bare = dataclasses.replace(poly, edge_lengths={})
+    assert type(bare) is PiecewisePoly and bare.edge_lengths == {}
+    assert bare == poly  # the lengths are left out of ==
+    assert dataclasses.replace(poly) == poly == green_diagonal(g, admissible_measure(g))
+    shifted = dataclasses.replace(poly, vertex_values={v: x + 1 for v, x in poly.vertex_values.items()})
+    assert shifted != poly and shifted.evaluate("a") == F(601, 480)
+    assert poly.__hash__ is None  # unhashable, as a dataclass with eq and no frozen
+
+
+def test_green_diagonal_runs_no_import_statement(monkeypatch):
+    # the class is bound once in metgraph; an import on every call cost about
+    # 3 % of a K_5 call
+    g = loop1()
+    mu = admissible_measure(g)
+    want = green_diagonal(g, mu)
+    imports = []
+    monkeypatch.setattr(builtins, "__import__", lambda *args, **kw: imports.append(args))
+    assert green_diagonal(g, mu) == want and type(want) is metgraph.PiecewisePoly
+    assert imports == []
 
 
 @pytest.mark.parametrize("offset", ["1/2", 0.1, True], ids=repr)

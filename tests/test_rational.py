@@ -1,5 +1,6 @@
 import itertools
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,23 @@ def test_ultrametric(a, b, p):
 @given(st.fractions(min_value=-10**6, max_value=10**6))
 def test_rat_roundtrip(q):
     assert parse_rat(format_rat(q)) == q
+
+
+@pytest.mark.parametrize(
+    "q, text",
+    [(0, "0"), (-7, "-7"), (Fraction(6, 3), "2"), (Fraction(-3, 4), "-3/4"),
+     (Fraction(2**300 + 1, 3), f"{2**300 + 1}/3")],
+)
+def test_format_rat_writes_ints_and_fractions(q, text):
+    assert format_rat(q) == text
+
+
+@pytest.mark.parametrize("q", [0.1, 0.5, 2.0, True, "1/2", Decimal("0.5"), None, INF], ids=repr)
+def test_format_rat_refuses_what_is_not_exact(q):
+    # a float was once coerced: format_rat(0.1) gave
+    # "3602879701896397/36028797018963968"
+    with pytest.raises(ValueError, match="value to format is not an int or a Fraction"):
+        format_rat(q)
 
 
 _BIG = st.integers(min_value=-(2**400), max_value=2**400)
