@@ -9,17 +9,17 @@ functions and Zhang's epsilon and phi in closed form from that solve's
 integer adjugate, each form at one code site.  The solve works out the
 Foster numerator N_e of every edge once, and k_e = b N_e / (a^2 det) on an
 edge of length a / b is read from it; it keeps the potential psi_K of the
-canonical divisor (``_Resistances.psi_k``) from the first
-``verify_admissible`` on.  A ``Measure`` is immutable too, and
+canonical divisor (``_Resistances.psi_k``) from the first ``epsilon_phi``
+or ``verify_admissible`` on.  A ``Measure`` is immutable too, and
 the graph keeps the measure kernel (``_Kernel``, which serves ``green``,
 ``green_diagonal`` and ``verify_admissible``) of the last measure it was
 asked about (``MetrizedGraph._kernel``).  The kernel works in integers over
-one lcm D of the mass denominators and every b_e q_e (density p_e / q_e),
-``epsilon_phi`` over one A = lcm(a_e b_e) of the non-bridges;
-both build ``Fraction``s only for results.  Points are integer pairs too:
-``_on_edge`` takes and returns them, and ``resistance`` and ``green`` each
-build one ``Fraction``, the result.  README.md, "Metrized graphs", states
-the forms with their sources.
+one lcm D of the mass denominators and every b_e q_e (density p_e / q_e);
+``epsilon_phi`` needs no measure, as it reads the tau constant and psi_K,
+over one A = lcm(a_e b_e) of every edge.  Both build ``Fraction``s only for
+results.  Points are integer pairs too: ``_on_edge`` takes and returns them,
+and ``resistance`` and ``green`` each build one ``Fraction``, the result.
+README.md, "Metrized graphs", states the forms with their sources.
 
 Points are addressed by vertex id or as a pair (int edge index, offset)
 with a rational offset in [0, L]; offsets 0 and L normalize to the endpoints.
@@ -565,51 +565,39 @@ def green_diagonal(graph, mu):
 def epsilon_phi(graph):
     """Zhang's epsilon and phi from one Laplacian solve on the vertices.
 
-    epsilon = sum_v K(v) phi_mu(v) and phi = (6 g c - epsilon - delta) / 4
-    with mu the admissible measure (S.-W. Zhang, "Gross-Schoen cycles and
-    dualising sheaves", 2010), both in integers over one common denominator:
-    with N_e, A = lcm(a_e b_e) over the non-bridges, Q = 2 g det A, the
-    masses (MQ)_v, P_w and S = t / (6 g det^2 A) of README.md, "Metrized
-    graphs",
+    Through the tau constant tau (M. Baker and R. Rumely, "Harmonic analysis
+    on metrized graphs", 2007) and theta = sum_v K(v) psi_K(v), as Z. Cinkir
+    writes them ("Zhang's conjecture and the effective Bogomolov conjecture
+    over function fields", 2011):
 
-    epsilon = (2g - 2) S + s (K . P) / (det Q),
-    c = (2g - 1) S / g + s (MQ . P) / (det Q^2).
+    epsilon = (4g - 4) tau / g + theta / (2g),
+    phi = (5g - 2) tau / g + theta / (4g) - delta / 4,
+
+    both in integers over one common denominator; tau = t / (12 det^2 A)
+    with A = lcm(a_e b_e) over every edge, as in README.md, "Metrized graphs".
     """
     g, res = require_genus(graph.total_genus), graph._solve()
-    det = res._det
-    spread = [  # (edge, a_e, b_e, N_e) where N_e != 0: not a bridge
-        (e, e.length.numerator, e.length.denominator, n)
-        for e, n in zip(graph.edges, res._n)
-        if n
-    ]
+    det, s = res._det, res._scale
+    # det r(v, y) / s, with y the grounded vertex
+    diag = {v: res._adj[i][i] for v, i in res._index.items()}
     # A; *list, not *generator: a resized argument tuple stays on CPython's free list
-    lcm_ab = math.lcm(*[a * b for _, a, b, _ in spread])
-    q = 2 * g * det * lcm_ab
-    mq = {v: 2 * det * lcm_ab * gv for v, gv in graph.genus.items()}
-    t = 0  # S = t / (6 g det^2 A)
-    for e, a, b, n in spread:
-        half = n * (lcm_ab // a)
-        mq[e.u] += half
-        mq[e.v] += half
-        t += n * n * (lcm_ab // (a * b))
-    if sum(mq.values()) != q:
+    lcm_ab = math.lcm(*[e.length.numerator * e.length.denominator for e in graph.edges])
+    t = foster = 0  # tau = t / (12 det^2 A); foster = sum_e N_e A / a_e
+    for e, n in zip(graph.edges, res._n):
+        a, b = e.length.numerator, e.length.denominator
+        rise = s * b * (diag[e.v] - diag[e.u])
+        t += (3 * rise * rise + n * n) * (lcm_ab // (a * b))
+        foster += n * (lcm_ab // a)
+    if foster != graph.betti * det * lcm_ab:  # sum_e k_e L_e = betti
         raise ValueError("Foster's identity fails: the masses do not sum to 1")
-    p = res.potentials(mq)
     k = canonical_divisor(graph)
-    kp = sum(k[v] * x for v, x in p.items())
-    mqp = sum(mq[v] * x for v, x in p.items())
-    # s / (det Q) = 3 s / (6 g det^2 A) and 6 g s / (det Q^2) = 3 s / (2 g det^3 A^2)
-    s = res._scale
-    den = 6 * g * det**2 * lcm_ab
-    eps = (2 * g - 2) * t + 3 * s * kp  # epsilon = eps / den
-    # with wide = den det A: 6 g c = six_gc / wide, epsilon = eps det A / wide
-    # and delta = dn / dd, so phi = ((six_gc - eps det A) dd - dn wide) / (4 wide dd)
-    wide = den * det * lcm_ab
-    six_gc = 3 * (2 * (2 * g - 1) * det * lcm_ab * t + 3 * s * mqp)
-    dn, dd = _length_ratio(graph)
+    # theta / (4g) = th / den, as theta = s (K . P) / det with P = psi_k
+    th = 3 * s * det * lcm_ab * sum(k[v] * x for v, x in res.psi_k().items())
+    den = 12 * g * det * det * lcm_ab  # tau / g = t / den
+    dn, dd = _length_ratio(graph)  # delta / 4 = (dn den / 4) / (den dd)
     return (
-        Fraction(eps, den),
-        Fraction((six_gc - eps * det * lcm_ab) * dd - dn * wide, 4 * wide * dd),
+        Fraction((4 * g - 4) * t + 2 * th, den),
+        Fraction(((5 * g - 2) * t + th) * dd - dn * (den // 4), den * dd),
     )
 
 

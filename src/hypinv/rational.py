@@ -53,8 +53,9 @@ _MR_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n):
-    """Deterministic primality test for integers up to ~3.3e24."""
-    if n < 2:
+    """Deterministic primality test for integers up to ~3.3e24; ValueError
+    for anything but an ``int``, so no float or ``Fraction`` is coerced."""
+    if require_int(n, "primality test argument") < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
@@ -79,7 +80,7 @@ def is_prime(n):
 
 
 def require_prime(p):
-    if not isinstance(p, int) or not is_prime(p):
+    if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
         raise ValueError(f"not a prime: {p!r}")
 
 

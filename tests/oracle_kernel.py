@@ -13,6 +13,9 @@ before the integer one, for the Green's-function calls, with the
 ``_on_edge``) that ``resistance`` and ``green`` took before they moved to
 integer pairs, copied verbatim, except that a measure with a mass off the
 graph is refused with the integer kernel's message, which names the vertices.
+
+Last, ``mass_epsilon_phi``: ``epsilon_phi``'s integer route through the
+admissible measure's masses, from before it moved to the tau constant.
 """
 
 from __future__ import annotations
@@ -23,11 +26,13 @@ from fractions import Fraction
 from hypinv.metgraph import (
     Measure,
     PiecewisePoly,
+    _length_ratio,
     _norm_point,
     _Resistances,
     canonical_divisor,
     delta,
 )
+from hypinv.rational import require_genus
 
 # The Fraction Gauss-Jordan inverse and the three-point quadratic fit of the
 # same kernel, copied here so that the oracle does not share them with the
@@ -553,3 +558,71 @@ def fraction_verify_admissible(graph, mu):
         psi_s = _on_edge(e, s, psi[e.u], psi[e.v], d * res.density(e))
         values.append((d + 2) * kernel.phi(("e", e.eid, s)) - psi_s)
     return (max(values) - min(values)) / 4
+
+
+
+# ------------------------------------------------ the admissible-mass route
+#
+# ``hypinv.metgraph.epsilon_phi`` as it was before it moved to the tau
+# constant, kept verbatim (renamed ``mass_epsilon_phi``, its docstring
+# pointing here rather than at README.md) as a test oracle.  It reads the
+# admissible measure mu, masses genus(v) / g and densities k_e / g, through
+# Zhang's epsilon = sum_v K(v) phi_mu(v) and phi = (6 g c - epsilon -
+# delta) / 4.  With A the lcm of the a_e b_e where N_e != 0 and
+# Q = 2 g det A, the masses (MQ)_v = 2 det A genus(v) + sum_{e at v} N_e A / a_e
+# are integers of total Q (Foster's identity, checked), and
+# P_w = Q adj_ww + sum_v (MQ)_v adj_vv - 2 (adj MQ)_w is one integer product.
+# With S = t / (6 g det^2 A), t = sum_e N_e^2 A / (a_e b_e), the edge terms
+# are S in phi_mu and (g - 1) S / g in c, so phi_mu(w) = S + s P_w / (det Q).
+# It shares with the code it checks only the solve (``_invert``, ``foster``
+# and ``potentials`` of ``_Resistances``) and ``_length_ratio``.
+
+
+def mass_epsilon_phi(graph):
+    """Zhang's epsilon and phi from one Laplacian solve on the vertices.
+
+    epsilon = sum_v K(v) phi_mu(v) and phi = (6 g c - epsilon - delta) / 4
+    with mu the admissible measure (S.-W. Zhang, "Gross-Schoen cycles and
+    dualising sheaves", 2010), both in integers over one common denominator:
+    with N_e, A = lcm(a_e b_e) over the non-bridges, Q = 2 g det A, the
+    masses (MQ)_v, P_w and S = t / (6 g det^2 A) of the comment above,
+
+    epsilon = (2g - 2) S + s (K . P) / (det Q),
+    c = (2g - 1) S / g + s (MQ . P) / (det Q^2).
+    """
+    g, res = require_genus(graph.total_genus), graph._solve()
+    det = res._det
+    spread = [  # (edge, a_e, b_e, N_e) where N_e != 0: not a bridge
+        (e, e.length.numerator, e.length.denominator, n)
+        for e, n in zip(graph.edges, res._n)
+        if n
+    ]
+    # A; *list, not *generator: a resized argument tuple stays on CPython's free list
+    lcm_ab = math.lcm(*[a * b for _, a, b, _ in spread])
+    q = 2 * g * det * lcm_ab
+    mq = {v: 2 * det * lcm_ab * gv for v, gv in graph.genus.items()}
+    t = 0  # S = t / (6 g det^2 A)
+    for e, a, b, n in spread:
+        half = n * (lcm_ab // a)
+        mq[e.u] += half
+        mq[e.v] += half
+        t += n * n * (lcm_ab // (a * b))
+    if sum(mq.values()) != q:
+        raise ValueError("Foster's identity fails: the masses do not sum to 1")
+    p = res.potentials(mq)
+    k = canonical_divisor(graph)
+    kp = sum(k[v] * x for v, x in p.items())
+    mqp = sum(mq[v] * x for v, x in p.items())
+    # s / (det Q) = 3 s / (6 g det^2 A) and 6 g s / (det Q^2) = 3 s / (2 g det^3 A^2)
+    s = res._scale
+    den = 6 * g * det**2 * lcm_ab
+    eps = (2 * g - 2) * t + 3 * s * kp  # epsilon = eps / den
+    # with wide = den det A: 6 g c = six_gc / wide, epsilon = eps det A / wide
+    # and delta = dn / dd, so phi = ((six_gc - eps det A) dd - dn wide) / (4 wide dd)
+    wide = den * det * lcm_ab
+    six_gc = 3 * (2 * (2 * g - 1) * det * lcm_ab * t + 3 * s * mqp)
+    dn, dd = _length_ratio(graph)
+    return (
+        Fraction(eps, den),
+        Fraction((six_gc - eps * det * lcm_ab) * dd - dn * wide, 4 * wide * dd),
+    )

@@ -200,6 +200,27 @@ def test_one_psi_k_per_graph(monkeypatch):
     assert res.psi_k() is res.psi_k() == original(res, k)
 
 
+def test_epsilon_phi_reads_the_kept_psi_k(monkeypatch):
+    # epsilon_phi reads theta from psi_K, which the solve keeps: on a graph
+    # whose measure kernel is already built, epsilon_phi, epsilon_phi,
+    # verify_admissible, epsilon_phi make one product, on the masses K
+    graph = inverse_test_graph()
+    mu = metgraph.admissible_measure(graph)
+    metgraph.green_diagonal(graph, mu)  # builds the kernel, and its product
+    want = old.mass_epsilon_phi(inverse_test_graph())
+    masses, original = [], metgraph._Resistances.potentials
+
+    def potentials(self, mass):
+        masses.append(dict(mass))
+        return original(self, mass)
+
+    monkeypatch.setattr(metgraph._Resistances, "potentials", potentials)
+    assert metgraph.epsilon_phi(graph) == metgraph.epsilon_phi(graph) == want
+    assert metgraph.verify_admissible(graph, mu) == 0
+    assert metgraph.epsilon_phi(graph) == want
+    assert masses == [metgraph.canonical_divisor(graph)]
+
+
 @pytest.mark.parametrize("name", CALLS)
 def test_one_vertex_laplacian_inverse_per_call(monkeypatch, name):
     # one solve per graph: the first call inverts, every later call on the

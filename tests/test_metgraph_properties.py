@@ -149,13 +149,17 @@ def test_potentials_of_the_canonical_divisor(graph):
 
 
 @PROPERTY
-@given(graphs())
+@given(st.one_of(graphs(), with_pendant_trees()))
 def test_epsilon_phi_matches_oracle_and_admissible_masses_are_genus_over_g(graph):
+    # three routes: the tau constant, the admissible masses and the
+    # subdivision kernel; on pendant trees the genus-0 leaves have K = -1
+    # and each bridge adds L / 4 to tau
     g = graph.total_genus
     mu = metgraph.admissible_measure(graph)
     assert mu.vertex_mass == {v: F(h, g) for v, h in graph.genus.items()}
     assert mu == old.admissible_measure(graph)
-    assert metgraph.epsilon_phi(graph) == old.epsilon_phi(graph)
+    expected = old.epsilon_phi(graph)
+    assert metgraph.epsilon_phi(graph) == old.mass_epsilon_phi(graph) == expected
 
 
 @PROPERTY
@@ -557,8 +561,9 @@ def test_point_queries_build_one_fraction_on_any_necklace(monkeypatch, call):
 )
 def test_one_denominator_per_integer_route(monkeypatch, call, lcms, again):
     # the solve's scale s, once per graph, then one lcm for the kernel (D) or
-    # for epsilon_phi (A, and delta's own): no route sums over a denominator
-    # per edge term; the measure comes from an equal twin graph.  A second
+    # for epsilon_phi (A over every edge, and delta's own): no route sums
+    # over a denominator per edge term; the measure comes from an equal
+    # twin graph.  A second
     # call reads the kept solve (no second s) and, on a kernel route, the
     # kept kernel (no lcm at all)
     def build():

@@ -37,6 +37,12 @@ def test_is_prime_carmichael_and_large():
     assert not is_prime(2**32 + 1)
 
 
+@pytest.mark.parametrize("n", [7.0, Fraction(7), True, "7", Decimal(7)])
+def test_is_prime_refuses_what_is_not_an_int(n):
+    with pytest.raises(ValueError, match="primality test argument is not an integer"):
+        is_prime(n)
+
+
 def test_val_examples():
     assert val(Fraction(18), 3) == val(18, 3) == 2
     assert val(Fraction(1, 9), 3) == -2
