@@ -14,12 +14,12 @@ _LAYERS = {
     "clustertree": "ClusterTree NormalFormReport build_tree check_normal_form "
     "pairing_combination",
     "invariants": "GENUS2_ARITY Genus2Row NodeCounts PlaceReport aggregate_global "
-    "chi_arch chi_from_pairings chi_nonarch d_from_counts genus2_graph genus2_row "
-    "node_counts_from_graph noether_consistency place_report_from_graph yamaki_bound",
+    "chi_from_pairings chi_nonarch d_from_counts genus2_graph genus2_row "
+    "node_counts_from_graph place_report_from_graph yamaki_bound",
     "metgraph": "Measure MetrizedGraph admissible_measure canonical_divisor "
     "canonical_measure delta epsilon epsilon_phi green green_diagonal phi "
     "resistance scale subdivide verify_admissible",
-    "rational": "INF format_rat is_prime log_abs parse_rat val",
+    "rational": "INF format_rat is_prime parse_rat val",
     "symroots": "RootConfig cross_ratio normalize_finite pairing_cross_ratio "
     "pairing_difference sym_discriminant symroot_pow symroot_val",
     "verify": "SUITES run_suite",

@@ -2,9 +2,8 @@
 adelic aggregation.
 
 All node counts are thickness-weighted rationals (unweighted integer counting
-is the special case of unit thicknesses).  Non-archimedean quantities stay
-exact; only the archimedean plumbing and the logNv-scaled aggregation return
-floats.
+is the special case of unit thicknesses).  Every quantity stays exact; only
+``aggregate_global``, the logNv-scaled sum over places, returns a float.
 """
 
 from __future__ import annotations
@@ -95,20 +94,6 @@ def yamaki_bound(counts):
     for i, x in enumerate(counts.delta_i, start=1):
         total += Fraction(2 * i * (g - i), g) * x
     return total
-
-
-def chi_arch(g, log_norm_delta_g, delta_faltings):
-    """Archimedean chi from user-supplied log||Delta_g|| and Faltings delta.
-
-    Pure arithmetic plumbing; computing the inputs is out of scope.
-    """
-    require_genus(g)
-    n = math.comb(2 * g, g + 1)
-    return (
-        -(8 * g * (2 * g + 1)) / (2 * g - 2) * math.log(2 * math.pi)
-        - 3 * g / ((2 * g - 2) * n) * log_norm_delta_g
-        - (2 * g + 1) / (2 * g - 2) * delta_faltings
-    )
 
 
 def chi_from_pairings(g, log_two, pairing_sum):
@@ -243,10 +228,7 @@ def node_counts_from_graph(graph):
             else:
                 delta_i[i - 1] += length
     counts = NodeCounts(
-        g,
-        Fraction(xi0, den),
-        (Fraction(0),) * ((g - 1) // 2),
-        tuple(Fraction(x, den) for x in delta_i),
+        g, Fraction(xi0, den), delta_i=tuple(Fraction(x, den) for x in delta_i)
     )
     return counts, warnings
 
@@ -291,7 +273,8 @@ class PlaceReport(_Frozen):
 
 
 def aggregate_global(places):
-    """(omega, omega)_a = (2g-2)/(2g+1) * sum_v chi_v log Nv."""
+    """(omega, omega)_a = (2g-2)/(2g+1) * sum_v chi_v log Nv, as a float;
+    ValueError when a term or the sum is not a finite float."""
     places = list(places)
     if not places:
         return 0.0
@@ -299,40 +282,13 @@ def aggregate_global(places):
     if len(genera) > 1:
         raise ValueError("places must share a common genus")
     g = genera.pop()
-    return (
-        (2 * g - 2)
-        / (2 * g + 1)
-        * sum(float(p.chi) * p.log_nv for p in places)
-    )
-
-
-class NoetherReport(
-    namedtuple("NoetherReport", "residual_degree residual_noether residual_aggregate")
-):
-    """Residuals of the global degree/Noether identities.
-
-    residual_degree: (8g+4) deg_lambda - sum d;
-    residual_noether: 12 deg_lambda - omega_sq - sum delta;
-    residual_aggregate: (omega_sq - sum eps) minus the chi-aggregation
-    formula, which vanishes whenever the first two residuals do.
-    """
-
-    __slots__ = ()
-
-    @property
-    def consistent(self):
-        return not any(
-            (self.residual_degree, self.residual_noether, self.residual_aggregate)
-        )
-
-
-def noether_consistency(g, deg_lambda, omega_sq, sum_d, sum_delta, sum_eps):
-    """Check the global identities on logNv-unit sums (diagnostic)."""
-    r1 = (8 * g + 4) * deg_lambda - sum_d
-    r2 = 12 * deg_lambda - omega_sq - sum_delta
-    omega_adm = omega_sq - sum_eps
-    chi_sum = (3 * sum_d - (2 * g + 1) * (sum_eps + sum_delta)) / (2 * g + 1)
-    return NoetherReport(r1, r2, omega_adm - chi_sum)
+    try:
+        total = sum(float(p.chi) * p.log_nv for p in places)
+    except OverflowError:  # float(chi) of a chi beyond the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError("sum of chi_v logNv is not a finite float")
+    return (2 * g - 2) / (2 * g + 1) * total
 
 
 def place_report_from_graph(label, graph, log_nv=1.0):

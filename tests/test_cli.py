@@ -465,6 +465,23 @@ def test_global_outside_the_schema(tmp_path, capsys, record, detail):
     assert detail in json.loads(out)["detail"]
 
 
+@pytest.mark.parametrize(
+    ("exponent", "log_nv"), [(400, 1.0), (300, 1e300)], ids=["chi beyond float", "term inf"]
+)
+def test_global_sum_beyond_the_float_range(tmp_path, capsys, exponent, log_nv):
+    # valid genus-2 records, chi = 3d/2 with eps = delta = 0: float(chi) once
+    # ended in an internal OverflowError (exit 2), and chi * logNv = inf was
+    # printed as "inf" (exit 0)
+    record = {
+        **PLACE, "logNv": log_nv, "d": f"2{'0' * exponent}", "eps": "0",
+        "delta": "0", "phi": "0", "chi": f"3{'0' * exponent}",
+    }
+    code, out = run(capsys, "global", "--places", write(tmp_path, "places.json", [record]))
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "validation" and "not a finite float" in doc["detail"]
+
+
 @pytest.mark.parametrize("command", ["symroots", "cluster"])
 def test_curve_root_inf(tmp_path, capsys, command):
     curve = write(tmp_path, "c.json", {**CURVE6, "roots": ["inf", "1", "2", "3", "4", "5"]})

@@ -10,14 +10,12 @@ from hypinv.invariants import (
     NodeCounts,
     PlaceReport,
     aggregate_global,
-    chi_arch,
     chi_from_pairings,
     chi_nonarch,
     d_from_counts,
     genus2_graph,
     genus2_row,
     node_counts_from_graph,
-    noether_consistency,
     place_report_from_graph,
     yamaki_bound,
 )
@@ -62,25 +60,6 @@ def test_yamaki_values():
         yamaki_bound(NodeCounts(2))
 
 
-def test_chi_arch_plumbing():
-    g = 2
-    base = chi_arch(g, 0.0, 0.0)
-    assert math.isclose(base, -40 * math.log(2 * math.pi))
-    n = math.comb(4, 3)
-    assert math.isclose(chi_arch(g, 1.0, 0.0) - base, -3 * g / (2 * n))
-    assert math.isclose(chi_arch(g, 0.0, 1.0) - base, -5 / 2)
-    # linearity across genera
-    for g in (3, 4, 7):
-        n = math.comb(2 * g, g + 1)
-        b = chi_arch(g, 0.0, 0.0)
-        assert math.isclose(
-            chi_arch(g, 2.0, 0.0) - b, -3 * g / ((2 * g - 2) * n) * 2.0
-        )
-        assert math.isclose(
-            chi_arch(g, 0.0, 3.0) - b, -(2 * g + 1) / (2 * g - 2) * 3.0
-        )
-
-
 def test_chi_from_pairings():
     assert chi_from_pairings(2, F(0), F(3, 2)) == -6
     assert chi_from_pairings(3, F(1), F(-1)) == 0
@@ -123,19 +102,17 @@ def test_genus2_row_errors():
         (lambda: genus2_row("II", (True,)), "thickness parameter is not an int or a Fraction"),
         (lambda: genus2_row("III", (0.5,)), "thickness parameter is not an int or a Fraction"),
         (lambda: genus2_graph("VII", (1, "2", 3)), "thickness parameter is not an int or a Fraction"),
-        (lambda: chi_arch(2.0, 1.0, 1.0), "genus is not an integer: 2.0"),
     ],
     ids=[
         "chi_nonarch d", "chi_nonarch eps", "chi_nonarch delta", "chi_nonarch genus",
         "NodeCounts xi0", "NodeCounts xi", "NodeCounts delta_i", "NodeCounts float genus",
         "NodeCounts bool genus", "genus2_row bool", "genus2_row float", "genus2_graph str",
-        "chi_arch float genus",
     ],
 )
 def test_scalar_layer_refuses_what_is_not_exact(call, message):
     # once coerced: chi_nonarch(2, 0.1, 0, 0) gave a fraction over 2**56,
-    # genus2_row("II", (True,)) the II(1) row, and NodeCounts(2.0, 1) and
-    # chi_arch(2.0, 1.0, 1.0) raised TypeError from inside
+    # genus2_row("II", (True,)) the II(1) row, and NodeCounts(2.0, 1) raised
+    # TypeError from inside
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         call()
 
@@ -203,23 +180,6 @@ def test_aggregate_global():
     bad = PlaceReport("7", 3, 1.0, F(0), F(0), F(0), F(0), F(0))
     with pytest.raises(ValueError):
         aggregate_global([p1, bad])
-
-
-def test_noether_consistency():
-    # exact rationals in: the two degree identities force the third residual
-    sum_d, sum_eps, sum_delta = F(6), F(5, 9), F(3)
-    deg_lambda = sum_d / 20
-    omega_sq = 12 * deg_lambda - sum_delta
-    rep = noether_consistency(2, deg_lambda, omega_sq, sum_d, sum_delta, sum_eps)
-    assert rep.consistent
-    assert rep.residual_degree == 0
-    assert rep.residual_noether == 0
-    assert rep.residual_aggregate == 0
-    off = noether_consistency(
-        2, deg_lambda + 1, omega_sq, sum_d, sum_delta, sum_eps
-    )
-    assert not off.consistent
-    assert off.residual_degree == 20
 
 
 def test_place_report_from_graph():

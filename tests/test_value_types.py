@@ -17,7 +17,7 @@ import pytest
 
 from hypinv import clustertree, invariants, metgraph, symroots
 from hypinv.clustertree import ClusterNode, ClusterTree, NormalFormReport
-from hypinv.invariants import Genus2Row, NodeCounts, NoetherReport, PlaceReport
+from hypinv.invariants import Genus2Row, NodeCounts, PlaceReport
 from hypinv.metgraph import Edge, Measure, MetrizedGraph
 from hypinv.rational import INF
 from hypinv.symroots import RootConfig
@@ -63,13 +63,6 @@ VALUES = {
         "eps=Fraction(5, 9), delta=Fraction(3, 1), phi=Fraction(1, 9), "
         "chi=Fraction(1, 9))",
         "eps",
-    ),
-    "NoetherReport": (
-        lambda: invariants.noether_consistency(2, F(1), F(2), F(3), F(4), F(5)),
-        invariants.noether_consistency(2, F(1), F(2), F(4), F(4), F(5)),
-        "NoetherReport(residual_degree=Fraction(17, 1), residual_noether=Fraction(6, 1), "
-        "residual_aggregate=Fraction(21, 5))",
-        "residual_degree",
     ),
     "NormalFormReport": (
         lambda: clustertree.check_normal_form(RootConfig(2, tuple(map(F, range(6)))), 3),
@@ -376,7 +369,7 @@ def test_the_records_are_also_tuples():
     assert row.chi == row[3]
     assert clustertree.check_normal_form(RootConfig(2, ROOTS), 3) == ((),)
     assert tuple(_node()) == (2, frozenset({0, 1}), F(0))
-    assert NoetherReport(0, 0, 0).consistent and NormalFormReport(()).ok
+    assert NormalFormReport(()).ok
 
 
 def test_cluster_tree_is_mutable_and_unhashable():
