@@ -97,12 +97,14 @@ def yamaki_bound(counts):
 
 
 def chi_from_pairings(g, log_two, pairing_sum):
-    """chi = -2g (log|2|_v + sum_{k != i} (w_i, w_k)_a).
+    """chi = -2g (log|2|_v + sum_{k != i} (w_i, w_k)_a), a ``Fraction``.
 
     The caller supplies the pairing sum; the result must be independent of
     the anchor index i when the supplied pairings are consistent.
     """
-    return -2 * g * (log_two + pairing_sum)
+    require_genus(g)
+    log_two = require_rational(log_two, "log_two")
+    return -2 * g * (log_two + require_rational(pairing_sum, "pairing_sum"))
 
 
 #: genus-2 fiber types: the vertex genera and the edges, as (u, v, parameter
@@ -236,7 +238,8 @@ def node_counts_from_graph(graph):
 class PlaceReport(_Frozen):
     """Invariants (d, eps, delta, phi, chi) of one place, in nu units.
 
-    ``log_nv`` is an ``int`` or a ``float``, finite as a float, and positive;
+    ``log_nv`` is an ``int`` or a ``float`` in (0, ``sys.float_info.max``],
+    kept as given (``hypinv global`` has no logNv rule of its own);
     d, eps, delta, phi and chi are each an ``int`` or a ``Fraction``, stored
     as a ``Fraction``.
     ``warnings``, a tuple of strings, is outside ``==``, ``hash`` and
@@ -246,11 +249,9 @@ class PlaceReport(_Frozen):
     _fields = ("label", "genus", "log_nv", "d", "eps", "delta", "phi", "chi")
 
     def __init__(self, label, genus, log_nv, d, eps, delta, phi, chi, warnings=()):
-        # a bool's type is not int; abs(10**400) <= max is False (isfinite overflows)
-        if type(log_nv) not in (int, float) or not abs(log_nv) <= sys.float_info.max:
-            raise ValueError(f"logNv is not a finite int or float: {log_nv!r}")
-        if log_nv <= 0:
-            raise ValueError("logNv must be positive")
+        # a bool's type is not int; NaN and 10**400 fail the comparison
+        if type(log_nv) not in (int, float) or not 0 < log_nv <= sys.float_info.max:
+            raise ValueError(f"logNv of place {label!r} is not a positive float: {log_nv!r}")
         d, eps = require_rational(d, "d"), require_rational(eps, "eps")
         delta, phi = require_rational(delta, "delta"), require_rational(phi, "phi")
         chi = require_rational(chi, "chi")

@@ -36,7 +36,7 @@ import operator
 from fractions import Fraction
 from types import MappingProxyType
 
-from .rational import _Frozen, format_rat, parse_rat, require_genus, require_int
+from .rational import _Frozen, parse_rat, require_genus, require_int
 from .rational import _set, require_keys, require_rational
 
 
@@ -164,31 +164,23 @@ class MetrizedGraph:
 
     @classmethod
     def from_json(cls, doc):
-        """The graph of a ``docs/schemas/graph.schema.json`` document."""
+        """The graph of a ``docs/schemas/graph.schema.json`` document;
+        ValueError on one outside the schema's keys or types."""
+        require_keys(doc, ("vertices", "edges"), "graph")
+        for key in ("vertices", "edges"):
+            if not isinstance(doc[key], list):
+                raise ValueError(f"graph {key} is not a list: {doc[key]!r}")
         genus = {}
-        for v in require_keys(doc, ("vertices", "edges"), "graph")["vertices"]:
+        for v in doc["vertices"]:
             vid = require_keys(v, ("id", "genus"), "vertex", ("id",))["id"]
             if vid in genus:
                 raise ValueError(f"duplicate vertex id: {vid!r}")
-            if "genus" not in v:
-                raise ValueError(f"vertex {vid!r} has no genus")
             genus[vid] = v["genus"]  # checked by the constructor
         edges = []
         for e in doc["edges"]:
             e = require_keys(e, ("u", "v", "length"), "edge", ("u", "v", "length"))
             edges.append((e["u"], e["v"], parse_rat(e["length"])))
         return cls(genus, edges)
-
-    def to_json(self):
-        return {
-            "vertices": [
-                {"id": v, "genus": g} for v, g in sorted(self.genus.items())
-            ],
-            "edges": [
-                {"u": e.u, "v": e.v, "length": format_rat(e.length)}
-                for e in self.edges
-            ],
-        }
 
 
 class Measure(_Frozen):

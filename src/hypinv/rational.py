@@ -205,15 +205,19 @@ def require_rational(value, what):
     return value if type(value) is Fraction else Fraction(value)
 
 
-def require_keys(doc, keys, what, strings=()):
-    """``doc`` if it is a JSON object with no key outside ``keys`` and a
-    string under each key of ``strings`` that it has; ValueError otherwise."""
+def require_keys(doc, required, what, strings=(), optional=()):
+    """``doc`` if it is a JSON object with every key of ``required``, no key
+    outside ``required`` and ``optional``, and a string under each key of
+    ``strings`` that it has; ValueError otherwise.  The one statement of the
+    keys of a curve, a place record, a graph, a vertex and an edge."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} is not an object: {doc!r}")
-    if unknown := sorted(set(doc) - set(keys)):
+    if unknown := sorted(set(doc).difference(required, optional)):
         raise ValueError(f"unknown {what} keys: {unknown}")
     if bad := [doc[k] for k in strings if not isinstance(doc.get(k, ""), str)]:
         raise ValueError(f"{what} fields {list(strings)} must be strings: {bad!r}")
+    if missing := sorted(set(required).difference(doc)):
+        raise ValueError(f"{what} missing keys: {missing}")
     return doc
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hypinv import cli, invariants, metgraph, rational, symroots
+from test_metgraph import graph_doc
 
 LOOP1 = {
     "vertices": [{"id": "v", "genus": 1}],
@@ -76,7 +77,7 @@ def test_graph_eval(tmp_path, capsys):
 @pytest.mark.parametrize("fiber_type", invariants.GENUS2_ARITY)
 def test_graph_eval_no_warnings_at_genus_2(tmp_path, capsys, fiber_type):
     params = (1, 2, 3)[: invariants.GENUS2_ARITY[fiber_type]]
-    doc = invariants.genus2_graph(fiber_type, params).to_json()
+    doc = graph_doc(invariants.genus2_graph(fiber_type, params))
     code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", doc))
     assert code == 0
     assert json.loads(out)["warnings"] == []
@@ -86,7 +87,7 @@ def test_graph_eval_warns_per_non_separating_edge(tmp_path, capsys):
     # genus-3 banana: four parallel edges, none of them a bridge
     banana = metgraph.MetrizedGraph({"a": 0, "b": 0}, [("a", "b", n) for n in (1, 2, 3, 4)])
     assert banana.total_genus == 3
-    code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", banana.to_json()))
+    code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", graph_doc(banana)))
     assert code == 0
     warnings = json.loads(out)["warnings"]
     assert len(warnings) == 4
@@ -348,7 +349,16 @@ def test_graph_missing_genus(tmp_path, capsys):
     }
     code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", doc))
     assert code == 1
-    assert "'w' has no genus" in json.loads(out)["detail"]
+    assert "vertex missing keys: ['genus']" in json.loads(out)["detail"]
+
+
+@pytest.mark.parametrize("key", ["vertices", "edges"])
+def test_graph_missing_key(tmp_path, capsys, key):
+    # once a KeyError caught by a catch-all: "bad graph JSON: 'edges'"
+    doc = {k: v for k, v in LOOP1.items() if k != key}
+    code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", doc))
+    assert code == 1
+    assert json.loads(out) == {"error": "validation", "detail": f"graph missing keys: ['{key}']"}
 
 
 @pytest.mark.parametrize("genus", [1.9, 1.0, True, "1", None])
@@ -465,6 +475,13 @@ def test_global_outside_the_schema(tmp_path, capsys, record, detail):
     assert detail in json.loads(out)["detail"]
 
 
+def test_global_keeps_the_documents_log_nv(tmp_path, capsys):
+    # an integer logNv prints what the same float does, as float(logNv) once did
+    outs = [run(capsys, "global", "--places", write(tmp_path, "p.json", [{**PLACE, "logNv": x}]))
+            for x in (1, 1.0)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
 @pytest.mark.parametrize(
     ("exponent", "log_nv"), [(400, 1.0), (300, 1e300)], ids=["chi beyond float", "term inf"]
 )
@@ -501,6 +518,10 @@ def test_curve_root_inf(tmp_path, capsys, command):
             "must be strings",
         ),
         ({"edges": [{"u": "v", "v": "v", "length": 1}]}, "must be strings"),
+        ({"edges": [{"v": "v", "length": "1"}]}, "edge missing keys: ['u']"),
+        ({"vertices": [{"genus": 1}]}, "vertex missing keys: ['id']"),
+        ({"vertices": 5}, "graph vertices is not a list: 5"),
+        ({"edges": {}}, "graph edges is not a list: {}"),
     ],
 )
 def test_graph_outside_the_schema(tmp_path, capsys, change, detail):
@@ -608,6 +629,19 @@ def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(metgraph, "epsilon_phi", boom)
     code, out = run(capsys, "graph", "eval", "--in", path)
+    assert code == 2
+    assert json.loads(out)["error"] == "internal"
+
+
+@pytest.mark.parametrize("exc", [KeyError, TypeError])
+def test_graph_eval_reports_an_internal_key_or_type_error(tmp_path, capsys, monkeypatch, exc):
+    # once caught while reading the graph and reported as invalid input
+    # (exit 1, "bad graph JSON: ...")
+    def boom(text):
+        raise exc("induced failure")
+
+    monkeypatch.setattr(metgraph, "parse_rat", boom)
+    code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "loop1.json", LOOP1))
     assert code == 2
     assert json.loads(out)["error"] == "internal"
 

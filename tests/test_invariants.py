@@ -102,17 +102,25 @@ def test_genus2_row_errors():
         (lambda: genus2_row("II", (True,)), "thickness parameter is not an int or a Fraction"),
         (lambda: genus2_row("III", (0.5,)), "thickness parameter is not an int or a Fraction"),
         (lambda: genus2_graph("VII", (1, "2", 3)), "thickness parameter is not an int or a Fraction"),
+        (lambda: chi_from_pairings(2, 0.5, 1), "log_two is not an int or a Fraction: 0.5"),
+        (lambda: chi_from_pairings(2, 0, 0.5), "pairing_sum is not an int or a Fraction: 0.5"),
+        (lambda: chi_from_pairings(2, "0", "1"), "log_two is not an int or a Fraction: '0'"),
+        (lambda: chi_from_pairings(True, F(0), F(1)), "genus is not an integer: True"),
+        (lambda: chi_from_pairings(1, F(0), F(1)), "genus must be at least 2"),
     ],
     ids=[
         "chi_nonarch d", "chi_nonarch eps", "chi_nonarch delta", "chi_nonarch genus",
         "NodeCounts xi0", "NodeCounts xi", "NodeCounts delta_i", "NodeCounts float genus",
         "NodeCounts bool genus", "genus2_row bool", "genus2_row float", "genus2_graph str",
+        "chi_from_pairings log_two", "chi_from_pairings pairing_sum",
+        "chi_from_pairings str", "chi_from_pairings bool genus", "chi_from_pairings genus 1",
     ],
 )
 def test_scalar_layer_refuses_what_is_not_exact(call, message):
     # once coerced: chi_nonarch(2, 0.1, 0, 0) gave a fraction over 2**56,
     # genus2_row("II", (True,)) the II(1) row, and NodeCounts(2.0, 1) raised
-    # TypeError from inside
+    # TypeError from inside; chi_from_pairings(2, 0.5, 1) gave -6.0,
+    # (True, 0, 1) read the genus as 1, and (2, "0", "1") gave ''
     with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
         call()
 
@@ -122,6 +130,7 @@ def test_scalar_layer_keeps_exact_arguments():
     assert NodeCounts(2, half).xi0 is half
     assert NodeCounts(2, 1).xi0 == 1 and type(NodeCounts(2, 1).xi0) is F
     assert chi_nonarch(2, 6, F(5, 9), 3) == chi_nonarch(2, F(6), F(5, 9), F(3))
+    assert type(chi_from_pairings(2, 0, 1)) is F  # once the int -4
 
 
 def test_genus2_arity_is_pinned():

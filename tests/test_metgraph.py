@@ -27,6 +27,7 @@ from hypinv.metgraph import (
     subdivide,
     verify_admissible,
 )
+from hypinv.rational import format_rat
 
 F = Fraction
 
@@ -78,16 +79,23 @@ def test_genus_accounting():
     assert theta().betti == 2
 
 
+def graph_doc(graph):
+    """``graph`` as a docs/schemas/graph.schema.json document."""
+    return {
+        "vertices": [{"id": v, "genus": g} for v, g in sorted(graph.genus.items())],
+        "edges": [{"u": e.u, "v": e.v, "length": format_rat(e.length)} for e in graph.edges],
+    }
+
+
 def test_json_roundtrip():
     g = theta(1, 2, F(5, 3))
-    doc = g.to_json()
-    g2 = MetrizedGraph.from_json(doc)
-    assert g2.to_json() == doc
+    g2 = MetrizedGraph.from_json(graph_doc(g))
+    assert g2.genus == g.genus and g2.edges == g.edges
 
 
 def _bad_docs():
     """Graph documents that docs/schemas/graph.schema.json rejects."""
-    doc = loop1().to_json()
+    doc = graph_doc(loop1())
     vertex, edge = doc["vertices"][0], doc["edges"][0]
     yield "top-level key", {**doc, "note": "x"}
     yield "vertex key", {**doc, "vertices": [{**vertex, "label": "x"}]}
@@ -100,6 +108,14 @@ def _bad_docs():
     yield "numeric length", {**doc, "edges": [{**edge, "length": 1}]}
     yield "vertex not an object", {**doc, "vertices": ["v"]}
     yield "document not an object", [doc]
+    # each once ended in a KeyError or a TypeError from inside
+    yield "no vertices", {"edges": doc["edges"]}
+    yield "no edges", {"vertices": doc["vertices"]}
+    yield "vertex without id", {**doc, "vertices": [{"genus": 1}]}
+    yield "vertex without genus", {**doc, "vertices": [{"id": "v"}]}
+    yield "edge without u", {**doc, "edges": [{"v": "v", "length": "1"}]}
+    yield "vertices not a list", {**doc, "vertices": 5}
+    yield "edges not a list", {**doc, "edges": 5}
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ import oracle_places as old
 from hypinv import cli, invariants, verify
 from hypinv.invariants import NodeCounts
 from hypinv.metgraph import MetrizedGraph
-from test_metgraph import RANDOM
+from test_metgraph import RANDOM, graph_doc
 from test_metgraph_properties import PROPERTY, graphs
 
 F = Fraction
@@ -85,7 +85,7 @@ def test_the_warning_graphs_warn():
 
 @pytest.mark.parametrize("name", EVAL_GRAPHS)
 def test_graph_eval_prints_the_four_call_assembly(tmp_path, capsys, name):
-    doc = EVAL_GRAPHS[name].to_json()
+    doc = graph_doc(EVAL_GRAPHS[name])
     path = tmp_path / "g.json"
     path.write_text(json.dumps(doc))
     assert cli.main(["graph", "eval", "--in", str(path)]) == 0

@@ -116,6 +116,18 @@ AGREE = [
     ("curve --prime", curve(prime=None)),
     ("curve --prime", curve(prime=1)),
     ("curve", curve(prime=None)),
+    # a document without a required key, of each kind; a graph's vertices
+    # or edges that are not a list
+    ("curve", {"roots": CURVE["roots"]}),
+    ("curve --prime", {"genus": 2, "prime": 3}),
+    ("graph", {"edges": GRAPH["edges"]}),
+    ("graph", {**GRAPH, "vertices": [{"genus": 1}]}),
+    ("graph", {**GRAPH, "edges": [{"v": "v", "length": "1"}]}),
+    ("graph", {**GRAPH, "edges": [{"u": "v", "v": "v"}]}),
+    ("graph", {**GRAPH, "vertices": 5}),
+    ("graph", {**GRAPH, "edges": {}}),
+    ("places", [{k: v for k, v in PLACE.items() if k != "logNv"}]),
+    ("places", [{k: v for k, v in PLACE.items() if k != "genus"}]),
 ]
 
 INTEGRAL_FLOATS = [
