@@ -13,7 +13,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .rational import _Frozen, _set, require_genus, require_rational
+from .rational import _Frozen, _fraction, _set, require_genus, require_rational
 
 
 class NodeCounts(_Frozen):
@@ -53,13 +53,17 @@ class NodeCounts(_Frozen):
 
 def d_from_counts(counts):
     """d = g xi0 + sum_j 2(j+1)(g-j) xi_j + sum_i 4i(g-i) delta_i."""
-    g = counts.genus
-    terms = [(g, counts.xi0)]
-    terms += [(2 * (j + 1) * (g - j), x) for j, x in enumerate(counts.xi, start=1)]
-    terms += [(4 * i * (g - i), x) for i, x in enumerate(counts.delta_i, start=1)]
+    xi, fields = counts.xi, (counts.xi0, *counts.xi, *counts.delta_i)
     # *list, not *generator: a resized argument tuple stays on CPython's free list
-    den = math.lcm(*[x.denominator for _, x in terms])
-    return Fraction(sum(c * x.numerator * (den // x.denominator) for c, x in terms), den)
+    den = math.lcm(*[x.denominator for x in fields])
+    xi0, *rest = [x.numerator * (den // x.denominator) for x in fields]
+    return _fraction(_d(counts.genus, xi0, rest[: len(xi)], rest[len(xi) :]), den)
+
+
+def _d(g, xi0, xi, delta_i):
+    """d times D, from the integer counts times D for one common D."""
+    d = g * xi0 + sum(2 * (j + 1) * (g - j) * x for j, x in enumerate(xi, start=1))
+    return d + sum(4 * i * (g - i) * x for i, x in enumerate(delta_i, start=1))
 
 
 def chi_nonarch(g, d, eps, delta):
@@ -67,12 +71,16 @@ def chi_nonarch(g, d, eps, delta):
     require_genus(g)
     d, eps = require_rational(d, "d"), require_rational(eps, "eps")
     delta = require_rational(delta, "delta")
-    den = math.lcm(d.denominator, eps.denominator, delta.denominator)
-    num = 3 * d.numerator * (den // d.denominator) - (2 * g + 1) * (
-        eps.numerator * (den // eps.denominator)
-        + delta.numerator * (den // delta.denominator)
-    )
-    return Fraction(num, (2 * g - 2) * den)
+    ratios = d.as_integer_ratio(), eps.as_integer_ratio(), delta.as_integer_ratio()
+    return _fraction(*_chi(g, *ratios))
+
+
+def _chi(g, d, eps, delta):
+    """chi_nonarch on integer pairs (num, den), for the checked genus g."""
+    (dn, dd), (en, ed), (ln, ld) = d, eps, delta
+    den = math.lcm(dd, ed, ld)
+    num = 3 * dn * (den // dd) - (2 * g + 1) * (en * (den // ed) + ln * (den // ld))
+    return num, (2 * g - 2) * den
 
 
 def yamaki_bound(counts):
@@ -203,10 +211,16 @@ def node_counts_from_graph(graph):
     Returns (NodeCounts, warnings).
     """
     g = require_genus(graph.total_genus)
-    sides = graph.bridge_sides
-    # lengths summed as integers over the lcm of their denominators
     # *list, not *generator: a resized argument tuple stays on CPython's free list
     den = math.lcm(*[e.length.denominator for e in graph.edges])
+    return _graph_counts(graph, g, den)[:2]
+
+
+def _graph_counts(graph, g, den):
+    """``node_counts_from_graph`` for the checked genus g and the lcm den of
+    the edge-length denominators: (NodeCounts, warnings, xi0, delta_i), with
+    xi0 and the list delta_i the counts times den, as integers."""
+    sides = graph.bridge_sides
     xi0 = 0
     delta_i = [0] * (g // 2)
     warnings = []
@@ -230,9 +244,9 @@ def node_counts_from_graph(graph):
             else:
                 delta_i[i - 1] += length
     counts = NodeCounts(
-        g, Fraction(xi0, den), delta_i=tuple(Fraction(x, den) for x in delta_i)
+        g, _fraction(xi0, den), delta_i=tuple(_fraction(x, den) for x in delta_i)
     )
-    return counts, warnings
+    return counts, warnings, xi0, delta_i
 
 
 class PlaceReport(_Frozen):
@@ -293,25 +307,25 @@ def aggregate_global(places):
 
 
 def place_report_from_graph(label, graph, log_nv=1.0):
-    """Assemble a PlaceReport from a reduction graph: d from
-    ``node_counts_from_graph``, whose warnings the report keeps, and eps,
-    phi and delta from ``metgraph``.  The one code path from a graph to
-    its place invariants."""
+    """Assemble a PlaceReport from a reduction graph, the one code path from
+    a graph to its place invariants: each integer core of d, eps, delta, phi
+    and chi runs once, on one lcm of the length denominators, and the report
+    keeps the warnings of ``node_counts_from_graph``."""
     from . import metgraph
 
-    counts, warnings = node_counts_from_graph(graph)
-    d = d_from_counts(counts)
-    eps, ph = metgraph.epsilon_phi(graph)
-    dlt = metgraph.delta(graph)
-    g = graph.total_genus
+    g = require_genus(graph.total_genus)
+    length = metgraph._length_ratio(graph)  # delta, the total length, as (num, den)
+    _, warnings, xi0, delta_i = _graph_counts(graph, g, length[1])
+    d = _d(g, xi0, (), delta_i), length[1]
+    eps, ph = metgraph._epsilon_phi(graph, g, *length)
     return PlaceReport(
         label=label,
         genus=g,
         log_nv=log_nv,
-        d=d,
-        eps=eps,
-        delta=dlt,
-        phi=ph,
-        chi=chi_nonarch(g, d, eps, dlt),
+        d=_fraction(*d),
+        eps=_fraction(*eps),
+        delta=_fraction(*length),
+        phi=_fraction(*ph),
+        chi=_fraction(*_chi(g, d, eps, length)),
         warnings=warnings,
     )

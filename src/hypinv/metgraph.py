@@ -8,15 +8,15 @@ computation on the graph derives resistances, measures, potentials, Green's
 functions and Zhang's epsilon and phi in closed form from that solve's
 integer adjugate, each form at one code site.  The solve works out the
 Foster numerator N_e of every edge once, and k_e = b N_e / (a^2 det) on an
-edge of length a / b is read from it; it keeps the potential psi_K of the
-canonical divisor (``_Resistances.psi_k``) from the first ``epsilon_phi``
-or ``verify_admissible`` on.  A ``Measure`` is immutable too, and
-the graph keeps the measure kernel (``_Kernel``, which serves ``green``,
-``green_diagonal`` and ``verify_admissible``) of the last measure it was
-asked about (``MetrizedGraph._kernel``).  The kernel works in integers over
-one lcm D of the mass denominators and every b_e q_e (density p_e / q_e);
-``epsilon_phi`` needs no measure, as it reads the tau constant and psi_K,
-over one A = lcm(a_e b_e) of every edge.  Both build ``Fraction``s only for
+edge of length a / b is read from it; it keeps the canonical divisor K and
+its potential psi_K (``_Resistances.psi_k``) from the first use on.  A
+``Measure`` is immutable too, and the graph keeps the kernel (``_Kernel``,
+which serves ``green``, ``green_diagonal`` and ``verify_admissible``) of the
+last measure it was asked about (``MetrizedGraph._kernel``), in integers
+over one lcm D of the mass denominators and every b_e q_e (density p_e /
+q_e).  ``epsilon_phi`` reads the tau constant and psi_K over one A =
+lcm(a_e b_e), in the integer core ``_epsilon_phi``, which a place report
+calls with delta's ``_length_ratio``; each builds ``Fraction``s only for
 results.  Points are integer pairs too: ``_on_edge`` takes and returns them,
 and ``resistance`` and ``green`` each build one ``Fraction``, the result.
 README.md, "Metrized graphs", states the forms with their sources.
@@ -36,12 +36,19 @@ import operator
 from fractions import Fraction
 from types import MappingProxyType
 
-from .rational import _Frozen, parse_rat, require_genus, require_int
+from .rational import _Frozen, _fraction, parse_rat, require_genus, require_int
 from .rational import _set, require_keys, require_rational
 
 
 class Edge(_Frozen):
     _fields = ("eid", "u", "v", "length")
+
+    def __init__(self, eid, u, v, length):
+        # one _set per field, not the base's loop: every graph builds one per edge
+        _set(self, "eid", eid)
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "length", length)
 
     @property
     def is_loop(self):
@@ -288,10 +295,10 @@ class _Resistances:
     positive definite, with adjugate adj and determinant det: G = s adj / det.
     The constructor also works out the Foster numerator N_e of every edge
     (``foster``), which every reader of k_e takes from ``_n``; ``psi_k``
-    keeps the potential of the canonical divisor once it is asked for.
+    keeps the canonical divisor K (``_k``) and its potential once asked for.
     """
 
-    _psi = None  # P of the canonical divisor, set by ``psi_k``
+    _psi = _k = None  # P of the canonical divisor and K itself, set by ``psi_k``
 
     def __init__(self, graph):
         self.graph = graph
@@ -341,9 +348,10 @@ class _Resistances:
 
     def psi_k(self):
         """``potentials`` of the canonical divisor K, psi_K(v) = s P_v / det:
-        built on the first call, then kept, as it depends on the graph only."""
+        built on the first call, then kept, with K, as both are the graph's."""
         if self._psi is None:
-            self._psi = self.potentials(canonical_divisor(self.graph))
+            self._k = canonical_divisor(self.graph)
+            self._psi = self.potentials(self._k)
         return self._psi
 
     def density(self, e):
@@ -565,10 +573,16 @@ def epsilon_phi(graph):
     epsilon = (4g - 4) tau / g + theta / (2g),
     phi = (5g - 2) tau / g + theta / (4g) - delta / 4,
 
-    both in integers over one common denominator; tau = t / (12 det^2 A)
-    with A = lcm(a_e b_e) over every edge, as in README.md, "Metrized graphs".
+    both in integers over one common denominator (``_epsilon_phi``).
     """
-    g, res = require_genus(graph.total_genus), graph._solve()
+    eps, ph = _epsilon_phi(graph, require_genus(graph.total_genus), *_length_ratio(graph))
+    return _fraction(*eps), _fraction(*ph)
+
+
+def _epsilon_phi(graph, g, dn, dd):
+    """(eps, phi) as integer pairs (num, den) for the checked genus g and
+    delta = dn / dd; tau = t / (12 det^2 A), A = lcm(a_e b_e), as in README.md."""
+    res = graph._solve()
     det, s = res._det, res._scale
     # det r(v, y) / s, with y the grounded vertex
     diag = {v: res._adj[i][i] for v, i in res._index.items()}
@@ -582,14 +596,13 @@ def epsilon_phi(graph):
         foster += n * (lcm_ab // a)
     if foster != graph.betti * det * lcm_ab:  # sum_e k_e L_e = betti
         raise ValueError("Foster's identity fails: the masses do not sum to 1")
-    k = canonical_divisor(graph)
+    psi = res.psi_k()  # also keeps K; both are keyed in vertex order
     # theta / (4g) = th / den, as theta = s (K . P) / det with P = psi_k
-    th = 3 * s * det * lcm_ab * sum(k[v] * x for v, x in res.psi_k().items())
+    th = 3 * s * det * lcm_ab * sum(map(operator.mul, res._k.values(), psi.values()))
     den = 12 * g * det * det * lcm_ab  # tau / g = t / den
-    dn, dd = _length_ratio(graph)  # delta / 4 = (dn den / 4) / (den dd)
     return (
-        Fraction((4 * g - 4) * t + 2 * th, den),
-        Fraction(((5 * g - 2) * t + th) * dd - dn * (den // 4), den * dd),
+        ((4 * g - 4) * t + 2 * th, den),
+        (((5 * g - 2) * t + th) * dd - dn * (den // 4), den * dd),
     )
 
 
@@ -608,7 +621,7 @@ def phi(graph):
 
 def delta(graph):
     """Total edge length (thickness-weighted singular-point count)."""
-    return Fraction(*_length_ratio(graph))
+    return _fraction(*_length_ratio(graph))
 
 
 def _length_ratio(graph):

@@ -185,6 +185,8 @@ def _suite_genus2_table(tally, rng):
         tally.check(rep.eps == row.eps, f"epsilon {tag}")
         tally.check(rep.delta == row.delta, f"delta {tag}")
         tally.check(rep.d == 2 * row.d_half, f"d {tag}")
+        tally.check(rep.phi == row.chi, f"phi {tag}")
+        tally.check(rep.chi == row.chi, f"chi {tag}")
         chi = invariants.chi_nonarch(2, 2 * row.d_half, row.eps, row.delta)
         tally.check(chi == row.chi, f"chi-consistency {tag}")
 

@@ -624,10 +624,11 @@ def test_bad_subcommand(capsys):
 def test_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "loop1.json", LOOP1)
 
-    def boom(graph):
+    def boom(*args):
         raise RuntimeError("induced failure")
 
-    monkeypatch.setattr(metgraph, "epsilon_phi", boom)
+    # the epsilon/phi core, which the place path calls
+    monkeypatch.setattr(metgraph, "_epsilon_phi", boom)
     code, out = run(capsys, "graph", "eval", "--in", path)
     assert code == 2
     assert json.loads(out)["error"] == "internal"

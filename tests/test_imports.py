@@ -186,3 +186,23 @@ def test_public_names_are_read_from_their_home_module(monkeypatch):
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError):
         hypinv.no_such_name
+
+
+#: what a layer may load besides ``hypinv`` and ``__future__``: the modules
+#: these standard imports load
+STDLIB = "import argparse, collections, fractions, itertools, json, math, operator, random, sys, types\n"
+
+
+@pytest.fixture(scope="module")
+def standard_modules():
+    return set(held(STDLIB)) | {"__future__"}
+
+
+@pytest.mark.parametrize(
+    "layer", ["rational", "invariants", "metgraph", "symroots", "clustertree", "verify", "cli"]
+)
+def test_each_layer_loads_no_module_beyond_its_standard_imports(layer, standard_modules):
+    # an added import of a module outside that set costs every child that
+    # loads the layer its import time
+    extra = set(held(f"import hypinv.{layer}\n")) - standard_modules
+    assert sorted(m for m in extra if m.split(".")[0] != "hypinv") == []

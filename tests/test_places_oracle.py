@@ -10,6 +10,7 @@ own four-call assembly (``oracle_places.graph_eval_doc`` and
 ``graph_check_doc``) printed.
 """
 
+import itertools
 import json
 import random
 import re
@@ -19,11 +20,11 @@ import pytest
 from hypothesis import given
 
 import oracle_places as old
-from hypinv import cli, invariants, verify
+from hypinv import cli, invariants, metgraph, verify
 from hypinv.invariants import NodeCounts
 from hypinv.metgraph import MetrizedGraph
 from test_metgraph import RANDOM, graph_doc
-from test_metgraph_properties import PROPERTY, graphs
+from test_metgraph_properties import PROPERTY, graphs, lengths, necklace
 
 F = Fraction
 GENUS2 = list(verify._genus2_sweep())
@@ -69,6 +70,89 @@ def test_random_place_reports_keep_the_warnings(graph):
 def test_place_reports_keep_the_warnings(graph):
     rep = invariants.place_report_from_graph("p", graph)
     assert rep.warnings == tuple(invariants.node_counts_from_graph(graph)[1])
+
+
+def report_fields(graph):
+    rep = invariants.place_report_from_graph("p", graph)
+    return rep.d, rep.eps, rep.delta, rep.phi, rep.chi, rep.warnings
+
+
+def public_fields(graph):
+    """The report's fields from the public functions, each run on its own."""
+    counts, warnings = invariants.node_counts_from_graph(graph)
+    d = invariants.d_from_counts(counts)
+    eps, ph = metgraph.epsilon_phi(graph)
+    dlt = metgraph.delta(graph)
+    chi = invariants.chi_nonarch(graph.total_genus, d, eps, dlt)
+    return d, eps, dlt, ph, chi, tuple(warnings)
+
+
+def assert_report_is_the_public_composition(make):
+    """``make`` builds equal graphs: the report of a fresh one, and the
+    report before and after the public calls on one graph whose solve is
+    kept, all equal the public composition."""
+    fresh = report_fields(make())
+    assert all(type(x) is Fraction for x in fresh[:5])
+    graph = make()
+    before = report_fields(graph)
+    assert before == fresh == public_fields(graph) == report_fields(graph)
+    assert fresh == public_fields(make())
+
+
+def banana(rng, n):
+    length = lengths(rng)
+    return MetrizedGraph({"a": 0, "b": 0}, [("a", "b", length()) for _ in range(n)])
+
+
+def complete(rng, n):
+    length = lengths(rng)
+    pairs = itertools.combinations(range(n), 2)
+    return MetrizedGraph(dict.fromkeys(range(n), 0), [(u, v, length()) for u, v in pairs])
+
+
+FAMILIES = [(banana, n) for n in range(5, 16)] + [(necklace, n) for n in (3, 4, 5)]
+FAMILIES += [(complete, n) for n in (4, 5, 6)]
+
+
+@PROPERTY
+@given(graphs(max_vertices=8))
+def test_place_reports_are_the_public_composition(graph):
+    edges = [(e.u, e.v, e.length) for e in graph.edges]
+    assert_report_is_the_public_composition(lambda: MetrizedGraph(graph.genus, edges))
+
+
+@pytest.mark.parametrize("fiber_type, params", GENUS2)
+def test_genus2_place_reports_are_the_public_composition(fiber_type, params):
+    assert_report_is_the_public_composition(
+        lambda: invariants.genus2_graph(fiber_type, params)
+    )
+
+
+@pytest.mark.parametrize("family, n", FAMILIES, ids=[f"{f.__name__}({n})" for f, n in FAMILIES])
+def test_family_place_reports_are_the_public_composition(family, n):
+    label = f"composition:{family.__name__}({n})"
+    assert_report_is_the_public_composition(lambda: family(random.Random(label), n))
+
+
+def test_the_place_path_runs_every_check(monkeypatch):
+    # the integer cores keep the public path's checks: one NodeCounts built,
+    # PlaceReport's logNv check and its chi through chi_nonarch, and
+    # Foster's identity on a new graph's solve
+    graph = invariants.genus2_graph("VII", (1, 2, 3))
+    called = []
+    for name in ("NodeCounts", "chi_nonarch"):
+        real = getattr(invariants, name)
+        monkeypatch.setattr(
+            invariants, name, lambda *a, _n=name, _f=real, **k: called.append(_n) or _f(*a, **k)
+        )
+    invariants.place_report_from_graph("p", graph)
+    assert called == ["NodeCounts", "chi_nonarch"]
+    with pytest.raises(ValueError, match="logNv of place"):
+        invariants.place_report_from_graph("p", graph, float("nan"))
+    original = metgraph._Resistances.foster
+    monkeypatch.setattr(metgraph._Resistances, "foster", lambda self, e: original(self, e) + 1)
+    with pytest.raises(ValueError, match="Foster's identity"):
+        invariants.place_report_from_graph("p", invariants.genus2_graph("VII", (1, 2, 3)))
 
 
 #: a genus-3 rose of three loops (three non-separating warnings) and a

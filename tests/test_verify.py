@@ -1,6 +1,6 @@
 import pytest
 
-from hypinv import clustertree, symroots, verify
+from hypinv import clustertree, metgraph, symroots, verify
 
 
 def test_suite_names_exposed():
@@ -84,8 +84,23 @@ def test_cluster_suite_catches_a_wrong_row_sum(monkeypatch):
 def test_genus2_table_suite():
     doc = verify.run_suite("genus2-table", 0)
     assert doc["failed"] == 0
-    # 7 types, arities (0,1,1,2,2,3,3) over {1,2,3}: 79 rows, 4 checks each
-    assert doc["passed"] == 79 * 4
+    # 7 types, arities (0,1,1,2,2,3,3) over {1,2,3}: 79 rows, 6 checks each
+    assert doc["passed"] == 79 * 6
+
+
+def test_genus2_table_suite_catches_a_wrong_phi(monkeypatch):
+    # phi off by one in the core the place path calls: every row fails its
+    # phi check and no other, as chi is read from eps, not phi
+    real = metgraph._epsilon_phi
+
+    def epsilon_phi(graph, g, dn, dd):
+        eps, (num, den) = real(graph, g, dn, dd)
+        return eps, (num + den, den)
+
+    monkeypatch.setattr(metgraph, "_epsilon_phi", epsilon_phi)
+    doc = verify.run_suite("genus2-table", 0)
+    assert doc["failures"] == [f"phi {t}{p}" for t, p in verify._genus2_sweep()]
+    assert doc["passed"] == 79 * 5
 
 
 def test_phi_equals_chi_suite():
@@ -103,7 +118,7 @@ def test_subdivision_suite():
 SEED_7 = {
     "identities": (1500, 0),
     "cluster-vs-symroots": (200, 0),
-    "genus2-table": (316, 0),
+    "genus2-table": (474, 0),
     "phi-equals-chi": (79, 0),
     "subdivision": (48, 0),
 }
