@@ -17,12 +17,11 @@ over one lcm D of the mass denominators and every b_e q_e (density p_e /
 q_e).  ``epsilon_phi`` reads the tau constant and psi_K over one A =
 lcm(a_e b_e), in the integer core ``_epsilon_phi``, which a place report
 calls with delta's ``_length_ratio``; each builds ``Fraction``s only for
-results.  Points are integer pairs too: ``_on_edge`` takes and returns them,
-and ``resistance`` and ``green`` each build one ``Fraction``, the result.
-README.md, "Metrized graphs", states the forms with their sources.
-
-Points are addressed by vertex id or as a pair (int edge index, offset)
-with a rational offset in [0, L]; offsets 0 and L normalize to the endpoints.
+results.  A point is a vertex id or a pair (int edge id, rational offset s
+in [0, L]), normalized once to an endpoint at s = 0 or L, else to integers
+m / n = s / L; ``_Resistances.between`` has one closed form per pair of point
+kinds, and ``resistance`` and ``green`` each build one ``_fraction``, the
+result.  README.md, "Metrized graphs", states the forms with their sources.
 
 ``green_diagonal`` returns a ``PiecewisePoly``, a dataclass defined in
 ``_piecewise`` and read here through the module ``__getattr__`` (PEP 562),
@@ -111,6 +110,8 @@ class MetrizedGraph:
         ``Measure`` is immutable, so the kept kernel's checks still hold."""
         kernel = self._ker
         if kernel is None or kernel.mu is not mu:
+            if not isinstance(mu, Measure):
+                raise ValueError(f"mu is not a Measure: {type(mu).__name__}")
             kernel = _Kernel(mu, self._solve())
             _set(self, "_ker", kernel)
         return kernel
@@ -251,17 +252,19 @@ def _edge(graph, eid):
 
 
 def _norm_point(graph, x):
-    """Normalize a point spec to ("v", id) or ("e", eid, offset)."""
+    """Normalize a point spec to ("v", id) or ("e", eid, m, n), where s / L =
+    m / n with m = s_num b and n = s_den a at offset s on an edge of L = a / b."""
     if isinstance(x, tuple):
         eid, off = _edge_point(x)
         e = _edge(graph, eid)
-        if off == 0:
+        m, n = off.numerator * e.length.denominator, off.denominator * e.length.numerator
+        if m == 0:
             return ("v", e.u)
-        if off == e.length:
+        if m == n:
             return ("v", e.v)
-        if not 0 < off < e.length:
+        if not 0 < m < n:
             raise ValueError(f"offset {off} outside edge of length {e.length}")
-        return ("e", e.eid, off)
+        return ("e", eid, m, n)
     x = str(x)
     if x not in graph.genus:
         raise ValueError(f"unknown vertex: {x}")
@@ -362,37 +365,36 @@ class _Resistances:
 
     def between(self, x, y):
         """r(x, y) between two normalized points as an integer pair (num, den)
-        with den = det w(x) w(y), where w is 1 at a vertex and b n^2 at the
-        point s / L = m / n of an edge of length a / b (``_ratio``)."""
+        with den = det w(x) w(y), w = 1 at a vertex and b n^2 at m / n on an
+        edge of length a / b, each with its bulge L^2 k_e = N_e / (b det)."""
         if x[0] == "v":
             x, y = y, x
+        r, s, det = self._r, self._scale, self._det
         if x[0] == "v":
-            return self._scale * self._r(x[1], y[1]), self._det
-        e, s = self.graph.edges[x[1]], x[2]
-        b, n_e = e.length.denominator, self._n[e.eid]
-        if y[0] == "e" and y[1] == e.eid:
-            # t - t^2 k_e, t / L = |m n' - m' n| / (n n'), L^2 k_e = N_e / (b det)
-            (m, n), (m2, n2) = _ratio(e, s), _ratio(e, y[2])
+            return s * r(x[1], y[1]), det
+        _, eid, m, n = x
+        e = self.graph.edges[eid]
+        b, n_e = e.length.denominator, self._n[eid]
+        if y[0] == "v":  # the chord of r(y, u) and r(y, v) over b det
+            return _on_edge(m, n, b * s * r(y[1], e.u), b * s * r(y[1], e.v), n_e, b * det)
+        _, fid, m2, n2 = y
+        if fid == eid:  # t - t^2 k_e, t / L = |m n' - m' n| / (n n')
             t = abs(m * n2 - m2 * n)
-            num = e.length.numerator * self._det * t * n * n2 - t * t * n_e
-            return b * num, self._det * (b * n * n2) ** 2
-        (ru, den), (rv, _) = self.between(y, ("v", e.u)), self.between(y, ("v", e.v))
-        # the bulge L^2 k_e = N_e / (b det) over the endpoints' b den
-        return _on_edge(e, s, b * ru, b * rv, n_e * (den // self._det), b * den)
+            num = e.length.numerator * det * t * n * n2 - t * t * n_e
+            return b * num, det * (b * n * n2) ** 2
+        # r(x, .) at f's endpoints by e's chord, over w(x) det; then f's chord
+        f, bs, wx = self.graph.edges[fid], b * s, b * n * n
+        bf = f.length.denominator
+        ru = bf * _on_edge(m, n, bs * r(f.u, e.u), bs * r(f.u, e.v), n_e, 1)[0]
+        rv = bf * _on_edge(m, n, bs * r(f.v, e.u), bs * r(f.v, e.v), n_e, 1)[0]
+        return _on_edge(m2, n2, ru, rv, self._n[fid] * wx, bf * wx * det)
 
 
-def _ratio(e, s):
-    """(m, n) with s / L = m / n for the offset ``s`` on edge ``e``."""
-    return s.numerator * e.length.denominator, s.denominator * e.length.numerator
-
-
-def _on_edge(e, s, at_u, at_v, bulge, den):
-    """The value at offset s on edge ``e`` of a function whose second
-    derivative is constant there: with x = s / L = m / n, the chord between
-    the endpoint values at_u / den and at_v / den plus the bulge
-    x (1 - x) bulge / den, where bulge / den = -L^2 f'' / 2 (README.md).
-    All integers; returns (num, n^2 den), polynomial in m and n."""
-    m, n = _ratio(e, s)
+def _on_edge(m, n, at_u, at_v, bulge, den):
+    """The value at x = s / L = m / n on an edge of a function whose second
+    derivative is constant there: the chord between the endpoint values at_u /
+    den and at_v / den plus x (1 - x) bulge / den, bulge / den = -L^2 f'' / 2
+    (README.md).  All integers; returns (num, n^2 den), polynomial in m, n."""
     return (n - m) * (n * at_u + m * bulge) + n * m * at_v, n * n * den
 
 
@@ -479,7 +481,7 @@ class _Kernel:
         b, dd = e.length.denominator, self._d[e.eid][1]
         # the bulge L^2 (k_e - d_e) = bn / (b^2 dd det) over b Z = 6 b det D^2
         bulge = 6 * self._den * (self._den // (b * dd)) * self.bend(e)[0]
-        return _on_edge(e, x[2], b * f[e.u], b * f[e.v], bulge, b * z)
+        return _on_edge(x[2], x[3], b * f[e.u], b * f[e.v], bulge, b * z)
 
     def green(self, x, y):
         """g_mu(x, y) = (phi(x) + phi(y) - r(x, y) - c) / 2 as an integer pair
@@ -504,7 +506,7 @@ def canonical_divisor(graph):
 def resistance(graph, x, y):
     """Effective resistance between two points, exact."""
     px, py = _norm_point(graph, x), _norm_point(graph, y)
-    return Fraction(*graph._solve().between(px, py))
+    return _fraction(*graph._solve().between(px, py))
 
 
 def canonical_measure(graph):
@@ -539,7 +541,7 @@ def admissible_measure(graph):
 def green(graph, mu, x, y):
     """Green's function g_mu(x, y) for a total-mass-1 measure, exact."""
     px, py = _norm_point(graph, x), _norm_point(graph, y)
-    return Fraction(*graph._kernel(mu).green(px, py))
+    return _fraction(*graph._kernel(mu).green(px, py))
 
 
 def green_diagonal(graph, mu):

@@ -16,6 +16,11 @@ graph is refused with the integer kernel's message, which names the vertices.
 
 Last, ``mass_epsilon_phi``: ``epsilon_phi``'s integer route through the
 admissible measure's masses, from before it moved to the tau constant.
+
+Every point query here normalizes its points with ``_norm_point`` as it was
+before points moved to the integer ratio m / n = s / L, with ``Fraction``
+offsets, copied verbatim; it shares with the code it checks only the input
+checks ``_edge_point`` and ``_edge``.
 """
 
 from __future__ import annotations
@@ -26,13 +31,36 @@ from fractions import Fraction
 from hypinv.metgraph import (
     Measure,
     PiecewisePoly,
+    _edge,
+    _edge_point,
     _length_ratio,
-    _norm_point,
     _Resistances,
     canonical_divisor,
     delta,
 )
 from hypinv.rational import require_genus
+
+
+# ``hypinv.metgraph._norm_point`` with Fraction offsets, verbatim.
+
+
+def _norm_point(graph, x):
+    """Normalize a point spec to ("v", id) or ("e", eid, offset)."""
+    if isinstance(x, tuple):
+        eid, off = _edge_point(x)
+        e = _edge(graph, eid)
+        if off == 0:
+            return ("v", e.u)
+        if off == e.length:
+            return ("v", e.v)
+        if not 0 < off < e.length:
+            raise ValueError(f"offset {off} outside edge of length {e.length}")
+        return ("e", e.eid, off)
+    x = str(x)
+    if x not in graph.genus:
+        raise ValueError(f"unknown vertex: {x}")
+    return ("v", x)
+
 
 # The Fraction Gauss-Jordan inverse and the three-point quadratic fit of the
 # same kernel, copied here so that the oracle does not share them with the
@@ -426,7 +454,8 @@ def verify_canonical(graph, mu):
 # ``between`` and ``_on_edge`` as they were before ``resistance`` and
 # ``green`` moved to integer pairs, is copied below verbatim too, so the
 # oracle shares with the code it checks only the solve (``_invert``,
-# ``foster``, ``potentials`` and ``density`` of ``_Resistances``).
+# ``foster``, ``potentials`` and ``density`` of ``_Resistances``) and the
+# point checks ``_edge_point`` and ``_edge`` under ``_norm_point`` above.
 
 
 class _FractionResistances(_Resistances):

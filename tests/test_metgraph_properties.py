@@ -293,6 +293,47 @@ def test_green_is_its_diagonal_and_gives_back_resistance(case, data):
         assert r == gaa + gbb - 2 * metgraph.green(graph, mu, a, b)
 
 
+def readdress(point, eid, s, new):
+    """``point`` of a graph addressed on ``subdivide(graph, eid, s)``, whose
+    new vertex is ``new``: edge ``eid`` splits at ``s`` into the edges ``eid``
+    and ``eid + 1``, and every later edge moves up by one."""
+    if not isinstance(point, tuple):
+        return point
+    f, off = point
+    if f < eid or (f == eid and off < s):
+        return point
+    if f > eid:
+        return (f + 1, off)
+    return new if off == s else (eid + 1, off - s)
+
+
+@PROPERTY
+@given(graphs(), st.data())
+def test_point_queries_are_invariant_under_subdivision_and_scale(graph, data):
+    # r and g_mu_ad at a point inside an edge are their values at the vertex
+    # that subdivides the edge there, and both scale with the lengths; the
+    # subdivided side reads no edge point, so neither side shares a point path
+    mu = metgraph.admissible_measure(graph)
+    t = data.draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
+    scaled = metgraph.scale(graph, t)
+    scaled_mu = metgraph.admissible_measure(scaled)
+    for a, b in point_pairs(data.draw, graph):
+        r, g = metgraph.resistance(graph, a, b), metgraph.green(graph, mu, a, b)
+        ta, tb = ((p[0], t * p[1]) if isinstance(p, tuple) else p for p in (a, b))
+        assert metgraph.resistance(scaled, ta, tb) == t * r
+        assert metgraph.green(scaled, scaled_mu, ta, tb) == t * g
+        inside = [p for p in (a, b) if isinstance(p, tuple)]
+        if not inside:
+            continue
+        eid, s = inside[0]
+        sub = metgraph.subdivide(graph, eid, s)
+        (new,) = sub.genus.keys() - graph.genus.keys()
+        sa, sb = (readdress(p, eid, s, new) for p in (a, b))
+        assert new in (sa, sb)
+        assert metgraph.resistance(sub, sa, sb) == r
+        assert metgraph.green(sub, metgraph.admissible_measure(sub), sa, sb) == g
+
+
 #: The seven public computations on one graph, on (graph, mu, x, y), and
 #: their oracles: the Fraction kernel where it exists, else the old one.
 SEVEN = {
@@ -535,9 +576,11 @@ def test_verify_admissible_builds_as_many_fractions_on_any_necklace(monkeypatch)
 @pytest.mark.parametrize("call", ["resistance", "green"])
 def test_point_queries_build_one_fraction_on_any_necklace(monkeypatch, call):
     # phi, r and c are integer pairs over one denominator at any two points,
-    # so the one Fraction that metgraph builds is the result
+    # so the one Fraction that metgraph builds, by either route, is the result
     calls = []
     monkeypatch.setattr(metgraph, "Fraction", lambda *a: calls.append(a) or F(*a))
+    fraction = metgraph._fraction
+    monkeypatch.setattr(metgraph, "_fraction", lambda *a: calls.append(a) or fraction(*a))
     for n in (4, 8):
         graph = necklace(random.Random(f"fractions:{n}"), n)
         mu = metgraph.admissible_measure(graph)
@@ -548,6 +591,31 @@ def test_point_queries_build_one_fraction_on_any_necklace(monkeypatch, call):
             calls.clear()
             getattr(metgraph, call)(*args, a, b)
             assert len(calls) == 1, (n, a, b)
+
+
+@pytest.mark.parametrize("call", ["resistance", "green"])
+def test_a_point_query_is_one_closed_form_on_any_necklace(monkeypatch, call):
+    # one ``between`` per query, with no recursion: r at vertices is read
+    # once for two vertices, at most twice for a vertex and an edge point,
+    # at most four times for points on two edges, and not for one edge
+    graph = necklace(random.Random("reads:8"), 8)
+    mu = metgraph.admissible_measure(graph)
+    args = (graph,) if call == "resistance" else (graph, mu)
+    getattr(metgraph, call)(*args, "v0", "v1")  # builds the solve and the kernel
+    between, reads = [], []
+    original, r = metgraph._Resistances.between, metgraph._Resistances._r
+    monkeypatch.setattr(metgraph._Resistances, "between",
+                        lambda self, *a: between.append(a) or original(self, *a))
+    monkeypatch.setattr(metgraph._Resistances, "_r",
+                        lambda self, *a: reads.append(a) or r(self, *a))
+    x, y = (0, graph.edges[0].length / 3), (8, graph.edges[8].length / 2)
+    cases = [("v0", "v1", 1), ("v0", y, 2), (x, "v1", 2), (x, (0, F(1, 7)), 0),
+             (x, y, 4), (y, x, 4)]
+    for a, b, most in cases:
+        between.clear()
+        reads.clear()
+        getattr(metgraph, call)(*args, a, b)
+        assert len(between) == 1 and len(reads) <= most, (a, b)
 
 
 @pytest.mark.parametrize(

@@ -304,15 +304,15 @@ def test_scale_and_subdivide_refuse_a_value_that_is_not_rational(bad):
         metgraph.subdivide(graph, 0, bad)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda g, mu: metgraph.green(g, mu, "v", (0, 1)),
-        metgraph.green_diagonal,
-        metgraph.verify_admissible,
-    ],
-    ids=["green", "green_diagonal", "verify_admissible"],
-)
+#: The three calls that build a measure's kernel, on (graph, mu).
+KERNEL_CALLS = [
+    lambda g, mu: metgraph.green(g, mu, "v", (0, 1)),
+    metgraph.green_diagonal,
+    metgraph.verify_admissible,
+]
+
+
+@pytest.mark.parametrize("call", KERNEL_CALLS, ids=["green", "green_diagonal", "verify_admissible"])
 @pytest.mark.parametrize("bad", NOT_RATIONAL, ids=repr)
 def test_the_kernel_refuses_a_mass_or_density_that_is_not_rational(call, bad):
     # a float mass once ended in AttributeError, a string mass in TypeError,
@@ -322,6 +322,15 @@ def test_the_kernel_refuses_a_mass_or_density_that_is_not_rational(call, bad):
         call(graph, metgraph.Measure({"v": bad, "w": F(1, 2)}, {0: F(1, 4)}))
     with pytest.raises(ValueError, match="density of edge 0 is not an int or a Fraction"):
         call(graph, metgraph.Measure({"v": F(1, 2)}, {0: bad}))
+
+
+@pytest.mark.parametrize("call", KERNEL_CALLS, ids=["green", "green_diagonal", "verify_admissible"])
+@pytest.mark.parametrize("bad", [{"v": 1}, None, ({"v": 1}, {})], ids=["dict", "None", "tuple"])
+def test_the_kernel_refuses_a_measure_that_is_not_a_measure(call, bad):
+    # a mapping or None once ended in AttributeError on ``edge_density``
+    graph = MetrizedGraph({"v": 1, "w": 1}, [("v", "w", F(2)), ("w", "w", 1)])
+    with pytest.raises(ValueError, match=f"mu is not a Measure: {type(bad).__name__}$"):
+        call(graph, bad)
 
 
 def test_a_metrized_graph_refuses_mutation_and_compares_by_identity():
