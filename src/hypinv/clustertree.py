@@ -17,10 +17,14 @@ the ``cluster-vs-symroots`` verify suite also checks ``symroot_val`` against
 ``symroot_pow``, which never reads the table.
 ``build_tree`` keeps the table on the tree, where ``mult_x`` and ``v_mult``
 read it, together with the integer matrix 2 * (W_r, V_k), one row per
-cluster from ``_twice_v_row``.  ``pairing_from_tree`` is the integer
-``_twice_pairing`` (four lookups in that matrix) over 2, one ``Fraction``;
-a caller comparing it on all triples with ``symroots._twice_g_val``, the
-integer 2g val(l_ijk), needs no ``Fraction`` at all.  The valuation is
+cluster from ``_twice_v_row``, built when the split finds the cluster's
+first root at its depth.  ``pairing_from_tree`` is the integer
+``_twice_pairing`` (four lookups in that matrix) over 2: a valid triple
+passes the chained comparison of ``symroots._check_triple`` in its frame,
+and it sets the result's two slots itself after a parity test.  A caller
+comparing it on all triples with the integer 2g val(l_ijk) = C_ik - C_jk
+of the configuration's matrix C (``symroots._valuations``) needs no
+``Fraction`` at all.  The valuation is
 ultrametric, so V[r][s] >= n is an equivalence for each n and its classes
 are the residue classes mod p**n: ``build_tree`` splits each cluster once,
 one past its depth (single linkage).  The tree has one node per cluster,
@@ -103,8 +107,9 @@ class ClusterTree(_Record):
 
 
 def _normal_form(cfg, p):
-    """Check p once; return the normal-form violations and the tables (V, S)."""
-    vals, _ = tables = _valuations(cfg, p)
+    """Check p once; return the normal-form violations and the tables (V, S, C)."""
+    tables = _valuations(cfg, p)
+    vals = tables[0]
     a = cfg.roots
     violations = [
         f"root {r} = {x} is not integral at {p}"
@@ -147,15 +152,17 @@ def build_tree(cfg, p):
 
     Raises ``NormalFormError``, a ``ValueError``, on non-normal-form input.
     """
-    violations, (vals, sums) = _normal_form(cfg, p)
+    violations, (vals, sums, _) = _normal_form(cfg, p)
     if violations:
         raise NormalFormError(NormalFormReport(violations))
     a = cfg.roots
     n_roots = len(a)
     depth = {r: max(row[:r] + row[r + 1 :]) for r, row in enumerate(vals)}
+    g = cfg.genus
     nodes = []
     parent = {}
     node_of_root = {}
+    wv2 = [None] * n_roots
     # (sorted members, enclosing cluster); each cluster is split once
     work = [(list(range(n_roots)), None)]
     for members, up in work:
@@ -165,21 +172,19 @@ def build_tree(cfg, p):
         nodes.append(node)
         if up is not None:
             parent[node] = up
+        row = None  # the cluster's row, built for its first root at depth
         for r in members:
             if depth[r] == level:
                 node_of_root[r] = node
+                if row is None:
+                    row = _twice_v_row(g, vals, sums, depth, node)
+                wv2[r] = row
         work.extend(
             (group, node)
             for group in _split(members, vals, level + 1)
             if len(group) >= 2
         )
     nodes.sort(key=lambda c: (c.level, min(c.members)))
-    g = cfg.genus
-    rows = {
-        node: _twice_v_row(g, vals, sums, depth, node)
-        for node in set(node_of_root.values())
-    }
-    wv2 = [rows[node_of_root[r]] for r in range(n_roots)]
     return ClusterTree(cfg, p, nodes, parent, node_of_root, depth, vals, wv2)
 
 
@@ -225,7 +230,7 @@ def v_mult(tree, k, node):
     """
     if k not in tree.depth:  # a negative k would read the row from its end
         raise KeyError(k)
-    vals, sums = _valuations(tree.config, tree.prime)  # tree.vals and its sums
+    vals, sums, _ = _valuations(tree.config, tree.prime)  # tree.vals and its sums
     row = _twice_v_row(tree.config.genus, vals, sums, tree.depth, node)
     return _fraction(row[k], 2)
 
@@ -234,11 +239,24 @@ def pairing_from_tree(tree, i, j, k):
     """(2g-1)*(W_i - W_j, V_k) + (V_i - V_j, W_k) on an already-built tree.
 
     (W_r, V_s) is the V_s-multiplicity at the component carrying root r;
-    the integers 2 * (W_r, V_s) are read from ``tree.wv2``, so each call
-    builds one ``Fraction``.
+    the integers 2 * (W_r, V_s) are read from ``tree.wv2``.  A valid triple
+    passes the chained comparison of ``_check_triple`` here, and the result
+    is built here from the integer ``_twice_pairing`` and a parity test.
     """
-    _check_triple(tree.config, i, j, k)
-    return _fraction(_twice_pairing(tree.wv2, 2 * tree.config.genus - 1, i, j, k), 2)
+    cfg = tree.config
+    n = len(cfg.roots)
+    try:  # an invalid triple, or a comparison that raises, gets _check_triple's error
+        if not (i != j != k != i and 0 <= i < n and 0 <= j < n and 0 <= k < n):
+            raise TypeError
+    except TypeError:
+        _check_triple(cfg, i, j, k)
+    num = _twice_pairing(tree.wv2, 2 * cfg.genus - 1, i, j, k)
+    q = object.__new__(Fraction)  # the _fraction construction, gcd(num, 2) by parity
+    if num & 1:
+        q._numerator, q._denominator = num, 2
+    else:
+        q._numerator, q._denominator = num >> 1, 1
+    return q
 
 
 def _twice_pairing(wv2, g21, i, j, k):

@@ -13,12 +13,17 @@ that p is prime on every call; ``_int_val`` and ``valuation_table`` do not.
 ``symroots.RootConfig`` keeps, built once per (configuration, prime) after
 the prime is checked; every p-adic function reads it.
 
-``_fraction(n, d)`` is the one step where the p-adic layer turns an integer
+``_fraction(n, d)`` is the step where the p-adic layer turns an integer
 pair into a result.  For ints it returns the ``Fraction(n, d)`` that the
 constructor builds (reduced, positive denominator, the same ``==``, ``hash``
 and ``repr``; ``ZeroDivisionError`` when d = 0), but sets the two slots of a
 new instance itself, as ``fractions`` does for its arithmetic results,
-instead of going through the constructor's type dispatch.
+instead of going through the constructor's type dispatch.  The three
+per-triple queries ``symroots.symroot_val``, ``symroots.pairing_difference``
+and ``clustertree.pairing_from_tree`` make the same construction in their
+own frames: their denominators 2g, 4g and 2 are positive, so they skip the
+sign step and reduce by one ``gcd`` (a parity test for 2).  All four rely on
+``Fraction.__slots__ == ('_numerator', '_denominator')``, which a test pins.
 
 ``require_int``, ``require_rational`` and ``require_genus`` are the one
 statement of which inputs are exact, and ``_Record`` (with its frozen

@@ -15,16 +15,22 @@ Every formula is evaluated fraction-free on the roots' numerators n_r and
 denominators d_r.  With X_rs = n_r d_s - n_s d_r = d_r d_s (a_r - a_s) and
 P_i = prod_{r != i,j} X_ir, ``symroot_pow`` builds the one ``Fraction``
 l_ijk**(2g) = X_ik**(2g) P_j / (X_jk**(2g) P_i).  The p-adic functions read
-the table V_rs = val(a_r - a_s) and its row sums S_r = sum_{s != r} V_rs,
-built once per (configuration, prime) by ``_valuations``, which checks p and
-finiteness only to build it or for a p whose type is not ``int``.  As val X_rs =
-V_rs + val d_r + val d_s and exactly 2g roots lie outside {i, j}, the val d
-terms cancel from 2g (val X_ik - val X_jk) + val P_j - val P_i, leaving
+the table V_rs = val(a_r - a_s), its row sums S_r = sum_{s != r} V_rs and
+the integer matrix C_rk = 2g V_rk - S_r, built once per (configuration,
+prime) by ``_valuations``, which checks p and finiteness only to build them
+or for a p whose type is not ``int``.  As val X_rs = V_rs + val d_r + val d_s
+and exactly 2g roots lie outside {i, j}, the val d terms cancel from
+2g (val X_ik - val X_jk) + val P_j - val P_i, leaving
 
-    2g val(l_ijk) = 2g (V_ik - V_jk) + S_j - S_i,
+    2g val(l_ijk) = 2g (V_ik - V_jk) + S_j - S_i = C_ik - C_jk,
 
-and ``pairing_cross_ratio`` is (V_ik + V_jr - V_jk - V_ir) / 2.  The
-symmetric discriminant has the closed form
+and ``pairing_cross_ratio`` is (V_ik + V_jr - V_jk - V_ir) / 2.
+``symroot_val`` and ``pairing_difference`` are each one frame: they read
+the kept C of an ``int`` prime, pass a valid triple by the chained
+comparison of ``_check_triple`` (which they call only when it fails, for
+its errors), subtract two entries of C and set the two slots of the
+reduced result over 2g or 4g themselves, as ``rational._fraction`` does.
+The symmetric discriminant has the closed form
 
     d_ij = (-1)**g (a_i - a_j)**(2g(2g-1)) Delta_ij**2
            / prod_{r != i,j} ((a_i - a_r)(a_j - a_r))**(2g-1),
@@ -40,6 +46,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 from .rational import INF, _fraction, _Frozen, _set, mobius, require_genus
 from .rational import require_odd_prime, valuation_table
@@ -73,7 +80,7 @@ class RootConfig(_Frozen):
         super().__init__(genus, roots)
         _set(self, "note", note)
         _set(self, "all_finite", len(finite) == len(roots))
-        #: prime -> (V, S), filled by ``_valuations``; the roots never change.
+        #: prime -> (V, S, C), filled by ``_valuations``; the roots never change.
         _set(self, "_tables", {})
 
     def __repr__(self):
@@ -89,8 +96,9 @@ def _require_finite(cfg):
 
 
 def _valuations(cfg, p):
-    """(V, S) at the odd prime p: V = valuation_table(cfg.roots, p) and
-    S[r] = sum_{s != r} V[r][s].
+    """(V, S, C) at the odd prime p: V = valuation_table(cfg.roots, p),
+    S[r] = sum_{s != r} V[r][s] and C[r][k] = 2g V[r][k] - S[r], so that
+    2g val(l_ijk) = C[i][k] - C[j][k].
 
     An ``int`` p whose table ``cfg`` already keeps gets it unchecked: a table
     is stored only for a p that passed ``require_odd_prime`` and a finite
@@ -106,7 +114,9 @@ def _valuations(cfg, p):
     if tables is None:
         vals = valuation_table(cfg.roots, p)
         sums = [sum(row[:r]) + sum(row[r + 1 :]) for r, row in enumerate(vals)]
-        tables = cfg._tables[p] = (vals, sums)
+        g2 = 2 * cfg.genus
+        twice_g = [[g2 * v - s for v in row] for row, s in zip(vals, sums)]
+        tables = cfg._tables[p] = (vals, sums, twice_g)
     return tables
 
 
@@ -176,19 +186,22 @@ def symroot_pow(cfg, i, j, k):
 def symroot_val(cfg, p, i, j, k):
     """val(l_ijk) at the odd prime p, an exact (possibly non-integer) rational.
 
-    (2g (V_ik - V_jk) + S_j - S_i) / 2g, read from the configuration's
-    valuation table.
+    (C_ik - C_jk) / 2g, read from the configuration's kept matrix C.
     """
-    vals, sums = _valuations(cfg, p)
-    _check_triple(cfg, i, j, k)
-    g2 = 2 * cfg.genus
-    return _fraction(_twice_g_val(vals, sums, g2, i, j, k), g2)
-
-
-def _twice_g_val(vals, sums, g2, i, j, k):
-    """2g val(l_ijk) = 2g (V_ik - V_jk) + S_j - S_i, an integer, from the
-    (V, S) tables; g2 = 2g and the caller has checked the indices."""
-    return g2 * (vals[i][k] - vals[j][k]) + sums[j] - sums[i]
+    if type(p) is not int or not (tables := cfg._tables.get(p)):
+        tables = _valuations(cfg, p)  # the checks, or the table's first build
+    twice_g = tables[2]
+    n = len(cfg.roots)
+    try:  # an invalid triple, or a comparison that raises, gets _check_triple's error
+        if not (i != j != k != i and 0 <= i < n and 0 <= j < n and 0 <= k < n):
+            raise TypeError
+    except TypeError:
+        _check_triple(cfg, i, j, k)
+    num, den = twice_g[i][k] - twice_g[j][k], 2 * cfg.genus
+    c = gcd(num, den)  # den > 0: the _fraction construction, no sign step
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = num // c, den // c
+    return q
 
 
 def cross_ratio(cfg, i, j, k, r):
@@ -236,13 +249,22 @@ def pairing_difference(cfg, p, i, j, k):
 
     Exact rational; multiply by log p externally for the real value.
     Semistability of the underlying curve is the caller's responsibility.
-    Read from the valuation table as 2g val(l_ijk) / 4g, with the checks of
-    ``symroot_val``.
+    (C_ik - C_jk) / 4g, with the checks and construction of ``symroot_val``.
     """
-    vals, sums = _valuations(cfg, p)
-    _check_triple(cfg, i, j, k)
-    g2 = 2 * cfg.genus
-    return _fraction(_twice_g_val(vals, sums, g2, i, j, k), 2 * g2)
+    if type(p) is not int or not (tables := cfg._tables.get(p)):
+        tables = _valuations(cfg, p)  # the checks, or the table's first build
+    twice_g = tables[2]
+    n = len(cfg.roots)
+    try:  # an invalid triple, or a comparison that raises, gets _check_triple's error
+        if not (i != j != k != i and 0 <= i < n and 0 <= j < n and 0 <= k < n):
+            raise TypeError
+    except TypeError:
+        _check_triple(cfg, i, j, k)
+    num, den = twice_g[i][k] - twice_g[j][k], 4 * cfg.genus
+    c = gcd(num, den)
+    q = object.__new__(Fraction)
+    q._numerator, q._denominator = num // c, den // c
+    return q
 
 
 def pairing_cross_ratio(cfg, p, i, j, k, r):
@@ -252,6 +274,6 @@ def pairing_cross_ratio(cfg, p, i, j, k, r):
     The cross-ratio is X_ik X_jr / (X_jk X_ir) and the denominators cancel,
     so this is (V_ik + V_jr - V_jk - V_ir) / 2.
     """
-    vals, _ = _valuations(cfg, p)
+    vals = _valuations(cfg, p)[0]
     _check_triple(cfg, i, j, k, r)
     return _fraction(vals[i][k] + vals[j][r] - vals[j][k] - vals[i][r], 2)

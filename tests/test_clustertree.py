@@ -1,8 +1,10 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from hypinv import clustertree, symroots, verify
 from hypinv.clustertree import (
     build_tree,
     check_normal_form,
@@ -154,3 +156,34 @@ def test_deeper_tree():
     assert [c.members for c in tree.levels()[3]] == [frozenset({0, 1})]
     for i, j, k in itertools.permutations(range(6), 3):
         assert pairing_from_tree(tree, i, j, k) == 4 * symroot_val(cfg, 3, i, j, k)
+
+
+@pytest.mark.parametrize(
+    "cfg", [CFG3, verify.random_normal_form_config(random.Random(1), 8, 3)], ids=["g2", "g8"]
+)
+def test_build_tree_builds_one_row_per_cluster_and_hashes_only_parents(cfg, monkeypatch):
+    # each row of 2 (W_r, V_k) is built once, for the cluster's first root at
+    # its depth, and a ClusterNode (whose representative is a Fraction) is
+    # hashed only to key ``parent``
+    build_tree(cfg, 3)  # the table is kept before counting
+    row_nodes, hashes = [], []
+    real_row, real_hash = clustertree._twice_v_row, Fraction.__hash__
+
+    def twice_v_row(g, vals, sums, depth, node):
+        row_nodes.append(node)
+        return real_row(g, vals, sums, depth, node)
+
+    monkeypatch.setattr(clustertree, "_twice_v_row", twice_v_row)
+    monkeypatch.setattr(Fraction, "__hash__", lambda q: hashes.append(q) or real_hash(q))
+    tree = build_tree(cfg, 3)
+    monkeypatch.undo()
+    # the distinct node_of_root values, compared by identity: no hash
+    owners = list({id(node): node for node in tree.node_of_root.values()}.values())
+    assert sorted(map(id, row_nodes)) == sorted(map(id, owners))
+    assert len(hashes) <= len(tree.nodes) - 1
+    assert len(tree.nodes) > 2
+    # roots of one cluster share its row, which is the cluster's own
+    assert len({id(row) for row in tree.wv2}) == len(owners)
+    vals, sums, _ = symroots._valuations(cfg, 3)
+    for r, node in tree.node_of_root.items():
+        assert tree.wv2[r] == real_row(cfg.genus, vals, sums, tree.depth, node)

@@ -290,37 +290,118 @@ def test_valuations_per_call_do_not_grow_with_genus(monkeypatch):
             assert int_vals == []
 
 
-# --- cost guard: one rational._fraction per query, no Fraction(...) ----------
+# --- cost guard: no Fraction constructor or arithmetic in a query ---------
+
+#: Fraction's constructor, its arithmetic and its other constructors; a
+#: query that ran any of them would show in the list of ``_trap_fraction``
+FRACTION_WORK = (
+    "__new__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__", "__mod__",
+    "__rmod__", "__divmod__", "__rdivmod__", "__pow__", "__rpow__", "__neg__",
+    "__pos__", "__abs__", "__trunc__", "__floor__", "__ceil__", "__round__",
+    "from_float", "from_decimal", "limit_denominator", "_from_coprime_ints",
+)
+
+
+def _trap_fraction(monkeypatch):
+    """Record every call of ``FRACTION_WORK`` on ``Fraction`` until undone
+    (``_from_coprime_ints``, which the arithmetic calls from Python 3.12 on,
+    only where it exists)."""
+    ran = []
+    for name in FRACTION_WORK:
+        if not hasattr(Fraction, name):
+            continue
+        real = getattr(Fraction, name)  # a classmethod comes bound
+
+        def trapped(*args, name=name, real=real, **kwargs):
+            ran.append(name)
+            return real(*args, **kwargs)
+
+        bound = isinstance(vars(Fraction).get(name), (staticmethod, classmethod))
+        monkeypatch.setattr(Fraction, name, staticmethod(trapped) if bound else trapped)
+    return ran
+
+
+def _same_fields(got, num, den):
+    """``got`` is a Fraction with the fields, hash and repr of Fraction(num, den)."""
+    ref = Fraction(num, den)
+    return (
+        type(got) is Fraction
+        and (got._numerator, got._denominator) == (ref._numerator, ref._denominator)
+        and got._denominator > 0
+        and hash(got) == hash(ref)
+        and repr(got) == repr(ref)
+    )
 
 
 def test_per_triple_queries_build_one_fraction_without_the_constructor(monkeypatch):
-    # each query's result is the one Fraction that rational._fraction makes
-    # of an integer pair: no Fraction(...) type dispatch, no Fraction
-    # arithmetic after it
+    # symroot_val, pairing_difference and pairing_from_tree set the two slots
+    # of a new Fraction themselves: no Fraction(...), no Fraction arithmetic
+    # and no rational._fraction; mult_y, v_mult and pairing_cross_ratio make
+    # their one Fraction through _fraction
     cfg = RootConfig(3, (0, 9, 81, 1, 10, 82, 2, 11))
     tree = clustertree.build_tree(cfg, 3)
-    symroot_val(cfg, 3, 0, 1, 2)  # the table is kept before counting starts
-    made, constructed, real = [], [], rational._fraction
+    twice_g = symroots._valuations(cfg, 3)[2]  # the table is kept before counting
+    # 2 (W_0, V_1) off by one: a tree whose pairings are not all integers
+    odd = clustertree.ClusterTree(*tree._values())
+    odd.wv2 = [list(row) for row in tree.wv2]
+    odd.wv2[0][1] += 1
+    g21, n = 2 * cfg.genus - 1, len(cfg.roots)
+    made, real = [], rational._fraction
 
-    def counted(n, d):
-        made.append(real(n, d))
+    def counted(num, den):
+        made.append(real(num, den))
         return made[-1]
 
     for module in (symroots, clustertree):
         monkeypatch.setattr(module, "_fraction", counted)
-        monkeypatch.setattr(module, "Fraction", lambda *a: constructed.append(a) or Fraction(*a))
-    n = len(cfg.roots)
-    queries = [
-        lambda i, j, k: symroot_val(cfg, 3, i, j, k),
-        lambda i, j, k: pairing_difference(cfg, 3, i, j, k),
+    in_frame = [  # (query, the integer pair it must reduce)
+        (lambda t: symroot_val(cfg, 3, *t), lambda i, j, k: (twice_g[i][k] - twice_g[j][k], 6)),
+        (
+            lambda t: pairing_difference(cfg, 3, *t),
+            lambda i, j, k: (twice_g[i][k] - twice_g[j][k], 12),
+        ),
+        (
+            lambda t: clustertree.pairing_from_tree(tree, *t),
+            lambda i, j, k: (clustertree._twice_pairing(tree.wv2, g21, i, j, k), 2),
+        ),
+        (
+            lambda t: clustertree.pairing_from_tree(odd, *t),
+            lambda i, j, k: (clustertree._twice_pairing(odd.wv2, g21, i, j, k), 2),
+        ),
+    ]
+    through_fraction = [
         lambda i, j, k: pairing_cross_ratio(cfg, 3, i, j, k, min({0, 1, 2, 3} - {i, j, k})),
-        lambda i, j, k: clustertree.pairing_from_tree(tree, i, j, k),
         lambda i, j, k: clustertree.mult_y(tree, tree.node_of_root[i]),
         lambda i, j, k: clustertree.v_mult(tree, k, tree.node_of_root[i]),
     ]
-    for i, j, k in itertools.permutations(range(n), 3):
-        for query in queries:
+    triples = list(itertools.permutations(range(n), 3))
+    ran = _trap_fraction(monkeypatch)
+    got, via = [], []
+    for t in triples:
+        made.clear()
+        for query, _ in in_frame:
+            got.append((query(t), query(t)))
+        via.append(made == [])
+        for query in through_fraction:
             made.clear()
-            result = query(i, j, k)
-            assert len(made) == 1 and made[0] is result, (i, j, k)
-    assert constructed == []
+            result = query(*t)
+            via.append(len(made) == 1 and made[0] is result)
+    assert ran == []
+    monkeypatch.undo()
+    assert all(via)
+    expected = [pair(*t) for t in triples for _, pair in in_frame]
+    for (first, again), (num, den) in zip(got, expected):
+        assert first is not again and first == again
+        assert _same_fields(first, num, den), (first, num, den)
+    # results over 2g = 6 that reduce and that do not, and over 2 both ways
+    assert {first._denominator for first, _ in got} == {1, 2, 3, 6}
+
+
+def test_fraction_keeps_the_two_slots_the_in_frame_constructions_set():
+    assert Fraction.__slots__ == ("_numerator", "_denominator"), (
+        "rational._fraction and the in-frame constructions of symroot_val, "
+        "pairing_difference and pairing_from_tree set exactly these two "
+        "slots of object.__new__(Fraction); this Python's Fraction has "
+        f"{Fraction.__slots__!r}"
+    )

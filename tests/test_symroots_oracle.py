@@ -261,11 +261,11 @@ def test_int_subclass_prime_is_checked_and_reads_the_table(monkeypatch):
 
 
 @st.composite
-def configs_and_primes(draw):
-    """A configuration of genus 2-4 and an odd prime.  Roots may have p or a
-    unit in the denominator, and with one root at inf the configuration is
-    moved by ``normalize_finite``."""
-    g = draw(st.integers(2, 4))
+def configs_and_primes(draw, max_genus=4):
+    """A configuration of genus 2 to ``max_genus`` and an odd prime.  Roots
+    may have p or a unit in the denominator, and with one root at inf the
+    configuration is moved by ``normalize_finite``."""
+    g = draw(st.integers(2, max_genus))
     p = draw(st.sampled_from(PRIMES))
     at_inf = draw(st.booleans())
     den = st.sampled_from((1, p, p**2, p + 1, p * (p + 1)))
@@ -346,6 +346,33 @@ def test_tree_rows_match_oracle_on_every_configuration(cfg_p):
     for t in itertools.permutations(range(n), 3):
         assert clustertree.pairing_from_tree(tree, *t) == old.pairing_from_tree(
             old_tree, *t
+        )
+
+
+def _fields(q):
+    return type(q), q.numerator, q.denominator
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(configs_and_primes(max_genus=8))
+def test_per_triple_queries_match_the_oracle_field_by_field(cfg_p):
+    """On every triple, ``symroot_val``, ``pairing_difference`` and
+    ``pairing_from_tree`` give the oracle's ``Fraction``: the same type,
+    numerator and denominator.  The tree is built past the normal-form check,
+    as single linkage on V holds for any configuration."""
+    cfg, p = cfg_p
+    vals, sums, twice_g = tables = symroots._valuations(cfg, p)
+    g2 = 2 * cfg.genus
+    assert twice_g == [[g2 * v - s for v in row] for row, s in zip(vals, sums)]
+    with mock.patch.object(clustertree, "_normal_form", lambda c, q: ((), tables)):
+        tree = clustertree.build_tree(cfg, p)
+    old_tree = SimpleNamespace(config=cfg, wv=old.wv_matrix(tree))
+    for t in itertools.permutations(range(len(cfg.roots)), 3):
+        ref = old.symroot_val(cfg, p, *t)
+        assert _fields(symroots.symroot_val(cfg, p, *t)) == _fields(ref)
+        assert _fields(symroots.pairing_difference(cfg, p, *t)) == _fields(ref / 2)
+        assert _fields(clustertree.pairing_from_tree(tree, *t)) == _fields(
+            old.pairing_from_tree(old_tree, *t)
         )
 
 

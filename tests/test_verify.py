@@ -68,12 +68,14 @@ def test_cluster_suite_catches_a_wrong_row_sum(monkeypatch):
     real = symroots._valuations
 
     def valuations(cfg, p):
-        vals, sums = real(cfg, p)
+        vals, sums, twice_g = real(cfg, p)
         if p == 5 and cfg.genus == 3:
-            # S_3 off by one, in a copy; the two anchor triples (0, 1, 2) and
-            # (7, 0, 1) do not read it, so the all-triples check must fail
+            # S_3 off by one, in copies: C_3k = 2g V_3k - S_3 falls by one
+            # in every column.  The two anchor triples (0, 1, 2) and (7, 0, 1)
+            # do not read row 3, so the all-triples check must fail
             sums = sums[:3] + [sums[3] + 1] + sums[4:]
-        return vals, sums
+            twice_g = twice_g[:3] + [[c - 1 for c in twice_g[3]]] + twice_g[4:]
+        return vals, sums, twice_g
 
     monkeypatch.setattr(symroots, "_valuations", valuations)
     doc = verify.run_suite("cluster-vs-symroots", 3, n_configs=40)
