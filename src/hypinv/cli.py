@@ -69,6 +69,17 @@ def _triples(cfg, args):
     raise ValueError("one of --triple or --all-triples is required")
 
 
+def _curve_fields(cfg, prime):
+    """The head of a symroots or cluster document: the genus, the prime if
+    any, and the substitution if ``normalize_finite`` moved a root at inf."""
+    out = {"genus": cfg.genus}
+    if prime is not None:
+        out["prime"] = prime
+    if cfg.note:
+        out["substitution"] = cfg.note
+    return out
+
+
 def _triple_record(cfg, prime, i, j, k):
     from . import symroots
 
@@ -84,9 +95,7 @@ def _triple_record(cfg, prime, i, j, k):
 def _cmd_symroots(args):
     cfg, prime = _load_curve(args)
     triples = _triples(cfg, args)
-    out = {"genus": cfg.genus}
-    if prime is not None:
-        out["prime"] = prime
+    out = _curve_fields(cfg, prime)
     if args.triple:
         i, j, k = triples[0]
         out.update(_triple_record(cfg, prime, i, j, k))
@@ -104,7 +113,7 @@ def _cmd_cluster(args):
     cfg, prime = _load_curve(args)
     if prime is None:
         raise ValueError("cluster requires --prime (or a prime in the curve JSON)")
-    out = {"genus": cfg.genus, "prime": prime}
+    out = _curve_fields(cfg, prime)
     try:
         tree = clustertree.build_tree(cfg, prime)
     except clustertree.NormalFormError as err:
@@ -239,8 +248,9 @@ def build_parser():
         if curve:
             p.add_argument("--curve", required=True)
             p.add_argument("--prime", type=parse_int)
-            p.add_argument("--triple")
-            p.add_argument("--all-triples", action="store_true")
+            mode = p.add_mutually_exclusive_group()
+            mode.add_argument("--triple")
+            mode.add_argument("--all-triples", action="store_true")
         return p
 
     add_parser("symroots", _cmd_symroots, "symmetric roots and pairings", curve=True)

@@ -20,8 +20,8 @@ read it, together with the integer matrix 2 * (W_r, V_k), one row per
 cluster from ``_twice_v_row``, built when the split finds the cluster's
 first root at its depth.  ``pairing_from_tree`` is the integer
 ``_twice_pairing`` (four lookups in that matrix) over 2: a valid triple
-passes the chained comparison of ``symroots._check_triple`` in its frame,
-and it sets the result's two slots itself after a parity test.  A caller
+passes one chained comparison in its frame, and it sets the result's two
+slots itself after a parity test.  A caller
 comparing it on all triples with the integer 2g val(l_ijk) = C_ik - C_jk
 of the configuration's matrix C (``symroots._valuations``) needs no
 ``Fraction`` at all.  The valuation is
@@ -240,8 +240,8 @@ def pairing_from_tree(tree, i, j, k):
 
     (W_r, V_s) is the V_s-multiplicity at the component carrying root r;
     the integers 2 * (W_r, V_s) are read from ``tree.wv2``.  A valid triple
-    passes the chained comparison of ``_check_triple`` here, and the result
-    is built here from the integer ``_twice_pairing`` and a parity test.
+    passes one chained comparison here, and the result is built here from
+    the integer ``_twice_pairing`` and a parity test.
     """
     cfg = tree.config
     n = len(cfg.roots)

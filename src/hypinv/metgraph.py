@@ -8,8 +8,8 @@ computation on the graph derives resistances, measures, potentials, Green's
 functions and Zhang's epsilon and phi in closed form from that solve's
 integer adjugate, each form at one code site.  The solve works out the
 Foster numerator N_e of every edge once, and k_e = b N_e / (a^2 det) on an
-edge of length a / b is read from it; it keeps the canonical divisor K and
-its potential psi_K (``_Resistances.psi_k``) from the first use on.  A
+edge of length a / b is read from it; it also keeps the canonical divisor
+K and its potential psi_K (``_Resistances._psi``).  A
 ``Measure`` is immutable too, and the graph keeps the kernel (``_Kernel``,
 which serves ``green``, ``green_diagonal`` and ``verify_admissible``) of the
 last measure it was asked about (``MetrizedGraph._kernel``), in integers
@@ -41,13 +41,6 @@ from .rational import _set, require_keys, require_rational
 
 class Edge(_Frozen):
     _fields = ("eid", "u", "v", "length")
-
-    def __init__(self, eid, u, v, length):
-        # one _set per field, not the base's loop: every graph builds one per edge
-        _set(self, "eid", eid)
-        _set(self, "u", u)
-        _set(self, "v", v)
-        _set(self, "length", length)
 
     @property
     def is_loop(self):
@@ -297,11 +290,9 @@ class _Resistances:
     numerators to integers; grounded at the first vertex the Laplacian is
     positive definite, with adjugate adj and determinant det: G = s adj / det.
     The constructor also works out the Foster numerator N_e of every edge
-    (``foster``), which every reader of k_e takes from ``_n``; ``psi_k``
-    keeps the canonical divisor K (``_k``) and its potential once asked for.
+    (``foster``), which every reader of k_e takes from ``_n``, and keeps the
+    canonical divisor K (``_k``) and its ``potentials``, psi_K (``_psi``).
     """
-
-    _psi = _k = None  # P of the canonical divisor and K itself, set by ``psi_k``
 
     def __init__(self, graph):
         self.graph = graph
@@ -322,6 +313,8 @@ class _Resistances:
         adj, self._det = _invert([row[1:] for row in lap[1:]])
         self._adj = [[0] * n] + [[0] + row for row in adj]
         self._n = [self.foster(e) for e in graph.edges]
+        self._k = canonical_divisor(graph)
+        self._psi = self.potentials(self._k)  # keyed, as K, in vertex order
 
     def _r(self, a, b):
         """det r(a, b) / s, an integer."""
@@ -348,14 +341,6 @@ class _Resistances:
             v: total * adj[i][i] + diag - 2 * sum(map(operator.mul, adj[i], m))
             for v, i in self._index.items()
         }
-
-    def psi_k(self):
-        """``potentials`` of the canonical divisor K, psi_K(v) = s P_v / det:
-        built on the first call, then kept, with K, as both are the graph's."""
-        if self._psi is None:
-            self._k = canonical_divisor(self.graph)
-            self._psi = self.potentials(self._k)
-        return self._psi
 
     def density(self, e):
         """Canonical density k_e = (L - r(u, v)) / L^2 of edge ``e``, read as
@@ -520,8 +505,7 @@ def canonical_measure(graph):
     sum over edges of (1 - r(u, v)/L) = betti, makes the mass 1.
     """
     res = graph._solve()
-    k = canonical_divisor(graph)
-    masses = {v: Fraction(2 * graph.genus[v] - kv, 2) for v, kv in k.items()}
+    masses = {v: Fraction(2 * graph.genus[v] - kv, 2) for v, kv in res._k.items()}
     densities = {e.eid: res.density(e) for e in graph.edges}
     return Measure(masses, densities)
 
@@ -598,9 +582,8 @@ def _epsilon_phi(graph, g, dn, dd):
         foster += n * (lcm_ab // a)
     if foster != graph.betti * det * lcm_ab:  # sum_e k_e L_e = betti
         raise ValueError("Foster's identity fails: the masses do not sum to 1")
-    psi = res.psi_k()  # also keeps K; both are keyed in vertex order
-    # theta / (4g) = th / den, as theta = s (K . P) / det with P = psi_k
-    th = 3 * s * det * lcm_ab * sum(map(operator.mul, res._k.values(), psi.values()))
+    # theta / (4g) = th / den, as theta = s (K . P) / det with P = psi_K
+    th = 3 * s * det * lcm_ab * sum(map(operator.mul, res._k.values(), res._psi.values()))
     den = 12 * g * det * det * lcm_ab  # tau / g = t / den
     return (
         ((4 * g - 4) * t + 2 * th, den),
@@ -653,7 +636,7 @@ def verify_admissible(graph, mu):
     g, det, w, den = graph.total_genus, res._det, kernel._w, kernel._den
     # h = H_v / Z at the vertices, as psi_K(v) = s P_v / det = s W P_v / Z
     sw = res._scale * w
-    h = {v: 2 * g * kernel._f[v] - sw * x for v, x in res.psi_k().items()}
+    h = {v: 2 * g * kernel._f[v] - sw * x for v, x in res._psi.items()}
     values = [2 * x for x in h.values()]  # h U with U = 2 Z
     for e, n, (p, q) in zip(graph.edges, res._n, kernel._d):
         a, b = e.length.numerator, e.length.denominator

@@ -18,12 +18,11 @@ pair into a result.  For ints it returns the ``Fraction(n, d)`` that the
 constructor builds (reduced, positive denominator, the same ``==``, ``hash``
 and ``repr``; ``ZeroDivisionError`` when d = 0), but sets the two slots of a
 new instance itself, as ``fractions`` does for its arithmetic results,
-instead of going through the constructor's type dispatch.  The three
-per-triple queries ``symroots.symroot_val``, ``symroots.pairing_difference``
-and ``clustertree.pairing_from_tree`` make the same construction in their
-own frames: their denominators 2g, 4g and 2 are positive, so they skip the
-sign step and reduce by one ``gcd`` (a parity test for 2).  All four rely on
-``Fraction.__slots__ == ('_numerator', '_denominator')``, which a test pins.
+instead of going through the constructor's type dispatch.  The per-triple
+queries ``symroots.symroot_val`` and ``clustertree.pairing_from_tree`` make
+it in their own frames over the positive 2g and 2, with no sign step and
+one ``gcd`` (a parity test for 2).  All three rely on ``Fraction.__slots__
+== ('_numerator', '_denominator')``, which a test pins.
 
 ``require_int``, ``require_rational`` and ``require_genus`` are the one
 statement of which inputs are exact, and ``_Record`` (with its frozen
@@ -238,6 +237,8 @@ class _Record:
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} "
                             f"fields {self._fields}, got {len(values)} values")
+        # one _set per field, never vars(self).update(...): reading vars(self) gives the
+        # instance a real dict (CPython 3.11+), so every later field read is slower
         for name, value in zip(self._fields, values):
             _set(self, name, value)
 

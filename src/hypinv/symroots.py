@@ -25,11 +25,10 @@ and exactly 2g roots lie outside {i, j}, the val d terms cancel from
     2g val(l_ijk) = 2g (V_ik - V_jk) + S_j - S_i = C_ik - C_jk,
 
 and ``pairing_cross_ratio`` is (V_ik + V_jr - V_jk - V_ir) / 2.
-``symroot_val`` and ``pairing_difference`` are each one frame: they read
-the kept C of an ``int`` prime, pass a valid triple by the chained
-comparison of ``_check_triple`` (which they call only when it fails, for
-its errors), subtract two entries of C and set the two slots of the
-reduced result over 2g or 4g themselves, as ``rational._fraction`` does.
+``symroot_val`` is one frame: it reads the kept C of an ``int`` prime,
+passes a valid triple by one chained comparison (``_check_triple`` runs
+only when that fails), subtracts two entries of C and sets the two slots
+of the reduced result over 2g itself, as ``rational._fraction`` does.
 The symmetric discriminant has the closed form
 
     d_ij = (-1)**g (a_i - a_j)**(2g(2g-1)) Delta_ij**2
@@ -122,15 +121,6 @@ def _valuations(cfg, p):
 
 def _check_triple(cfg, *indices):
     n = len(cfg.roots)
-    if len(indices) == 3:
-        # fast path for a valid triple: any other input, or a comparison
-        # that raises, falls through to the checks below and their errors
-        i, j, k = indices
-        try:
-            if i != j != k != i and 0 <= i < n and 0 <= j < n and 0 <= k < n:
-                return
-        except TypeError:
-            pass
     if len(set(indices)) != len(indices):
         raise ValueError(f"indices must be pairwise distinct: {indices}")
     for i in indices:
@@ -245,26 +235,14 @@ def sym_discriminant(cfg, i, j):
 
 
 def pairing_difference(cfg, p, i, j, k):
-    """(w_i - w_j, w_k) in nu units: val(l_ijk) / 2.
+    """(w_i - w_j, w_k) in nu units: val(l_ijk) / 2, that is (C_ik - C_jk) / 4g.
 
     Exact rational; multiply by log p externally for the real value.
     Semistability of the underlying curve is the caller's responsibility.
-    (C_ik - C_jk) / 4g, with the checks and construction of ``symroot_val``.
     """
-    if type(p) is not int or not (tables := cfg._tables.get(p)):
-        tables = _valuations(cfg, p)  # the checks, or the table's first build
-    twice_g = tables[2]
-    n = len(cfg.roots)
-    try:  # an invalid triple, or a comparison that raises, gets _check_triple's error
-        if not (i != j != k != i and 0 <= i < n and 0 <= j < n and 0 <= k < n):
-            raise TypeError
-    except TypeError:
-        _check_triple(cfg, i, j, k)
-    num, den = twice_g[i][k] - twice_g[j][k], 4 * cfg.genus
-    c = gcd(num, den)
-    q = object.__new__(Fraction)
-    q._numerator, q._denominator = num // c, den // c
-    return q
+    twice_g = _valuations(cfg, p)[2]
+    _check_triple(cfg, i, j, k)
+    return _fraction(twice_g[i][k] - twice_g[j][k], 4 * cfg.genus)
 
 
 def pairing_cross_ratio(cfg, p, i, j, k, r):

@@ -9,10 +9,9 @@ invariants.
 The cluster-tree suite compares integers on every triple: 2 * pairing is
 ``clustertree._twice_pairing`` and 2g val(l_ijk) is C_ik - C_jk from the
 configuration's kept matrix C (``symroots._valuations``), the numerators
-that ``pairing_from_tree``, ``symroot_val`` and ``pairing_difference`` put
-over 2, 2g and 4g in their own frames.  Two triples per configuration also
-check ``symroot_val`` itself against the valuation of ``symroot_pow``,
-which reads no table.
+that ``pairing_from_tree`` and ``symroot_val`` put over 2 and 2g.  Two
+triples per configuration also check ``symroot_val`` itself against the
+valuation of ``symroot_pow``, which reads no table.
 """
 
 from __future__ import annotations

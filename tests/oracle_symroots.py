@@ -20,8 +20,8 @@ from hypinv.symroots import _require_finite
 
 
 def _check_triple(cfg, *indices):
-    """The index rule of ``hypinv.symroots._check_triple`` before its fast
-    path for valid triples: pairwise distinct, then each in range."""
+    """The index rule of ``hypinv.symroots._check_triple``, kept apart from
+    it: pairwise distinct, then each in range."""
     n = len(cfg.roots)
     if len(set(indices)) != len(indices):
         raise ValueError(f"indices must be pairwise distinct: {indices}")

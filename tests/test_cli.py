@@ -507,6 +507,35 @@ def test_curve_root_inf(tmp_path, capsys, command):
     assert "error" not in json.loads(out)
 
 
+@pytest.mark.parametrize("command", ["symroots", "cluster"])
+def test_triple_and_all_triples_conflict(tmp_path, capsys, command):
+    # once --all-triples was dropped without a word: exit 0 and one triple
+    curve = write(tmp_path, "c.json", CURVE3)
+    code, out = run(capsys, command, "--curve", curve, "--triple", "0,1,2", "--all-triples")
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "validation",
+        "detail": "argument --all-triples: not allowed with argument --triple",
+    }
+
+
+@pytest.mark.parametrize("command", ["symroots", "cluster"])
+def test_substitution_of_a_root_at_infinity_is_shown(tmp_path, capsys, command):
+    # cluster reports "root 1 = 1/9 is not integral at 3" for the user's root
+    # 9: the document names the substitution that made every root finite
+    curve = write(tmp_path, "c.json", {**CURVE3, "roots": ["inf", "9", "1", "10", "2", "11"]})
+    code, out = run(capsys, command, "--curve", curve, "--triple", "0,1,2")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["substitution"] == "applied x -> 1/(x - 0)"
+    if command == "cluster":
+        assert doc["checks"] == ["root 1 = 1/9 is not integral at 3"]
+    # a curve with every root finite has no such key
+    code, out = run(capsys, command, "--curve", write(tmp_path, "f.json", CURVE3),
+                    "--triple", "0,1,2")
+    assert code == 0 and "substitution" not in json.loads(out)
+
+
 @pytest.mark.parametrize(
     ("change", "detail"),
     [

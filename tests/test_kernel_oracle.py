@@ -178,47 +178,80 @@ def test_one_kernel_per_graph_and_measure(monkeypatch):
     assert [id(nu) for nu in built] == [id(mu), id(can), id(mu), id(twin)]
 
 
+def _count_products(monkeypatch):
+    """Record each ``_Resistances.potentials`` call until undone, as (masses,
+    whether it ran inside ``_Resistances.__init__``)."""
+    products, building = [], []
+    init, potentials = metgraph._Resistances.__init__, metgraph._Resistances.potentials
+
+    def counted_init(self, graph):
+        building.append(True)
+        try:
+            init(self, graph)
+        finally:
+            building.pop()
+
+    def counted(self, mass):
+        products.append((dict(mass), bool(building)))
+        return potentials(self, mass)
+
+    monkeypatch.setattr(metgraph._Resistances, "__init__", counted_init)
+    monkeypatch.setattr(metgraph._Resistances, "potentials", counted)
+    return products
+
+
 def test_one_psi_k_per_graph(monkeypatch):
-    # verify_admissible reads psi_K from the kept solve: the first call on a
-    # graph works it out, later calls, on any measure, do not; it is the
-    # potential of the canonical divisor, and each result the oracle's
+    # the solve works out psi_K when it is built: from graph construction on,
+    # one product on the masses K, made in the solve's constructor, and none
+    # from verify_admissible on any measure; psi_K is the potential of the
+    # canonical divisor, and each result the oracle's
+    other = inverse_test_graph()
+    want = {
+        nu: old.fraction_verify_admissible(other, nu)
+        for nu in (metgraph.admissible_measure(other), metgraph.canonical_measure(other))
+    }
+    products = _count_products(monkeypatch)
     graph = inverse_test_graph()
     mu, can = metgraph.admissible_measure(graph), metgraph.canonical_measure(graph)
-    want = {nu: old.fraction_verify_admissible(graph, nu) for nu in (mu, can)}
-    masses, original = [], metgraph._Resistances.potentials
-
-    def potentials(self, mass):
-        masses.append(dict(mass))
-        return original(self, mass)
-
-    monkeypatch.setattr(metgraph._Resistances, "potentials", potentials)
     for nu in (mu, mu, can, mu):
         assert metgraph.verify_admissible(graph, nu) == want[nu]
     k = metgraph.canonical_divisor(graph)
-    assert masses.count(k) == 1
+    assert [built for mass, built in products if mass == k] == [True]
+    assert [built for mass, built in products if mass != k] == [False, False, False]
     res = graph._solve()
-    assert res.psi_k() is res.psi_k() == original(res, k)
+    monkeypatch.undo()
+    assert res._k == k and res._psi == res.potentials(k)
 
 
 def test_epsilon_phi_reads_the_kept_psi_k(monkeypatch):
-    # epsilon_phi reads theta from psi_K, which the solve keeps: on a graph
-    # whose measure kernel is already built, epsilon_phi, epsilon_phi,
-    # verify_admissible, epsilon_phi make one product, on the masses K
+    # epsilon_phi reads theta from psi_K, which the solve works out when it is
+    # built: from graph construction on, the solve makes one product, on the
+    # masses K, green_diagonal one for its kernel, and epsilon_phi,
+    # epsilon_phi, verify_admissible, epsilon_phi none
+    want = old.mass_epsilon_phi(inverse_test_graph())
+    products = _count_products(monkeypatch)
     graph = inverse_test_graph()
     mu = metgraph.admissible_measure(graph)
     metgraph.green_diagonal(graph, mu)  # builds the kernel, and its product
-    want = old.mass_epsilon_phi(inverse_test_graph())
-    masses, original = [], metgraph._Resistances.potentials
-
-    def potentials(self, mass):
-        masses.append(dict(mass))
-        return original(self, mass)
-
-    monkeypatch.setattr(metgraph._Resistances, "potentials", potentials)
+    assert len(products) == 2
     assert metgraph.epsilon_phi(graph) == metgraph.epsilon_phi(graph) == want
     assert metgraph.verify_admissible(graph, mu) == 0
     assert metgraph.epsilon_phi(graph) == want
-    assert masses == [metgraph.canonical_divisor(graph)]
+    assert products[0] == (metgraph.canonical_divisor(graph), True)
+    assert len(products) == 2 and products[1][1] is False
+
+
+def test_canonical_measure_reads_the_kept_k(monkeypatch):
+    # the solve keeps K: canonical_measure on a graph whose solve is kept
+    # works out no canonical divisor, and its masses are (2 genus(v) - K(v)) / 2
+    graph = inverse_test_graph()
+    k = metgraph.canonical_divisor(graph)
+    graph._solve()
+    calls = []
+    monkeypatch.setattr(metgraph, "canonical_divisor", lambda g: calls.append(g))
+    mu = metgraph.canonical_measure(graph)
+    assert calls == []
+    assert dict(mu.vertex_mass) == {v: F(2 * graph.genus[v] - x, 2) for v, x in k.items()}
 
 
 @pytest.mark.parametrize("name", CALLS)

@@ -335,10 +335,11 @@ def _same_fields(got, num, den):
 
 
 def test_per_triple_queries_build_one_fraction_without_the_constructor(monkeypatch):
-    # symroot_val, pairing_difference and pairing_from_tree set the two slots
-    # of a new Fraction themselves: no Fraction(...), no Fraction arithmetic
-    # and no rational._fraction; mult_y, v_mult and pairing_cross_ratio make
-    # their one Fraction through _fraction
+    # symroot_val and pairing_from_tree set the two slots of a new Fraction
+    # themselves: no Fraction(...), no Fraction arithmetic and no
+    # rational._fraction; pairing_difference, mult_y, v_mult and
+    # pairing_cross_ratio make their one Fraction through _fraction, and
+    # return it; no query runs the constructor or an arithmetic dunder
     cfg = RootConfig(3, (0, 9, 81, 1, 10, 82, 2, 11))
     tree = clustertree.build_tree(cfg, 3)
     twice_g = symroots._valuations(cfg, 3)[2]  # the table is kept before counting
@@ -358,10 +359,6 @@ def test_per_triple_queries_build_one_fraction_without_the_constructor(monkeypat
     in_frame = [  # (query, the integer pair it must reduce)
         (lambda t: symroot_val(cfg, 3, *t), lambda i, j, k: (twice_g[i][k] - twice_g[j][k], 6)),
         (
-            lambda t: pairing_difference(cfg, 3, *t),
-            lambda i, j, k: (twice_g[i][k] - twice_g[j][k], 12),
-        ),
-        (
             lambda t: clustertree.pairing_from_tree(tree, *t),
             lambda i, j, k: (clustertree._twice_pairing(tree.wv2, g21, i, j, k), 2),
         ),
@@ -371,13 +368,14 @@ def test_per_triple_queries_build_one_fraction_without_the_constructor(monkeypat
         ),
     ]
     through_fraction = [
+        lambda i, j, k: pairing_difference(cfg, 3, i, j, k),
         lambda i, j, k: pairing_cross_ratio(cfg, 3, i, j, k, min({0, 1, 2, 3} - {i, j, k})),
         lambda i, j, k: clustertree.mult_y(tree, tree.node_of_root[i]),
         lambda i, j, k: clustertree.v_mult(tree, k, tree.node_of_root[i]),
     ]
     triples = list(itertools.permutations(range(n), 3))
     ran = _trap_fraction(monkeypatch)
-    got, via = [], []
+    got, via, halves = [], [], []
     for t in triples:
         made.clear()
         for query, _ in in_frame:
@@ -387,6 +385,7 @@ def test_per_triple_queries_build_one_fraction_without_the_constructor(monkeypat
             made.clear()
             result = query(*t)
             via.append(len(made) == 1 and made[0] is result)
+        halves.append(pairing_difference(cfg, 3, *t))
     assert ran == []
     monkeypatch.undo()
     assert all(via)
@@ -394,14 +393,18 @@ def test_per_triple_queries_build_one_fraction_without_the_constructor(monkeypat
     for (first, again), (num, den) in zip(got, expected):
         assert first is not again and first == again
         assert _same_fields(first, num, den), (first, num, den)
-    # results over 2g = 6 that reduce and that do not, and over 2 both ways
-    assert {first._denominator for first, _ in got} == {1, 2, 3, 6}
+    # results over 2g = 6 reduced to 3 and to 1, and over 2 both ways
+    assert {first._denominator for first, _ in got} == {1, 2, 3}
+    # pairing_difference is (C_ik - C_jk) / 4g, over 4g = 12 reduced to 6, 3 and 1
+    for (i, j, k), half in zip(triples, halves):
+        assert _same_fields(half, twice_g[i][k] - twice_g[j][k], 12), (half, i, j, k)
+    assert {half._denominator for half in halves} == {1, 3, 6}
 
 
 def test_fraction_keeps_the_two_slots_the_in_frame_constructions_set():
     assert Fraction.__slots__ == ("_numerator", "_denominator"), (
-        "rational._fraction and the in-frame constructions of symroot_val, "
-        "pairing_difference and pairing_from_tree set exactly these two "
+        "rational._fraction and the in-frame constructions of symroot_val "
+        "and pairing_from_tree set exactly these two "
         "slots of object.__new__(Fraction); this Python's Fraction has "
         f"{Fraction.__slots__!r}"
     )

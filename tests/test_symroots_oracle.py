@@ -206,7 +206,7 @@ def test_errors_match_oracle(monkeypatch):
     for arity, call in calls:
         for t in _bad_indices(arity, n):
             assert _error(lambda: call(*t)) == _index_message(t, n)
-    # the same outcome as with the index rule that had no fast path
+    # the same outcome as with the oracle's copy of the index rule
     grid = [(call, _bad_indices(arity, n) + _odd_indices(arity, n)) for arity, call in calls]
     got = [_outcome(lambda: call(*t)) for call, tuples in grid for t in tuples]
     for module in (symroots, clustertree):
