@@ -1,9 +1,9 @@
 """``PiecewisePoly``, the result type of ``metgraph.green_diagonal``.
 
 The one dataclass, as perfbench's checks call ``dataclasses.replace`` on a
-``green_diagonal`` result.  It lives apart from ``metgraph``, which reads it
-here on first use, so that importing ``metgraph`` loads neither
-``dataclasses`` nor the ``inspect`` module that it imports.
+``green_diagonal`` result.  ``green_diagonal`` imports it in its own body,
+so that importing ``metgraph`` loads neither ``dataclasses`` nor the
+``inspect`` module that it imports.
 """
 
 from __future__ import annotations

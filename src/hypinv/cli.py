@@ -60,9 +60,12 @@ def _load_curve(args):
 
 def _triples(cfg, args):
     if args.triple:
+        from .symroots import _check_triple
+
         triple = tuple(parse_int(x) for x in args.triple.split(","))
         if len(triple) != 3:
             raise ValueError(f"expected 3 comma-separated indices: {args.triple!r}")
+        _check_triple(cfg, *triple)
         return [triple]
     if args.all_triples:
         return list(itertools.permutations(range(len(cfg.roots)), 3))
@@ -97,8 +100,7 @@ def _cmd_symroots(args):
     triples = _triples(cfg, args)
     out = _curve_fields(cfg, prime)
     if args.triple:
-        i, j, k = triples[0]
-        out.update(_triple_record(cfg, prime, i, j, k))
+        out.update(_triple_record(cfg, prime, *triples[0]))
     else:
         out["results"] = {
             f"({i},{j},{k})": _triple_record(cfg, prime, i, j, k)
@@ -114,6 +116,8 @@ def _cmd_cluster(args):
     if prime is None:
         raise ValueError("cluster requires --prime (or a prime in the curve JSON)")
     out = _curve_fields(cfg, prime)
+    # a malformed --triple exits 1 whether or not the curve is in normal form
+    triples = _triples(cfg, args) if args.triple or args.all_triples else None
     try:
         tree = clustertree.build_tree(cfg, prime)
     except clustertree.NormalFormError as err:
@@ -132,9 +136,9 @@ def _cmd_cluster(args):
         ]
     }
     g = cfg.genus
-    pairings = {}
-    if args.triple or args.all_triples:
-        for i, j, k in _triples(cfg, args):
+    if triples is not None:
+        pairings = out["pairings"] = {}
+        for i, j, k in triples:
             lhs = clustertree.pairing_from_tree(tree, i, j, k)
             rhs = 2 * g * (g - 1) * symroots.symroot_val(cfg, prime, i, j, k)
             pairings[f"({i},{j},{k})"] = {
@@ -142,7 +146,6 @@ def _cmd_cluster(args):
                 "expected_from_symroots": format_rat(rhs),
                 "match": lhs == rhs,
             }
-        out["pairings"] = pairings
     return out
 
 

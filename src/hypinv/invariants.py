@@ -131,8 +131,7 @@ _GENUS2_SHAPES = {
 GENUS2_ARITY = {t: len(edges) for t, (_, edges) in _GENUS2_SHAPES.items()}
 
 
-class Genus2Row(namedtuple("Genus2Row", "d_half delta eps chi")):
-    __slots__ = ()
+Genus2Row = namedtuple("Genus2Row", "d_half delta eps chi")
 
 
 def _genus2_params(fiber_type, params):

@@ -23,9 +23,9 @@ m / n = s / L; ``_Resistances.between`` has one closed form per pair of point
 kinds, and ``resistance`` and ``green`` each build one ``_fraction``, the
 result.  README.md, "Metrized graphs", states the forms with their sources.
 
-``green_diagonal`` returns a ``PiecewisePoly``, a dataclass defined in
-``_piecewise`` and read here through the module ``__getattr__`` (PEP 562),
-so that importing this module loads neither ``dataclasses`` nor ``inspect``.
+``green_diagonal`` returns a ``PiecewisePoly``, a dataclass that it
+imports from ``_piecewise`` in its own body, so that importing this module
+loads neither ``dataclasses`` nor ``inspect``.
 """
 
 from __future__ import annotations
@@ -216,17 +216,6 @@ class Measure(_Frozen):
 
     def density(self, eid):
         return self.edge_density.get(eid, Fraction(0))
-
-
-def __getattr__(name):
-    """``PiecewisePoly`` from ``_piecewise`` on first access (PEP 562), then
-    bound in this module, so later reads and ``green_diagonal`` skip this."""
-    if name != "PiecewisePoly":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from ._piecewise import PiecewisePoly
-
-    globals()[name] = PiecewisePoly
-    return PiecewisePoly
 
 
 def _edge_point(x):
@@ -530,6 +519,8 @@ def green(graph, mu, x, y):
 
 def green_diagonal(graph, mu):
     """x -> g_mu(x, x) = phi_mu(x) - c/2 as an exact per-edge quadratic."""
+    from ._piecewise import PiecewisePoly
+
     kernel = graph._kernel(mu)
     f, z, w, c4 = kernel._f, kernel._z, kernel._w, 4 * kernel._den
     values = {v: Fraction(c4 * x - kernel._c, c4 * z) for v, x in f.items()}
@@ -541,11 +532,7 @@ def green_diagonal(graph, mu):
         # (F_v - F_u) / (L Z) + L (k_e - d_e) over a b dd Z, as Z = det W
         c1 = Fraction((f[e.v] - f[e.u]) * b * b * dd + bn * w, a * b * dd * z)
         coeffs[e.eid] = (values[e.u], c1, Fraction(-bn, bd))
-    try:
-        poly = PiecewisePoly
-    except NameError:  # the first call binds it, through ``__getattr__``
-        poly = __getattr__("PiecewisePoly")
-    return poly(values, coeffs, {e.eid: e.length for e in graph.edges})
+    return PiecewisePoly(values, coeffs, {e.eid: e.length for e in graph.edges})
 
 
 def epsilon_phi(graph):

@@ -28,9 +28,9 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from hypinv._piecewise import PiecewisePoly
 from hypinv.metgraph import (
     Measure,
-    PiecewisePoly,
     _edge,
     _edge_point,
     _length_ratio,

@@ -164,6 +164,27 @@ def test_cluster_rejects_bad_form(tmp_path, capsys):
     assert "tree" not in doc
 
 
+@pytest.mark.parametrize(
+    "roots", [CURVE3["roots"], ["0", "3", "1", "4", "2", "5"]], ids=["normal-form", "not-normal-form"]
+)
+@pytest.mark.parametrize(
+    ("triple", "detail"),
+    [
+        ("0,0,99", "indices must be pairwise distinct: (0, 0, 99)"),
+        ("0,1,99", "root index out of range: 99"),
+        ("0,1,-1", "root index out of range: -1"),
+        ("0,1", "expected 3 comma-separated indices: '0,1'"),
+    ],
+)
+def test_cluster_checks_the_triple_whatever_the_curve(tmp_path, capsys, roots, triple, detail):
+    # a malformed --triple once exited 0 with the diagnostic document when
+    # the curve was not in normal form
+    curve = write(tmp_path, "c.json", {"genus": 2, "roots": roots})
+    code, out = run(capsys, "cluster", "--curve", curve, "--prime", "3", "--triple", triple)
+    assert code == 1
+    assert json.loads(out) == {"error": "validation", "detail": detail}
+
+
 def test_cluster_without_a_prime_exits_1(tmp_path, capsys):
     curve = write(tmp_path, "c.json", CURVE6)
     code, out = run(capsys, "cluster", "--curve", curve)

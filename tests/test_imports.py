@@ -148,8 +148,15 @@ def test_padic_and_scalar_commands_load_no_dataclasses(argv, tmp_path):
     ["verify", "--suite", "subdivision", "--seed", "7"],
 ], ids=command_id)
 def test_graph_commands_load_no_dataclasses(argv, tmp_path):
-    # metgraph reads PiecewisePoly from _piecewise, which no command imports
+    # green_diagonal imports PiecewisePoly from _piecewise; no command calls it
     assert_no_dataclasses(argv, tmp_path)
+
+
+def test_only_the_package_loads_names_on_attribute_access():
+    # one lazy-load idiom in the layers: an import in the body that needs it
+    for path in sorted((SRC / "hypinv").glob("*.py")):
+        if path.name != "__init__.py":
+            assert not hasattr(importlib.import_module(f"hypinv.{path.stem}"), "__getattr__")
 
 
 def test_piecewise_poly_loads_with_green_diagonal_only():

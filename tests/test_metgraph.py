@@ -3,16 +3,17 @@ import dataclasses
 import itertools
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
 import oracle_kernel
 from hypinv import invariants, metgraph
+from hypinv._piecewise import PiecewisePoly
 from hypinv.metgraph import (
     Measure,
     MetrizedGraph,
-    PiecewisePoly,
     admissible_measure,
     canonical_divisor,
     canonical_measure,
@@ -264,12 +265,12 @@ def test_piecewise_poly_reads_its_edge_ends_and_keeps_lengths_out_of_equality():
 
 
 def test_green_diagonal_returns_the_piecewise_poly_dataclass():
-    # PiecewisePoly lives in hypinv._piecewise and stays a dataclass:
-    # dataclasses.replace works on a green_diagonal result, and repr and ==
-    # are those of the dataclass that metgraph once defined itself
+    # PiecewisePoly lives in hypinv._piecewise, and only there, and stays a
+    # dataclass: dataclasses.replace works on a green_diagonal result, and
+    # repr and == are those of the dataclass that metgraph once defined itself
     g = MetrizedGraph({"a": 0, "b": 1}, [("a", "b", F(1, 2)), ("b", "a", 2)])
     poly = green_diagonal(g, admissible_measure(g))
-    assert type(poly) is PiecewisePoly is metgraph.PiecewisePoly
+    assert type(poly) is PiecewisePoly and not hasattr(metgraph, "PiecewisePoly")
     assert dataclasses.is_dataclass(poly)
     coeffs = (
         "{0: (Fraction(121, 480), Fraction(-3, 10), Fraction(-1, 5)), "
@@ -288,16 +289,24 @@ def test_green_diagonal_returns_the_piecewise_poly_dataclass():
     assert poly.__hash__ is None  # unhashable, as a dataclass with eq and no frozen
 
 
-def test_green_diagonal_runs_no_import_statement(monkeypatch):
-    # the class is bound once in metgraph; an import on every call cost about
-    # 3 % of a K_5 call
+def test_green_diagonal_imports_only_piecewise_poly(monkeypatch):
+    # a call after the first runs one import statement, the class from the
+    # already loaded hypinv._piecewise: no other import and no new module
     g = loop1()
     mu = admissible_measure(g)
     want = green_diagonal(g, mu)
+    held = set(sys.modules)
     imports = []
-    monkeypatch.setattr(builtins, "__import__", lambda *args, **kw: imports.append(args))
-    assert green_diagonal(g, mu) == want and type(want) is metgraph.PiecewisePoly
-    assert imports == []
+    real = builtins.__import__
+
+    def spy(name, globals=None, locals=None, fromlist=(), level=0):
+        imports.append((name, fromlist, level))
+        return real(name, globals, locals, fromlist, level)
+
+    monkeypatch.setattr(builtins, "__import__", spy)
+    assert green_diagonal(g, mu) == want and type(want) is PiecewisePoly
+    assert imports == [("_piecewise", ("PiecewisePoly",), 1)]
+    assert set(sys.modules) == held
 
 
 @pytest.mark.parametrize("offset", ["1/2", 0.1, True], ids=repr)

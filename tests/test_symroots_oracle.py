@@ -10,6 +10,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
 from unittest import mock
 
@@ -198,7 +199,16 @@ def _error(call):
 ORACLE = {"pairing_difference": old.symroot_val}
 
 
-def test_errors_match_oracle(monkeypatch):
+def _comparable(outcome):
+    """The outcome, with the container word of a subscript ``TypeError``
+    dropped: hypinv indexes lists where the oracle indexes ``cfg.roots``."""
+    kind, detail = outcome
+    if kind is TypeError and detail.startswith(("list indices ", "tuple indices ")):
+        return kind, detail.split(" ", 1)[1]
+    return outcome
+
+
+def test_errors_match_oracle():
     cfg, p, _ = CONFIGS[0]
     n = len(cfg.roots)
     symroots.symroot_val(cfg, p, 0, 1, 2)  # the table for p now exists
@@ -206,14 +216,35 @@ def test_errors_match_oracle(monkeypatch):
     for arity, call in calls:
         for t in _bad_indices(arity, n):
             assert _error(lambda: call(*t)) == _index_message(t, n)
-    # the same outcome as with the oracle's copy of the index rule
-    grid = [(call, _bad_indices(arity, n) + _odd_indices(arity, n)) for arity, call in calls]
-    got = [_outcome(lambda: call(*t)) for call, tuples in grid for t in tuples]
-    for module in (symroots, clustertree):
-        monkeypatch.setattr(module, "_check_triple", old._check_triple)
-    assert got == [_outcome(lambda: call(*t)) for call, tuples in grid for t in tuples]
-    assert {kind for kind, _ in got} == {"ok", ValueError, TypeError}
-    monkeypatch.undo()
+    # the in-frame checks of symroot_val and pairing_from_tree, and the rule
+    # the other entry points run, reach the outcome of the oracle's index
+    # rule followed by the oracle's function: the same value or error
+    tree = clustertree.build_tree(cfg, p)
+    old_tree = SimpleNamespace(config=cfg, wv=old.wv_matrix(tree))
+    pairs = [
+        (3, partial(clustertree.pairing_from_tree, tree), partial(old.pairing_from_tree, old_tree))
+    ]
+    for arity, name, args in (
+        (3, "symroot_val", (cfg, p)),
+        (3, "symroot_pow", (cfg,)),
+        (4, "pairing_cross_ratio", (cfg, p)),
+        (2, "sym_discriminant", (cfg,)),
+    ):
+        new, ref = getattr(symroots, name), getattr(old, name)
+        pairs.append((arity, partial(new, *args), partial(ref, *args)))
+    kinds, subscripts = set(), set()
+    for arity, new, ref in pairs:
+        for t in _bad_indices(arity, n) + _odd_indices(arity, n):
+            got = _outcome(lambda: new(*t))
+            want = _outcome(lambda: (old._check_triple(cfg, *t), ref(*t))[1])
+            assert _comparable(got) == _comparable(want), t
+            kinds.add(got[0])
+            if got != want:
+                subscripts.add(t)
+    assert kinds == {"ok", ValueError, TypeError}
+    # the container word differs only where a float or Fraction equal to
+    # index 1 passes the rule and fails at the subscript
+    assert subscripts == {(0, x, 2, 3)[:a] for x in (1.0, Fraction(1)) for a in (2, 3, 4)}
     with_inf = RootConfig(2, (INF,) + tuple(Fraction(x) for x in range(1, 6)))
     assert _error(lambda: symroots.cross_ratio(with_inf, 0, 1, 2, 3)) == (
         "roots must be finite; apply normalize_finite first"

@@ -12,40 +12,37 @@ def test_unknown_suite():
         verify.run_suite("nope")
 
 
-def test_identities_suite_small():
-    doc = verify.run_suite("identities", 3, configs_per_genus=8, mobius_maps=2)
+def test_identities_suite():
+    doc = verify.run_suite("identities", 3)
     assert doc["failed"] == 0
-    assert doc["passed"] == 3 * 8 * 5
-
-
-def test_cluster_suite_small():
-    doc = verify.run_suite("cluster-vs-symroots", 3, n_configs=24)
-    assert doc["failed"] == 0
-    assert doc["passed"] + doc["skipped"] == 24
+    # 100 configurations for each genus 2, 3, 4; five checks each
+    assert doc["passed"] == 3 * 100 * 5
 
 
 def test_cluster_suite_checks_unconstrained_cases(monkeypatch):
     # every tenth case is an unconstrained configuration; it is checked
     # (build_tree raises exactly when check_normal_form reports violations),
     # never skipped
-    doc = verify.run_suite("cluster-vs-symroots", 3, n_configs=40)
-    assert (doc["passed"], doc["failed"], doc["skipped"]) == (40, 0, 0)
+    doc = verify.run_suite("cluster-vs-symroots", 3)
+    assert (doc["passed"], doc["failed"], doc["skipped"]) == (200, 0, 0)
     assert doc["skips"] == []
     # a report that misses the violations makes exactly those cases fail
     monkeypatch.setattr(
         clustertree, "check_normal_form", lambda cfg, p: clustertree.NormalFormReport(())
     )
-    doc = verify.run_suite("cluster-vs-symroots", 3, n_configs=40)
+    doc = verify.run_suite("cluster-vs-symroots", 3)
     assert doc["failures"] == [
         f"normal-form-rejection case={c} p={(3, 5, 7)[c % 3]} g=3"
-        for c in (9, 19, 29, 39)
+        for c in range(9, 200, 10)
     ]
 
 
-# cases of ``run_suite("cluster-vs-symroots", 3, n_configs=40)`` at p = 5 and
-# genus 3 (case % 6 == 1) that reach the cross-check: case 19 is an
-# unconstrained configuration that build_tree rejects
-PERTURBED = [f"cluster-vs-symroots case={c} p=5 g=3" for c in (1, 7, 13, 25, 31, 37)]
+# cases of ``run_suite("cluster-vs-symroots", 3)`` at p = 5 and genus 3
+# (case % 6 == 1) that reach the cross-check: cases 19, 49, ..., 199
+# (case % 30 == 19) are unconstrained configurations that build_tree rejects
+PERTURBED = [
+    f"cluster-vs-symroots case={c} p=5 g=3" for c in range(1, 200, 6) if c % 30 != 19
+]
 
 
 def test_cluster_suite_catches_a_wrong_tree_entry(monkeypatch):
@@ -59,9 +56,9 @@ def test_cluster_suite_catches_a_wrong_tree_entry(monkeypatch):
         return tree
 
     monkeypatch.setattr(clustertree, "build_tree", build_tree)
-    doc = verify.run_suite("cluster-vs-symroots", 3, n_configs=40)
+    doc = verify.run_suite("cluster-vs-symroots", 3)
     assert doc["failures"] == PERTURBED
-    assert doc["passed"] == 40 - len(PERTURBED)
+    assert doc["passed"] == 200 - len(PERTURBED)
 
 
 def test_cluster_suite_catches_a_wrong_row_sum(monkeypatch):
@@ -78,9 +75,9 @@ def test_cluster_suite_catches_a_wrong_row_sum(monkeypatch):
         return vals, sums, twice_g
 
     monkeypatch.setattr(symroots, "_valuations", valuations)
-    doc = verify.run_suite("cluster-vs-symroots", 3, n_configs=40)
+    doc = verify.run_suite("cluster-vs-symroots", 3)
     assert doc["failures"] == PERTURBED
-    assert doc["passed"] == 40 - len(PERTURBED)
+    assert doc["passed"] == 200 - len(PERTURBED)
 
 
 def test_genus2_table_suite():
@@ -134,8 +131,8 @@ def test_every_suite_passes_its_pinned_count_at_seed_7(suite):
 
 
 def test_determinism():
-    a = verify.run_suite("cluster-vs-symroots", 11, n_configs=12)
-    b = verify.run_suite("cluster-vs-symroots", 11, n_configs=12)
+    a = verify.run_suite("cluster-vs-symroots", 11)
+    b = verify.run_suite("cluster-vs-symroots", 11)
     assert a == b
 
 
