@@ -19,6 +19,10 @@ import sys
 from .rational import format_rat, parse_int, parse_point, parse_rat
 from .rational import require_int, require_keys
 
+#: the largest curve genus a document may give (``docs/schemas/curve.schema.json``);
+#: ``--all-triples`` runs (2g+2)**3 triples, each with products of 2g+2 roots
+MAX_GENUS = 16
+
 
 class _Parser(argparse.ArgumentParser):
     # argument errors are validation errors (exit 1), not internal failures
@@ -46,9 +50,10 @@ def _load_curve(args):
     roots = doc["roots"]
     if not isinstance(roots, list) or not all(isinstance(r, str) for r in roots):
         raise ValueError(f"curve roots must be a list of strings: {roots!r}")
-    cfg = RootConfig(
-        require_int(doc["genus"], "curve genus"), tuple(parse_point(r) for r in roots)
-    )
+    genus = require_int(doc["genus"], "curve genus")
+    if genus > MAX_GENUS:
+        raise ValueError(f"curve genus {genus} is more than {MAX_GENUS}")
+    cfg = RootConfig(genus, tuple(parse_point(r) for r in roots))
     prime = doc.get("prime")
     # checked even where --prime overrides it, as the schema refuses it there too
     if "prime" in doc and require_int(prime, "curve prime") < 2:

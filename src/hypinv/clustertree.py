@@ -245,12 +245,13 @@ def pairing_from_tree(tree, i, j, k):
     """
     cfg = tree.config
     n = len(cfg.roots)
-    try:  # an invalid triple, or a comparison that raises, gets _check_triple's error
+    try:  # a bad triple, or a comparison or subscript that raises: _check_triple's error
         if not (i != j != k != i and 0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise TypeError
+        num = _twice_pairing(tree.wv2, 2 * cfg.genus - 1, i, j, k)
     except TypeError:
         _check_triple(cfg, i, j, k)
-    num = _twice_pairing(tree.wv2, 2 * cfg.genus - 1, i, j, k)
+        raise
     q = object.__new__(Fraction)  # the _fraction construction, gcd(num, 2) by parity
     if num & 1:
         q._numerator, q._denominator = num, 2

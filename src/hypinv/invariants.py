@@ -44,11 +44,7 @@ class NodeCounts(_Frozen):
         delta_i += (Fraction(0),) * (g // 2 - len(delta_i))
         if xi0 < 0 or any(x < 0 for x in xi + delta_i):
             raise ValueError("counts must be nonnegative")
-        # one _set per field, not the base's loop: every graph place builds one
-        _set(self, "genus", genus)
-        _set(self, "xi0", xi0)
-        _set(self, "xi", xi)
-        _set(self, "delta_i", delta_i)
+        super().__init__(genus, xi0, xi, delta_i)
 
 
 def d_from_counts(counts):
@@ -207,18 +203,19 @@ def node_counts_from_graph(graph):
     Non-separating edges default to xi0: whether such a node is fixed by the
     hyperelliptic involution is not graph data, so for genus >= 3 a warning
     is attached (for genus 2 there are no subtypes and xi0 is forced).
-    Returns (NodeCounts, warnings).
+    Returns (NodeCounts, warnings): the one place a graph's NodeCounts is built.
     """
     g = require_genus(graph.total_genus)
     # *list, not *generator: a resized argument tuple stays on CPython's free list
     den = math.lcm(*[e.length.denominator for e in graph.edges])
-    return _graph_counts(graph, g, den)[:2]
+    warnings, xi0, delta_i = _graph_counts(graph, g, den)
+    return NodeCounts(g, _fraction(xi0, den), (), [_fraction(x, den) for x in delta_i]), warnings
 
 
 def _graph_counts(graph, g, den):
-    """``node_counts_from_graph`` for the checked genus g and the lcm den of
-    the edge-length denominators: (NodeCounts, warnings, xi0, delta_i), with
-    xi0 and the list delta_i the counts times den, as integers."""
+    """The counts of ``node_counts_from_graph`` for the checked genus g and
+    the lcm den of the edge-length denominators, as integers times den:
+    (warnings, xi0, delta_i), with delta_i a list of g // 2 entries."""
     sides = graph.bridge_sides
     xi0 = 0
     delta_i = [0] * (g // 2)
@@ -242,10 +239,7 @@ def _graph_counts(graph, g, den):
                 )
             else:
                 delta_i[i - 1] += length
-    counts = NodeCounts(
-        g, _fraction(xi0, den), delta_i=tuple(_fraction(x, den) for x in delta_i)
-    )
-    return counts, warnings, xi0, delta_i
+    return warnings, xi0, delta_i
 
 
 class PlaceReport(_Frozen):
@@ -274,16 +268,8 @@ class PlaceReport(_Frozen):
                 f"place {label}: chi = {chi} inconsistent with "
                 f"(3d - (2g+1)(eps+delta))/(2g-2) = {expected}"
             )
-        # one _set per field, not the base's loop: built on every graph place
-        _set(self, "label", label)
-        _set(self, "genus", genus)
-        _set(self, "log_nv", log_nv)
-        _set(self, "d", d)
-        _set(self, "eps", eps)
-        _set(self, "delta", delta)
-        _set(self, "phi", phi)
-        _set(self, "chi", chi)
-        _set(self, "warnings", tuple(warnings))
+        super().__init__(label, genus, log_nv, d, eps, delta, phi, chi)
+        _set(self, "warnings", tuple(warnings))  # outside _fields
 
 
 def aggregate_global(places):
@@ -309,12 +295,13 @@ def place_report_from_graph(label, graph, log_nv=1.0):
     """Assemble a PlaceReport from a reduction graph, the one code path from
     a graph to its place invariants: each integer core of d, eps, delta, phi
     and chi runs once, on one lcm of the length denominators, and the report
-    keeps the warnings of ``node_counts_from_graph``."""
+    keeps the warnings of ``node_counts_from_graph``.  It builds no
+    ``NodeCounts``, whose checks cannot fail on ``_graph_counts``' output."""
     from . import metgraph
 
     g = require_genus(graph.total_genus)
     length = metgraph._length_ratio(graph)  # delta, the total length, as (num, den)
-    _, warnings, xi0, delta_i = _graph_counts(graph, g, length[1])
+    warnings, xi0, delta_i = _graph_counts(graph, g, length[1])
     d = _d(g, xi0, (), delta_i), length[1]
     eps, ph = metgraph._epsilon_phi(graph, g, *length)
     return PlaceReport(

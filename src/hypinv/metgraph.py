@@ -38,6 +38,11 @@ from types import MappingProxyType
 from .rational import _Frozen, _fraction, parse_rat, require_genus, require_int
 from .rational import _set, require_keys, require_rational
 
+#: the most vertices and edges a graph document may hold (``from_json`` and
+#: ``docs/schemas/graph.schema.json``); ``graph eval`` at the cap takes
+#: seconds, as the solve grows as |V|**3
+MAX_VERTICES, MAX_EDGES = 128, 512
+
 
 class Edge(_Frozen):
     _fields = ("eid", "u", "v", "length")
@@ -166,11 +171,13 @@ class MetrizedGraph:
     @classmethod
     def from_json(cls, doc):
         """The graph of a ``docs/schemas/graph.schema.json`` document;
-        ValueError on one outside the schema's keys or types."""
+        ValueError on one outside the schema's keys, types or size caps."""
         require_keys(doc, ("vertices", "edges"), "graph")
-        for key in ("vertices", "edges"):
+        for key, cap in (("vertices", MAX_VERTICES), ("edges", MAX_EDGES)):
             if not isinstance(doc[key], list):
                 raise ValueError(f"graph {key} is not a list: {doc[key]!r}")
+            if len(doc[key]) > cap:
+                raise ValueError(f"graph has {len(doc[key])} {key}, more than {cap}")
         genus = {}
         for v in doc["vertices"]:
             vid = require_keys(v, ("id", "genus"), "vertex", ("id",))["id"]

@@ -27,8 +27,9 @@ and exactly 2g roots lie outside {i, j}, the val d terms cancel from
 and ``pairing_cross_ratio`` is (V_ik + V_jr - V_jk - V_ir) / 2.
 ``symroot_val`` is one frame: it reads the kept C of an ``int`` prime,
 passes a valid triple by one chained comparison (``_check_triple`` runs
-only when that fails), subtracts two entries of C and sets the two slots
-of the reduced result over 2g itself, as ``rational._fraction`` does.
+only when that or a subscript fails, so a float index equal to a valid one
+gets its error), subtracts two entries of C and sets the two slots of the
+reduced result over 2g itself, as ``rational._fraction`` does.
 The symmetric discriminant has the closed form
 
     d_ij = (-1)**g (a_i - a_j)**(2g(2g-1)) Delta_ij**2
@@ -126,6 +127,8 @@ def _check_triple(cfg, *indices):
     for i in indices:
         if not 0 <= i < n:
             raise ValueError(f"root index out of range: {i}")
+        if not isinstance(i, int):  # 1.0 and Fraction(1) pass the range test
+            raise ValueError(f"root index is not an int: {i!r}")
 
 
 def normalize_finite(cfg):
@@ -182,12 +185,14 @@ def symroot_val(cfg, p, i, j, k):
         tables = _valuations(cfg, p)  # the checks, or the table's first build
     twice_g = tables[2]
     n = len(cfg.roots)
-    try:  # an invalid triple, or a comparison that raises, gets _check_triple's error
+    try:  # a bad triple, or a comparison or subscript that raises: _check_triple's error
         if not (i != j != k != i and 0 <= i < n and 0 <= j < n and 0 <= k < n):
             raise TypeError
+        num = twice_g[i][k] - twice_g[j][k]
     except TypeError:
         _check_triple(cfg, i, j, k)
-    num, den = twice_g[i][k] - twice_g[j][k], 2 * cfg.genus
+        raise
+    den = 2 * cfg.genus
     c = gcd(num, den)  # den > 0: the _fraction construction, no sign step
     q = object.__new__(Fraction)
     q._numerator, q._denominator = num // c, den // c

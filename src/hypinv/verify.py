@@ -135,18 +135,23 @@ def _suite_cluster_vs_symroots(tally, rng):
         g = 2 if case % 2 == 0 else 3
         tag = f"case={case} p={p} g={g}"
         if case % 10 == 9:
-            # deliberately unconstrained config, usually not in normal form:
-            # build_tree must raise exactly when check_normal_form reports
-            # violations, and the cross-check runs when it does not
+            # deliberately unconstrained integer config, usually not in normal
+            # form, decided here from val and residues alone: build_tree must
+            # raise and check_normal_form report violations exactly when it
+            # is not, and the cross-check runs when it is
             cfg = random_config(rng, g, lo=-10 * p * p, hi=10 * p * p)
+            a = cfg.roots
+            normal = len({x % p for x in a}) >= 3 and all(
+                val(x - y, p) % 2 == 0 for x, y in itertools.combinations(a, 2)
+            )
             report = clustertree.check_normal_form(cfg, p)
             try:
                 tree = clustertree.build_tree(cfg, p)
             except ValueError:
                 tree = None
-            if tree is None or not report.ok:
-                rejected = tree is None and not report.ok
-                tally.check(rejected, f"normal-form-rejection {tag}")
+            if not (normal and tree is not None and report.ok):
+                agree = (tree is not None) == report.ok == normal
+                tally.check(agree, f"normal-form-rejection {tag}")
                 continue
         else:
             cfg = random_normal_form_config(rng, g, p)

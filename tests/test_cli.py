@@ -715,3 +715,49 @@ def test_help_text_is_pinned(capsys, monkeypatch, command):
     text = capsys.readouterr().out.replace("optional arguments:", "options:")  # Python 3.10
     golden = HELP / (f"hypinv-{command}.txt" if command else "hypinv.txt")
     assert text == golden.read_text()
+
+
+def capped_graph(vertices, edges):
+    """A path through ``vertices`` vertices, then loops at its first vertex
+    up to ``edges`` edges: cheap to solve at any size."""
+    ids = [f"v{i}" for i in range(vertices)]
+    path = [{"u": u, "v": v, "length": "1"} for u, v in zip(ids, ids[1:])]
+    loops = [{"u": "v0", "v": "v0", "length": "1"}] * (edges - len(path))
+    return {"vertices": [{"id": v, "genus": 0} for v in ids], "edges": path + loops}
+
+
+def capped_curve(genus):
+    return {"genus": genus, "roots": [str(r) for r in range(2 * genus + 2)]}
+
+
+def test_a_document_at_the_caps_is_accepted(tmp_path, capsys):
+    assert (metgraph.MAX_VERTICES, metgraph.MAX_EDGES, cli.MAX_GENUS) == (128, 512, 16)
+    doc = capped_graph(metgraph.MAX_VERTICES, metgraph.MAX_EDGES)
+    code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", doc))
+    assert code == 0 and json.loads(out)["genus"] == str(metgraph.MAX_EDGES - metgraph.MAX_VERTICES + 1)
+    curve = write(tmp_path, "c.json", capped_curve(cli.MAX_GENUS))
+    code, out = run(capsys, "symroots", "--curve", curve, "--prime", "3", "--triple", "0,2,1")
+    assert code == 0 and json.loads(out)["genus"] == cli.MAX_GENUS
+
+
+@pytest.mark.parametrize(
+    "argv, doc, detail",
+    [
+        (["graph", "eval", "--in"], capped_graph(129, 512), "graph has 129 vertices, more than 128"),
+        (["graph", "eval", "--in"], capped_graph(128, 513), "graph has 513 edges, more than 512"),
+        (["symroots", "--all-triples", "--curve"], capped_curve(17), "curve genus 17 is more than 16"),
+        (["cluster", "--all-triples", "--prime", "3", "--curve"], capped_curve(1000),
+         "curve genus 1000 is more than 16"),
+    ],
+    ids=["vertices", "edges", "symroots genus", "cluster genus"],
+)
+def test_a_document_over_a_cap_exits_1_before_any_build(tmp_path, capsys, monkeypatch, argv, doc, detail):
+    def built(*args):
+        raise AssertionError("built past the cap")
+
+    monkeypatch.setattr(metgraph, "_invert", built)
+    monkeypatch.setattr(metgraph.MetrizedGraph, "__init__", built)
+    monkeypatch.setattr(symroots.RootConfig, "__init__", built)
+    monkeypatch.setattr(symroots, "_valuations", built)
+    code, out = run(capsys, *argv, write(tmp_path, "doc.json", doc))
+    assert (code, json.loads(out)) == (1, {"error": "validation", "detail": detail})

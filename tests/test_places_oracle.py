@@ -49,6 +49,7 @@ def test_genus2_place_reports_match_the_oracle(fiber_type, params):
 @pytest.mark.parametrize("graph", RANDOM)
 def test_random_place_reports_match_the_oracle(graph):
     assert report_values(graph) == old.place_values(graph)
+    assert invariants.node_counts_from_graph(graph) == old.node_counts_from_graph(graph)
 
 
 @PROPERTY
@@ -90,13 +91,15 @@ def public_fields(graph):
 def assert_report_is_the_public_composition(make):
     """``make`` builds equal graphs: the report of a fresh one, and the
     report before and after the public calls on one graph whose solve is
-    kept, all equal the public composition."""
+    kept, all equal the public composition; the node counts and warnings
+    equal the oracle's."""
     fresh = report_fields(make())
     assert all(type(x) is Fraction for x in fresh[:5])
     graph = make()
     before = report_fields(graph)
     assert before == fresh == public_fields(graph) == report_fields(graph)
     assert fresh == public_fields(make())
+    assert invariants.node_counts_from_graph(graph) == old.node_counts_from_graph(graph)
 
 
 def banana(rng, n):
@@ -135,9 +138,10 @@ def test_family_place_reports_are_the_public_composition(family, n):
 
 
 def test_the_place_path_runs_every_check(monkeypatch):
-    # the integer cores keep the public path's checks: one NodeCounts built,
+    # the integer cores keep the public path's checks that can fail:
     # PlaceReport's logNv check and its chi through chi_nonarch, and
-    # Foster's identity on a new graph's solve
+    # Foster's identity on a new graph's solve; no NodeCounts is built, as
+    # its checks cannot fail on the counts of a graph that has a genus
     graph = invariants.genus2_graph("VII", (1, 2, 3))
     called = []
     for name in ("NodeCounts", "chi_nonarch"):
@@ -146,7 +150,7 @@ def test_the_place_path_runs_every_check(monkeypatch):
             invariants, name, lambda *a, _n=name, _f=real, **k: called.append(_n) or _f(*a, **k)
         )
     invariants.place_report_from_graph("p", graph)
-    assert called == ["NodeCounts", "chi_nonarch"]
+    assert called == ["chi_nonarch"]
     with pytest.raises(ValueError, match="logNv of place"):
         invariants.place_report_from_graph("p", graph, float("nan"))
     original = metgraph._Resistances.foster

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from hypinv import cli
+from test_cli import capped_curve, capped_graph
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -128,6 +129,13 @@ AGREE = [
     ("graph", {**GRAPH, "edges": {}}),
     ("places", [{k: v for k, v in PLACE.items() if k != "logNv"}]),
     ("places", [{k: v for k, v in PLACE.items() if k != "genus"}]),
+    # the size caps: a curve genus of 16 (34 roots), 128 vertices, 512 edges
+    ("curve", capped_curve(16)),
+    ("curve", capped_curve(17)),
+    ("curve", {**capped_curve(16), "roots": capped_curve(17)["roots"]}),
+    ("graph", capped_graph(128, 512)),
+    ("graph", capped_graph(129, 512)),
+    ("graph", capped_graph(128, 513)),
 ]
 
 INTEGRAL_FLOATS = [

@@ -199,13 +199,10 @@ def _error(call):
 ORACLE = {"pairing_difference": old.symroot_val}
 
 
-def _comparable(outcome):
-    """The outcome, with the container word of a subscript ``TypeError``
-    dropped: hypinv indexes lists where the oracle indexes ``cfg.roots``."""
-    kind, detail = outcome
-    if kind is TypeError and detail.startswith(("list indices ", "tuple indices ")):
-        return kind, detail.split(" ", 1)[1]
-    return outcome
+#: a float or ``Fraction`` equal to index 1, in its own position: it passes
+#: the oracle's rule and fails at the oracle's subscript, where hypinv's rule
+#: refuses it; keyed by ``repr``, as (0, 1.0, 2) == (0, 1, 2)
+NOT_INT = {repr((0, x, 2, 3)[:a]): x for x in (1.0, Fraction(1)) for a in (2, 3, 4)}
 
 
 def test_errors_match_oracle():
@@ -218,7 +215,8 @@ def test_errors_match_oracle():
             assert _error(lambda: call(*t)) == _index_message(t, n)
     # the in-frame checks of symroot_val and pairing_from_tree, and the rule
     # the other entry points run, reach the outcome of the oracle's index
-    # rule followed by the oracle's function: the same value or error
+    # rule followed by the oracle's function: the same value or error, except
+    # that hypinv refuses an index that is not an int
     tree = clustertree.build_tree(cfg, p)
     old_tree = SimpleNamespace(config=cfg, wv=old.wv_matrix(tree))
     pairs = [
@@ -232,19 +230,20 @@ def test_errors_match_oracle():
     ):
         new, ref = getattr(symroots, name), getattr(old, name)
         pairs.append((arity, partial(new, *args), partial(ref, *args)))
-    kinds, subscripts = set(), set()
+    kinds, refused = set(), set()
     for arity, new, ref in pairs:
         for t in _bad_indices(arity, n) + _odd_indices(arity, n):
             got = _outcome(lambda: new(*t))
             want = _outcome(lambda: (old._check_triple(cfg, *t), ref(*t))[1])
-            assert _comparable(got) == _comparable(want), t
+            if repr(t) in NOT_INT:
+                assert want[0] is TypeError, t
+                assert got == (ValueError, f"root index is not an int: {NOT_INT[repr(t)]!r}"), t
+                refused.add(repr(t))
+            else:
+                assert got == want, t
             kinds.add(got[0])
-            if got != want:
-                subscripts.add(t)
     assert kinds == {"ok", ValueError, TypeError}
-    # the container word differs only where a float or Fraction equal to
-    # index 1 passes the rule and fails at the subscript
-    assert subscripts == {(0, x, 2, 3)[:a] for x in (1.0, Fraction(1)) for a in (2, 3, 4)}
+    assert refused == set(NOT_INT)
     with_inf = RootConfig(2, (INF,) + tuple(Fraction(x) for x in range(1, 6)))
     assert _error(lambda: symroots.cross_ratio(with_inf, 0, 1, 2, 3)) == (
         "roots must be finite; apply normalize_finite first"
@@ -271,6 +270,17 @@ def test_errors_match_oracle():
             lambda: ref(*args)
         )
     assert list(cfg._tables) == [p]
+
+
+def test_an_index_equal_to_a_valid_int_is_refused_unless_it_is_an_int():
+    # 1.0 and Fraction(1) pass the range test and would fail at a subscript;
+    # a bool is an int and stays accepted
+    cfg, p, _ = CONFIGS[0]
+    for arity, call in _index_calls(cfg, p):
+        for x in (1.0, Fraction(1)):
+            message = f"root index is not an int: {x!r}"
+            assert _error(lambda: call(*(0, x, 2, 3)[:arity])) == message
+        assert call(*(0, True, 2, 3)[:arity]) == call(*(0, 1, 2, 3)[:arity])
 
 
 def test_int_subclass_prime_is_checked_and_reads_the_table(monkeypatch):

@@ -7,19 +7,23 @@ an edge length, a scale factor, a subdivision point, or a measure's vertex
 mass or edge density that is not an ``int`` or a ``Fraction`` is refused,
 not coerced."""
 
+import ast
 import copy
+import importlib
 import math
 import re
 from decimal import Decimal
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
+import hypinv
 from hypinv import clustertree, invariants, metgraph, symroots
 from hypinv.clustertree import ClusterNode, ClusterTree, NormalFormReport
 from hypinv.invariants import Genus2Row, NodeCounts, PlaceReport
 from hypinv.metgraph import Edge, Measure, MetrizedGraph
-from hypinv.rational import INF
+from hypinv.rational import INF, _Record
 from hypinv.symroots import RootConfig
 from test_metgraph import graph_doc
 
@@ -394,3 +398,44 @@ def test_cluster_tree_is_mutable_and_unhashable():
     assert ClusterTree(*(getattr(tree, name) for name in fields)) == tree
     again.prime = 5
     assert tree != again
+
+
+def _fields_set_outside_the_base(cls, body):
+    """The names of ``cls._fields`` that the class body ``body`` sets on
+    ``self``: by ``_set``, ``setattr`` or ``object.__setattr__``, or by
+    assignment to ``self.<name>``."""
+    found = []
+    for node in ast.walk(body):
+        if isinstance(node, ast.Call) and len(node.args) >= 2:
+            func, (obj, name) = node.func, node.args[:2]
+            setter = (isinstance(func, ast.Name) and func.id in ("_set", "setattr")) or (
+                isinstance(func, ast.Attribute) and func.attr == "__setattr__"
+            )
+            if setter and isinstance(obj, ast.Name) and obj.id == "self":
+                if isinstance(name, ast.Constant) and name.value in cls._fields:
+                    found.append(name.value)
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if (
+                isinstance(target, ast.Attribute)
+                and isinstance(target.value, ast.Name)
+                and target.value.id == "self"
+                and target.attr in cls._fields
+            ):
+                found.append(target.attr)
+    return found
+
+
+def test_every_record_sets_its_fields_through_the_base():
+    # _Record.__init__ is the one place where a record sets its _fields;
+    # a subclass's own __init__ passes them to it
+    records = {}
+    for path in sorted(Path(hypinv.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"hypinv.{path.stem}")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            cls = getattr(module, getattr(node, "name", ""), None)
+            if isinstance(node, ast.ClassDef) and isinstance(cls, type):
+                if issubclass(cls, _Record) and cls is not _Record:
+                    records[cls.__qualname__] = _fields_set_outside_the_base(cls, node)
+    assert {"NodeCounts", "PlaceReport", "RootConfig", "ClusterTree", "Edge", "Measure"} <= set(records)
+    assert records == dict.fromkeys(records, [])

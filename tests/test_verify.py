@@ -21,8 +21,9 @@ def test_identities_suite():
 
 def test_cluster_suite_checks_unconstrained_cases(monkeypatch):
     # every tenth case is an unconstrained configuration; it is checked
-    # (build_tree raises exactly when check_normal_form reports violations),
-    # never skipped
+    # (build_tree raises and check_normal_form reports violations exactly
+    # when the suite's own decision says it is not in normal form), never
+    # skipped
     doc = verify.run_suite("cluster-vs-symroots", 3)
     assert (doc["passed"], doc["failed"], doc["skipped"]) == (200, 0, 0)
     assert doc["skips"] == []
@@ -35,6 +36,28 @@ def test_cluster_suite_checks_unconstrained_cases(monkeypatch):
         f"normal-form-rejection case={c} p={(3, 5, 7)[c % 3]} g=3"
         for c in range(9, 200, 10)
     ]
+
+
+def test_cluster_suite_decides_normal_form_on_its_own(monkeypatch):
+    # the suite decides normal form from val and residues, not from
+    # _normal_form: a _normal_form that drops the odd-valuation violation
+    # makes build_tree and the report accept configurations the suite
+    # rejects, and exactly those unconstrained cases fail
+    real = clustertree._normal_form
+
+    def normal_form(cfg, p):
+        violations, tables = real(cfg, p)
+        return tuple(v for v in violations if not v.endswith("is odd")), tables
+
+    monkeypatch.setattr(clustertree, "_normal_form", normal_form)
+    doc = verify.run_suite("cluster-vs-symroots", 3)
+    # cases 69 and 189 (p = 3) lie in two residue classes, still reported
+    assert doc["failures"] == [
+        f"normal-form-rejection case={c} p={(3, 5, 7)[c % 3]} g=3"
+        for c in range(9, 200, 10)
+        if c not in (69, 189)
+    ]
+    assert doc["passed"] == 200 - 18
 
 
 # cases of ``run_suite("cluster-vs-symroots", 3)`` at p = 5 and genus 3
