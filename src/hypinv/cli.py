@@ -221,18 +221,16 @@ def _cmd_global(args):
     for rec in doc:
         require_keys(rec, required, "place record", strings, ("label",))
         label = rec.get("label", str(len(places)))
-        places.append(
-            PlaceReport(
-                label=label,
-                genus=require_int(rec["genus"], f"genus of place {label!r}"),
-                log_nv=rec["logNv"],
-                d=parse_rat(rec["d"]),
-                eps=parse_rat(rec["eps"]),
-                delta=parse_rat(rec["delta"]),
-                phi=parse_rat(rec["phi"]),
-                chi=parse_rat(rec["chi"]),
+        genus = require_int(rec["genus"], f"genus of place {label!r}")
+        d, eps, delta, phi, chi = (parse_rat(rec[key]) for key in values)
+        report = PlaceReport(label, genus, rec["logNv"], d, eps, delta, phi)
+        # the record's chi must be the one the report derives from the others
+        if chi != report.chi:
+            raise ValueError(
+                f"place {label}: chi = {chi} inconsistent with "
+                f"(3d - (2g+1)(eps+delta))/(2g-2) = {report.chi}"
             )
-        )
+        places.append(report)
     return {
         "places": len(places),
         "omega_omega_adm": str(aggregate_global(places)),

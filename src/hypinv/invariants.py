@@ -4,6 +4,8 @@ adelic aggregation.
 All node counts are thickness-weighted rationals (unweighted integer counting
 is the special case of unit thicknesses).  Every quantity stays exact; only
 ``aggregate_global``, the logNv-scaled sum over places, returns a float.
+``chi_nonarch`` is the one statement of chi = (3d - (2g+1)(eps+delta))/(2g-2):
+a ``PlaceReport`` derives its chi through it and takes no chi argument.
 """
 
 from __future__ import annotations
@@ -63,20 +65,16 @@ def _d(g, xi0, xi, delta_i):
 
 
 def chi_nonarch(g, d, eps, delta):
-    """chi = (3d - (2g+1)(eps + delta)) / (2g - 2), exact."""
+    """chi = (3d - (2g+1)(eps + delta)) / (2g - 2), exact: the numerators
+    summed as integers over the lcm of the three denominators."""
     require_genus(g)
     d, eps = require_rational(d, "d"), require_rational(eps, "eps")
     delta = require_rational(delta, "delta")
-    ratios = d.as_integer_ratio(), eps.as_integer_ratio(), delta.as_integer_ratio()
-    return _fraction(*_chi(g, *ratios))
-
-
-def _chi(g, d, eps, delta):
-    """chi_nonarch on integer pairs (num, den), for the checked genus g."""
-    (dn, dd), (en, ed), (ln, ld) = d, eps, delta
+    (dn, dd), (en, ed), (ln, ld) = (
+        d.as_integer_ratio(), eps.as_integer_ratio(), delta.as_integer_ratio())
     den = math.lcm(dd, ed, ld)
     num = 3 * dn * (den // dd) - (2 * g + 1) * (en * (den // ed) + ln * (den // ld))
-    return num, (2 * g - 2) * den
+    return _fraction(num, (2 * g - 2) * den)
 
 
 def yamaki_bound(counts):
@@ -205,9 +203,10 @@ def node_counts_from_graph(graph):
     is attached (for genus 2 there are no subtypes and xi0 is forced).
     Returns (NodeCounts, warnings): the one place a graph's NodeCounts is built.
     """
+    from .metgraph import _length_ratio
+
     g = require_genus(graph.total_genus)
-    # *list, not *generator: a resized argument tuple stays on CPython's free list
-    den = math.lcm(*[e.length.denominator for e in graph.edges])
+    den = _length_ratio(graph)[1]
     warnings, xi0, delta_i = _graph_counts(graph, g, den)
     return NodeCounts(g, _fraction(xi0, den), (), [_fraction(x, den) for x in delta_i]), warnings
 
@@ -247,27 +246,23 @@ class PlaceReport(_Frozen):
 
     ``log_nv`` is an ``int`` or a ``float`` in (0, ``sys.float_info.max``],
     kept as given (``hypinv global`` has no logNv rule of its own);
-    d, eps, delta, phi and chi are each an ``int`` or a ``Fraction``, stored
-    as a ``Fraction``.
-    ``warnings``, a tuple of strings, is outside ``==``, ``hash`` and
-    ``repr``: it says how d was counted, it is not a value of the place.
+    d, eps, delta and phi are each an ``int`` or a ``Fraction``, stored as a
+    ``Fraction``.  chi is not an argument: the report derives it,
+    ``chi_nonarch(genus, d, eps, delta)``, as it is a function of the others.
+    ``warnings``, a keyword-only tuple of strings, is outside ``==``,
+    ``hash`` and ``repr``: it says how d was counted, it is not a value of
+    the place.
     """
 
     _fields = ("label", "genus", "log_nv", "d", "eps", "delta", "phi", "chi")
 
-    def __init__(self, label, genus, log_nv, d, eps, delta, phi, chi, warnings=()):
+    def __init__(self, label, genus, log_nv, d, eps, delta, phi, *, warnings=()):
         # a bool's type is not int; NaN and 10**400 fail the comparison
         if type(log_nv) not in (int, float) or not 0 < log_nv <= sys.float_info.max:
             raise ValueError(f"logNv of place {label!r} is not a positive float: {log_nv!r}")
         d, eps = require_rational(d, "d"), require_rational(eps, "eps")
         delta, phi = require_rational(delta, "delta"), require_rational(phi, "phi")
-        chi = require_rational(chi, "chi")
-        expected = chi_nonarch(genus, d, eps, delta)
-        if expected != chi:
-            raise ValueError(
-                f"place {label}: chi = {chi} inconsistent with "
-                f"(3d - (2g+1)(eps+delta))/(2g-2) = {expected}"
-            )
+        chi = chi_nonarch(genus, d, eps, delta)
         super().__init__(label, genus, log_nv, d, eps, delta, phi, chi)
         _set(self, "warnings", tuple(warnings))  # outside _fields
 
@@ -293,25 +288,24 @@ def aggregate_global(places):
 
 def place_report_from_graph(label, graph, log_nv=1.0):
     """Assemble a PlaceReport from a reduction graph, the one code path from
-    a graph to its place invariants: each integer core of d, eps, delta, phi
-    and chi runs once, on one lcm of the length denominators, and the report
-    keeps the warnings of ``node_counts_from_graph``.  It builds no
-    ``NodeCounts``, whose checks cannot fail on ``_graph_counts``' output."""
+    a graph to its place invariants: each integer core of d, eps, delta and
+    phi runs once, on one lcm of the length denominators, the report derives
+    chi from them, and it keeps the warnings of ``node_counts_from_graph``.
+    It builds no ``NodeCounts``, whose checks cannot fail on
+    ``_graph_counts``' output."""
     from . import metgraph
 
     g = require_genus(graph.total_genus)
     length = metgraph._length_ratio(graph)  # delta, the total length, as (num, den)
     warnings, xi0, delta_i = _graph_counts(graph, g, length[1])
-    d = _d(g, xi0, (), delta_i), length[1]
     eps, ph = metgraph._epsilon_phi(graph, g, *length)
     return PlaceReport(
         label=label,
         genus=g,
         log_nv=log_nv,
-        d=_fraction(*d),
+        d=_fraction(_d(g, xi0, (), delta_i), length[1]),
         eps=_fraction(*eps),
         delta=_fraction(*length),
         phi=_fraction(*ph),
-        chi=_fraction(*_chi(g, d, eps, length)),
         warnings=warnings,
     )

@@ -38,10 +38,11 @@ from types import MappingProxyType
 from .rational import _Frozen, _fraction, parse_rat, require_genus, require_int
 from .rational import _set, require_keys, require_rational
 
-#: the most vertices and edges a graph document may hold (``from_json`` and
-#: ``docs/schemas/graph.schema.json``); ``graph eval`` at the cap takes
-#: seconds, as the solve grows as |V|**3
-MAX_VERTICES, MAX_EDGES = 128, 512
+#: the most vertices and edges a graph document may hold, and the largest genus
+#: of one vertex (``from_json`` and ``docs/schemas/graph.schema.json``);
+#: ``graph eval`` at the caps takes seconds, as the solve grows as |V|**3; the
+#: genus cap bounds the node counts' list of total_genus // 2 entries
+MAX_VERTICES, MAX_EDGES, MAX_VERTEX_GENUS = 128, 512, 512
 
 
 class Edge(_Frozen):
@@ -183,7 +184,9 @@ class MetrizedGraph:
             vid = require_keys(v, ("id", "genus"), "vertex", ("id",))["id"]
             if vid in genus:
                 raise ValueError(f"duplicate vertex id: {vid!r}")
-            genus[vid] = v["genus"]  # checked by the constructor
+            genus[vid] = g = v["genus"]  # its type is checked by the constructor
+            if isinstance(g, int) and g > MAX_VERTEX_GENUS:
+                raise ValueError(f"genus {g} of vertex {vid!r} is more than {MAX_VERTEX_GENUS}")
         edges = []
         for e in doc["edges"]:
             e = require_keys(e, ("u", "v", "length"), "edge", ("u", "v", "length"))

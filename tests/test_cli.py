@@ -288,7 +288,9 @@ def test_global_inconsistent_chi(tmp_path, capsys):
     path = write(tmp_path, "places.json", places)
     code, out = run(capsys, "global", "--places", path)
     assert code == 1
-    assert "inconsistent" in json.loads(out)["detail"]
+    assert json.loads(out)["detail"] == (
+        "place 0: chi = 1/3 inconsistent with (3d - (2g+1)(eps+delta))/(2g-2) = 1/9"
+    )
 
 
 def test_global_missing_key(tmp_path, capsys):
@@ -731,10 +733,14 @@ def capped_curve(genus):
 
 
 def test_a_document_at_the_caps_is_accepted(tmp_path, capsys):
-    assert (metgraph.MAX_VERTICES, metgraph.MAX_EDGES, cli.MAX_GENUS) == (128, 512, 16)
+    caps = metgraph.MAX_VERTICES, metgraph.MAX_EDGES, metgraph.MAX_VERTEX_GENUS, cli.MAX_GENUS
+    assert caps == (128, 512, 512, 16)
     doc = capped_graph(metgraph.MAX_VERTICES, metgraph.MAX_EDGES)
     code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "g.json", doc))
     assert code == 0 and json.loads(out)["genus"] == str(metgraph.MAX_EDGES - metgraph.MAX_VERTICES + 1)
+    doc = {"vertices": [{"id": "v", "genus": metgraph.MAX_VERTEX_GENUS}], "edges": []}
+    code, out = run(capsys, "graph", "eval", "--in", write(tmp_path, "v.json", doc))
+    assert code == 0 and json.loads(out)["genus"] == str(metgraph.MAX_VERTEX_GENUS)
     curve = write(tmp_path, "c.json", capped_curve(cli.MAX_GENUS))
     code, out = run(capsys, "symroots", "--curve", curve, "--prime", "3", "--triple", "0,2,1")
     assert code == 0 and json.loads(out)["genus"] == cli.MAX_GENUS
@@ -748,8 +754,11 @@ def test_a_document_at_the_caps_is_accepted(tmp_path, capsys):
         (["symroots", "--all-triples", "--curve"], capped_curve(17), "curve genus 17 is more than 16"),
         (["cluster", "--all-triples", "--prime", "3", "--curve"], capped_curve(1000),
          "curve genus 1000 is more than 16"),
+        # one vertex of genus 10**9 once asked _graph_counts for a list of 5 * 10**8 entries
+        (["graph", "eval", "--in"], {"vertices": [{"id": "v", "genus": 10**9}], "edges": []},
+         "genus 1000000000 of vertex 'v' is more than 512"),
     ],
-    ids=["vertices", "edges", "symroots genus", "cluster genus"],
+    ids=["vertices", "edges", "symroots genus", "cluster genus", "vertex genus"],
 )
 def test_a_document_over_a_cap_exits_1_before_any_build(tmp_path, capsys, monkeypatch, argv, doc, detail):
     def built(*args):

@@ -171,22 +171,32 @@ def test_node_counts_match_table_d():
 
 
 def test_place_report_validates_chi():
+    # chi is derived from the other fields, so no report holds an inconsistent one
+    rep = PlaceReport("p", 2, 1.0, F(6), F(5, 9), F(3), F(1, 9))
+    assert rep.chi == F(1, 9) == chi_nonarch(2, F(6), F(5, 9), F(3))
+    assert PlaceReport("p", 3, 1.0, 3, F(1, 2), 1, 0).chi == F(-3, 8)
+    with pytest.raises(ValueError, match="^genus must be at least 2$"):
+        PlaceReport("p", 1, 1.0, F(6), F(5, 9), F(3), F(1, 9))
     with pytest.raises(ValueError):
-        PlaceReport("p", 2, 1.0, F(6), F(5, 9), F(3), F(1, 9), F(1))
-    rep = PlaceReport("p", 2, 1.0, F(6), F(5, 9), F(3), F(1, 9), F(1, 9))
-    assert rep.chi == F(1, 9)
-    with pytest.raises(ValueError):
-        PlaceReport("p", 2, 0.0, F(0), F(0), F(0), F(0), F(0))
+        PlaceReport("p", 2, 0.0, F(0), F(0), F(0), F(0))
+
+
+def test_place_report_refuses_a_chi_argument():
+    # by name or in chi's old place, where it would have been read as warnings
+    with pytest.raises(TypeError, match="chi"):
+        PlaceReport("p", 2, 1.0, F(6), F(5, 9), F(3), F(1, 9), chi=F(1, 9))
+    with pytest.raises(TypeError, match="positional"):
+        PlaceReport("p", 2, 1.0, F(6), F(5, 9), F(3), F(1, 9), F(1, 9))
 
 
 def test_aggregate_global():
-    p1 = PlaceReport("3", 2, math.log(3), F(6), F(5, 9), F(3), F(1, 9), F(1, 9))
-    p2 = PlaceReport("5", 2, math.log(5), F(2), F(1, 6), F(1), F(1, 12), F(1, 12))
+    p1 = PlaceReport("3", 2, math.log(3), F(6), F(5, 9), F(3), F(1, 9))
+    p2 = PlaceReport("5", 2, math.log(5), F(2), F(1, 6), F(1), F(1, 12))
     total = aggregate_global([p1, p2])
     expect = F(2, 5) * (F(1, 9) * math.log(3) + F(1, 12) * math.log(5))
     assert math.isclose(total, float(expect))
     assert aggregate_global([]) == 0.0
-    bad = PlaceReport("7", 3, 1.0, F(0), F(0), F(0), F(0), F(0))
+    bad = PlaceReport("7", 3, 1.0, F(0), F(0), F(0), F(0))
     with pytest.raises(ValueError):
         aggregate_global([p1, bad])
 

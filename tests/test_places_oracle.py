@@ -96,6 +96,8 @@ def assert_report_is_the_public_composition(make):
     fresh = report_fields(make())
     assert all(type(x) is Fraction for x in fresh[:5])
     graph = make()
+    d, eps, dlt, _, chi, _ = fresh
+    assert chi == invariants.chi_nonarch(graph.total_genus, d, eps, dlt)
     before = report_fields(graph)
     assert before == fresh == public_fields(graph) == report_fields(graph)
     assert fresh == public_fields(make())
@@ -139,9 +141,10 @@ def test_family_place_reports_are_the_public_composition(family, n):
 
 def test_the_place_path_runs_every_check(monkeypatch):
     # the integer cores keep the public path's checks that can fail:
-    # PlaceReport's logNv check and its chi through chi_nonarch, and
-    # Foster's identity on a new graph's solve; no NodeCounts is built, as
-    # its checks cannot fail on the counts of a graph that has a genus
+    # PlaceReport's logNv check and Foster's identity on a new graph's
+    # solve; the report derives chi through one chi_nonarch call, and no
+    # NodeCounts is built, as its checks cannot fail on the counts of a
+    # graph that has a genus
     graph = invariants.genus2_graph("VII", (1, 2, 3))
     called = []
     for name in ("NodeCounts", "chi_nonarch"):

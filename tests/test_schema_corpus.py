@@ -136,6 +136,10 @@ AGREE = [
     ("graph", capped_graph(128, 512)),
     ("graph", capped_graph(129, 512)),
     ("graph", capped_graph(128, 513)),
+    # the vertex-genus cap, 512
+    ("graph", graph_vertex(genus=512)),
+    ("graph", graph_vertex(genus=513)),
+    ("graph", graph_vertex(genus=10**9)),
 ]
 
 INTEGRAL_FLOATS = [

@@ -35,7 +35,7 @@ def _node():
 
 
 def _place(label="p"):
-    return PlaceReport(label, 2, math.log(3), F(6), F(5, 9), F(3), F(1, 9), F(1, 9))
+    return PlaceReport(label, 2, math.log(3), F(6), F(5, 9), F(3), F(1, 9))
 
 
 #: name -> (make, a different value, its dataclass repr, a field)
@@ -211,7 +211,7 @@ def test_validation_runs_in_the_constructors():
     with pytest.raises(ValueError, match="counts must be nonnegative"):
         NodeCounts(2, xi0=-1)
     with pytest.raises(ValueError, match="logNv of place 'p' is not a positive float"):
-        PlaceReport("p", 2, 0.0, F(0), F(0), F(0), F(0), F(0))
+        PlaceReport("p", 2, 0.0, F(0), F(0), F(0), F(0))
     counts = NodeCounts(genus=5, delta_i=(1,))
     assert counts.xi == (F(0), F(0)) and counts.delta_i == (F(1), F(0))
 
@@ -231,7 +231,6 @@ def test_root_config_refuses_a_root_that_is_not_rational(bad):
     [
         ("phi", "0.1", "phi is not an int or a Fraction: '0.1'"),
         ("phi", 0.5, "phi is not an int or a Fraction: 0.5"),
-        ("chi", 1.5, "chi is not an int or a Fraction: 1.5"),
         ("log_nv", "1", "logNv of place 'p' is not a positive float: '1'"),
         ("log_nv", True, "logNv of place 'p' is not a positive float: True"),
         ("log_nv", F(1), "logNv of place 'p' is not a positive float: Fraction(1, 1)"),
@@ -241,32 +240,30 @@ def test_root_config_refuses_a_root_that_is_not_rational(bad):
         ("log_nv", -1, "logNv of place 'p' is not a positive float: -1"),
     ],
     ids=[
-        "phi str", "phi float", "chi float", "logNv str", "logNv bool", "logNv Fraction",
+        "phi str", "phi float", "logNv str", "logNv bool", "logNv Fraction",
         "logNv inf", "logNv nan", "logNv huge int", "logNv negative",
     ],
 )
 def test_place_report_refuses_what_it_cannot_store(field, bad, message):
-    # phi was stored unchecked, a chi of 1.5 passed as equal to 3/2, and a
-    # string logNv raised TypeError from inside
-    fields = dict(label="p", genus=2, log_nv=1.0, d=F(6), eps=F(0), delta=F(3))
-    fields.update(phi=F(1, 2), chi=F(3, 2))
+    # phi was stored unchecked and a string logNv raised TypeError from inside
+    fields = dict(label="p", genus=2, log_nv=1.0, d=F(6), eps=F(0), delta=F(3), phi=F(1, 2))
     fields[field] = bad
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         PlaceReport(**fields)
 
 
 def test_place_report_keeps_exact_values():
-    rep = PlaceReport("p", 2, 1, F(6), F(0), F(3), 1, F(3, 2))
+    rep = PlaceReport("p", 2, 1, F(6), F(0), F(3), 1)
     assert rep.log_nv == 1 and type(rep.phi) is F and rep.phi == 1
 
 
 def test_place_report_stores_every_invariant_as_a_fraction():
     # d, eps and delta were stored as given: an int d showed as d=6 in repr
-    rep = PlaceReport("p", 2, 1.0, 6, 0, 3, 1, F(3, 2))
+    rep = PlaceReport("p", 2, 1.0, 6, 0, 3, 1)
     values = [rep.d, rep.eps, rep.delta, rep.phi, rep.chi]
     assert [type(x) for x in values] == [F] * 5
     assert values == [6, 0, 3, 1, F(3, 2)]
-    assert repr(rep) == repr(PlaceReport("p", 2, 1.0, F(6), F(0), F(3), F(1), F(3, 2)))
+    assert repr(rep) == repr(PlaceReport("p", 2, 1.0, F(6), F(0), F(3), F(1)))
     assert "d=Fraction(6, 1), eps=Fraction(0, 1), delta=Fraction(3, 1)" in repr(rep)
 
 
@@ -277,7 +274,7 @@ def test_root_config_accepts_ints_fractions_and_one_inf():
 
 def test_place_report_warnings_are_outside_eq_hash_and_repr():
     warned = PlaceReport(
-        "p", 2, math.log(3), F(6), F(5, 9), F(3), F(1, 9), F(1, 9), warnings=["w"]
+        "p", 2, math.log(3), F(6), F(5, 9), F(3), F(1, 9), warnings=["w"]
     )
     plain = _place()
     assert warned.warnings == ("w",) and plain.warnings == ()
