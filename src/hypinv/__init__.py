@@ -20,8 +20,8 @@ _LAYERS = {
     "canonical_measure delta epsilon epsilon_phi green green_diagonal phi "
     "resistance scale subdivide verify_admissible",
     "rational": "INF format_rat is_prime parse_rat val",
-    "symroots": "RootConfig cross_ratio normalize_finite pairing_cross_ratio "
-    "pairing_difference sym_discriminant symroot_pow symroot_val",
+    "symroots": "RootConfig cross_ratio pairing_cross_ratio pairing_difference "
+    "sym_discriminant symroot_pow symroot_val",
     "verify": "SUITES run_suite",
 }
 _HOME = {name: layer for layer, names in _LAYERS.items() for name in names.split()}

@@ -43,7 +43,7 @@ def _load_json(path):
 def _load_curve(args):
     """``(cfg, prime)`` from ``--curve``, a ``docs/schemas/curve.schema.json``
     document, and ``--prime``, which overrides the document's prime."""
-    from .symroots import RootConfig, normalize_finite
+    from .symroots import RootConfig
 
     doc = _load_json(args.curve)
     require_keys(doc, ("genus", "roots"), "curve", ("note",), ("prime", "note"))
@@ -60,7 +60,7 @@ def _load_curve(args):
         raise ValueError(f"curve prime must be at least 2: {prime}")
     if args.prime is not None:
         prime = args.prime
-    return normalize_finite(cfg), prime
+    return cfg, prime
 
 
 def _triples(cfg, args):
@@ -79,7 +79,7 @@ def _triples(cfg, args):
 
 def _curve_fields(cfg, prime):
     """The head of a symroots or cluster document: the genus, the prime if
-    any, and the substitution if ``normalize_finite`` moved a root at inf."""
+    any, and the substitution if ``RootConfig`` moved a root at inf."""
     out = {"genus": cfg.genus}
     if prime is not None:
         out["prime"] = prime

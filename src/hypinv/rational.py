@@ -272,21 +272,19 @@ class _Frozen(_Record):
 def mobius(x, a, b, c, d):
     """Apply the fractional-linear map t -> (a*t + b)/(c*t + d) to ``x``.
 
-    ``x`` may be ``INF``; the result is ``INF`` when the denominator
-    vanishes.  The coefficients must have a*d - b*c != 0.  Non-integer
-    coefficients are scaled to integers by their common denominator, so
-    x = n/q maps to the one ``Fraction`` (a n + b q)/(c n + d q).
+    ``x`` is ``INF``, an ``int`` or a ``Fraction`` and the coefficients are
+    ``int``s with a*d - b*c != 0; anything else raises ``ValueError``, so no
+    float, bool or string is coerced.  The result is ``INF`` when the
+    denominator vanishes; x = n/q maps to the one ``Fraction``
+    (a n + b q)/(c n + d q).
     """
-    if not (type(a) is int and type(b) is int and type(c) is int and type(d) is int):
-        a, b, c, d = (Fraction(t) for t in (a, b, c, d))
-        m = math.lcm(a.denominator, b.denominator, c.denominator, d.denominator)
-        a, b, c, d = (t.numerator * (m // t.denominator) for t in (a, b, c, d))
+    for t in (a, b, c, d):
+        require_int(t, "coefficient")
     if a * d - b * c == 0:
         raise ValueError("degenerate fractional-linear map")
     if x is INF:
         return INF if c == 0 else _fraction(a, c)
-    # Fraction(x) for any other type keeps its conversions and errors
-    n, q = (x if type(x) in (Fraction, int) else Fraction(x)).as_integer_ratio()
+    n, q = require_rational(x, "point").as_integer_ratio()
     den = c * n + d * q
     if den == 0:
         return INF

@@ -1,12 +1,14 @@
 """Symmetric roots of hyperelliptic branch configurations.
 
 A configuration is the genus g together with the 2g+2 branch points of the
-double cover of the projective line.  For a triple (i, j, k) of distinct
-branch indices the symmetric root l_ijk is only defined up to a 2g-th root of
-unity, so the canonical exact datum here is l_ijk**(2g) (a field element)
-together with its valuation val(l_ijk) = val(l_ijk**(2g)) / (2g), an exact
-rational.  Actual 2g-th roots appear only in the floating cross-check path
-used by the tests.
+double cover of the projective line; ``RootConfig`` moves a branch point at
+infinity to a finite one when it is built, so every formula below reads
+finite roots.  For a triple (i, j, k) of distinct branch indices the
+symmetric root l_ijk is only defined up to a 2g-th root of unity, so the
+canonical exact datum here is l_ijk**(2g) (a field element) together with
+its valuation val(l_ijk) = val(l_ijk**(2g)) / (2g), an exact rational.
+Actual 2g-th roots appear only in the floating cross-check path used by the
+tests.
 
 Admissible-pairing values on differences of branch points are returned in nu
 units: (w_i - w_j, w_k) = val(l_ijk) / 2.
@@ -17,9 +19,9 @@ P_i = prod_{r != i,j} X_ir, ``symroot_pow`` builds the one ``Fraction``
 l_ijk**(2g) = X_ik**(2g) P_j / (X_jk**(2g) P_i).  The p-adic functions read
 the table V_rs = val(a_r - a_s), its row sums S_r = sum_{s != r} V_rs and
 the integer matrix C_rk = 2g V_rk - S_r, built once per (configuration,
-prime) by ``_valuations``, which checks p and finiteness only to build them
-or for a p whose type is not ``int``.  As val X_rs = V_rs + val d_r + val d_s
-and exactly 2g roots lie outside {i, j}, the val d terms cancel from
+prime) by ``_valuations``, which checks p only to build them or for a p
+whose type is not ``int``.  As val X_rs = V_rs + val d_r + val d_s and
+exactly 2g roots lie outside {i, j}, the val d terms cancel from
 2g (val X_ik - val X_jk) + val P_j - val P_i, leaving
 
     2g val(l_ijk) = 2g (V_ik - V_jk) + S_j - S_i = C_ik - C_jk,
@@ -56,13 +58,19 @@ class RootConfig(_Frozen):
     """Genus plus the 2g+2 pairwise-distinct branch points, each an ``int``,
     a ``Fraction`` or ``INF`` (at most one); a float or a bool is refused.
 
+    A root at ``INF`` is moved, with every other root, by x -> 1/(x - c) for
+    the least non-negative int c that is not a root, and ``note`` names that
+    map (it is "" when no root is moved).  The data read here, l_ijk**(2g),
+    its valuation and the cross-ratios, do not change under a
+    fractional-linear map, so every configuration is finite once built.
+
     Frozen: ``==`` and ``hash`` read ``genus`` and ``roots`` only, not
-    ``note``, ``all_finite`` or the tables.
+    ``note`` or the tables.
     """
 
     _fields = ("genus", "roots")
 
-    def __init__(self, genus, roots, note=""):
+    def __init__(self, genus, roots):
         require_genus(genus)
         roots = tuple(roots)
         if len(roots) != 2 * genus + 2:
@@ -77,22 +85,15 @@ class RootConfig(_Frozen):
         finite = [r for r in roots if r is not INF]
         if len(set(finite)) != len(finite):
             raise ValueError("roots must be pairwise distinct")
+        note = ""
+        if len(finite) != len(roots):
+            c = next(c for c in itertools.count() if c not in finite)
+            roots = tuple(mobius(r, 0, 1, 1, -c) for r in roots)
+            note = f"applied x -> 1/(x - {c})"
         super().__init__(genus, roots)
         _set(self, "note", note)
-        _set(self, "all_finite", len(finite) == len(roots))
         #: prime -> (V, S, C), filled by ``_valuations``; the roots never change.
         _set(self, "_tables", {})
-
-    def __repr__(self):
-        return (
-            f"RootConfig(genus={self.genus!r}, roots={self.roots!r}, "
-            f"note={self.note!r})"
-        )
-
-
-def _require_finite(cfg):
-    if not cfg.all_finite:
-        raise ValueError("roots must be finite; apply normalize_finite first")
 
 
 def _valuations(cfg, p):
@@ -101,15 +102,14 @@ def _valuations(cfg, p):
     2g val(l_ijk) = C[i][k] - C[j][k].
 
     An ``int`` p whose table ``cfg`` already keeps gets it unchecked: a table
-    is stored only for a p that passed ``require_odd_prime`` and a finite
-    configuration, and the roots never change.  Any other p is checked, then
-    the table is built and kept; ``type(p) is int`` matters because ``3.0``
-    and ``Fraction(3)`` hash like 3 and would find its table.
+    is stored only for a p that passed ``require_odd_prime``, and the
+    roots never change.  Any other p is checked, then the table is built
+    and kept; ``type(p) is int`` matters because ``3.0`` and ``Fraction(3)``
+    hash like 3 and would find its table.
     """
     if type(p) is int and (tables := cfg._tables.get(p)):
         return tables
     require_odd_prime(p)
-    _require_finite(cfg)
     tables = cfg._tables.get(p)
     if tables is None:
         vals = valuation_table(cfg.roots, p)
@@ -131,23 +131,6 @@ def _check_triple(cfg, *indices):
             raise ValueError(f"root index is not an int: {i!r}")
 
 
-def normalize_finite(cfg):
-    """Return an equivalent configuration with all branch points finite.
-
-    If a root sits at infinity, apply x -> 1/(x - c) with a rational c
-    avoiding every finite root; the substitution is recorded in the result's
-    note.  Already-finite configurations are returned unchanged.
-    """
-    if cfg.all_finite:
-        return cfg
-    finite = set(cfg.roots) - {INF}
-    c = Fraction(0)
-    while c in finite:
-        c += 1
-    roots = tuple(mobius(r, 0, 1, 1, -c) for r in cfg.roots)
-    return RootConfig(cfg.genus, roots, note=f"applied x -> 1/(x - {c})")
-
-
 def _pairs(cfg):
     """Each root's (n, d), read once per call: X_rs = n_r d_s - n_s d_r is
     then integer arithmetic with no ``Fraction`` property read."""
@@ -161,7 +144,6 @@ def symroot_pow(cfg, i, j, k):
     (a_j - a_r)/(a_i - a_r) = X_ik**(2g) P_j / (X_jk**(2g) P_i), built as
     one ``Fraction``.
     """
-    _require_finite(cfg)
     _check_triple(cfg, i, j, k)
     pairs = _pairs(cfg)
     (ni, di), (nj, dj), (nk, dk) = pairs[i], pairs[j], pairs[k]
@@ -202,7 +184,6 @@ def symroot_val(cfg, p, i, j, k):
 def cross_ratio(cfg, i, j, k, r):
     """The cross-ratio (a_i-a_k)(a_j-a_r) / ((a_j-a_k)(a_i-a_r)), built as
     the one ``Fraction`` X_ik X_jr / (X_jk X_ir): the d's cancel."""
-    _require_finite(cfg)
     _check_triple(cfg, i, j, k, r)
     a = cfg.roots
     ni, di = a[i].as_integer_ratio()
@@ -223,7 +204,6 @@ def sym_discriminant(cfg, i, j):
     closed form (-1)**g X_ij**(2g(2g-1)) prod_{r<s} X_rs**2 / prod_r (X_ir
     X_jr)**(2g-1) over the other roots r, s, as one ``Fraction``.
     """
-    _require_finite(cfg)
     _check_triple(cfg, i, j)
     pairs = _pairs(cfg)
     (ni, di), (nj, dj) = pairs[i], pairs[j]

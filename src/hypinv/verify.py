@@ -69,10 +69,9 @@ def random_mobius(rng):
 
 
 def _apply_mobius(cfg, coeffs):
-    from .symroots import RootConfig, normalize_finite
+    from .symroots import RootConfig
 
-    roots = tuple(mobius(r, *coeffs) for r in cfg.roots)
-    return normalize_finite(RootConfig(cfg.genus, roots))
+    return RootConfig(cfg.genus, (mobius(r, *coeffs) for r in cfg.roots))
 
 
 class _Tally:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from hypinv.clustertree import ClusterNode, NormalFormReport
 from hypinv.rational import require_odd_prime, require_prime
-from hypinv.symroots import _check_triple, _require_finite, cross_ratio
+from hypinv.symroots import _check_triple, cross_ratio
 
 
 def _int_val(n, p):
@@ -41,7 +41,6 @@ def val(q, p):
 def symroot_val(cfg, p, i, j, k):
     """val(l_ijk) at the odd prime p, an exact (possibly non-integer) rational."""
     require_odd_prime(p)
-    _require_finite(cfg)
     _check_triple(cfg, i, j, k)
     a = cfg.roots
     g2 = 2 * cfg.genus
@@ -83,7 +82,6 @@ class ClusterTree:
 def check_normal_form(cfg, p):
     """Check integrality, even pairwise valuations, >= 3 classes mod p."""
     require_odd_prime(p)
-    _require_finite(cfg)
     a = cfg.roots
     violations = []
     for r, x in enumerate(a):

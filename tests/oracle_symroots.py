@@ -16,7 +16,6 @@ import itertools
 from fractions import Fraction
 
 from hypinv.rational import _int_val, require_odd_prime
-from hypinv.symroots import _require_finite
 
 
 def _check_triple(cfg, *indices):
@@ -53,7 +52,6 @@ def symroot_pow(cfg, i, j, k):
     Equals ((a_i - a_k)/(a_j - a_k))**(2g) * prod_{r != i,j}
     (a_j - a_r)/(a_i - a_r).
     """
-    _require_finite(cfg)
     _check_triple(cfg, i, j, k)
     a = cfg.roots
     g2 = 2 * cfg.genus
@@ -72,7 +70,6 @@ def symroot_val(cfg, p, i, j, k):
     O(n) integer valuations per call, read from the roots themselves.
     """
     require_odd_prime(p)
-    _require_finite(cfg)
     _check_triple(cfg, i, j, k)
     a = cfg.roots
     g2 = 2 * cfg.genus
@@ -93,7 +90,6 @@ def sym_discriminant(cfg, i, j):
     d_ij = prod_{r != s} (l_ijr - l_ijs) = P**(2g-1) * prod_{r != s}
     (m_r - m_s); the root-of-unity ambiguity in t cancels.
     """
-    _require_finite(cfg)
     _check_triple(cfg, i, j)
     a = cfg.roots
     g2 = 2 * cfg.genus
@@ -116,7 +112,6 @@ def pairing_cross_ratio(cfg, p, i, j, k, r):
     Always equals pairing_difference(i,j,k) - pairing_difference(i,j,r).
     """
     require_odd_prime(p)
-    _require_finite(cfg)
     _check_triple(cfg, i, j, k, r)
     a = cfg.roots
     v = (

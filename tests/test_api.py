@@ -35,7 +35,6 @@ PUBLIC = [
     "green_diagonal",
     "is_prime",
     "node_counts_from_graph",
-    "normalize_finite",
     "pairing_combination",
     "pairing_cross_ratio",
     "pairing_difference",

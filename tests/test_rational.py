@@ -17,7 +17,7 @@ from hypinv.rational import (
     parse_rat,
     val,
 )
-from hypinv.symroots import RootConfig, normalize_finite
+from hypinv.symroots import RootConfig
 
 PRIMES = (3, 5, 7, 11)
 
@@ -163,6 +163,26 @@ def test_mobius():
         mobius(Fraction(1), 1, 2, 2, 4)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        # each was once read as the Fraction 1/2, 1/3 or 1
+        ((0.5, 1, 0, 0, 1), "point is not an int or a Fraction: 0.5"),
+        (("1/3", 1, 0, 0, 1), "point is not an int or a Fraction: '1/3'"),
+        ((True, 1, 0, 0, 1), "point is not an int or a Fraction: True"),
+        ((1, "1/2", 0, 0, 1), "coefficient is not an integer: '1/2'"),
+        ((1, 1, 0.5, 0, 1), "coefficient is not an integer: 0.5"),
+        ((1, 1, 0, 0, True), "coefficient is not an integer: True"),
+        ((INF, Fraction(1), 0, 0, 1), "coefficient is not an integer: Fraction(1, 1)"),
+    ],
+    ids=repr,
+)
+def test_mobius_refuses_a_value_that_is_not_exact(args, message):
+    with pytest.raises(ValueError) as err:
+        mobius(*args)
+    assert str(err.value) == message
+
+
 def mobius_oracle(x, a, b, c, d):
     """``mobius`` as it was before it went fraction-free: Fraction arithmetic
     on the coefficients, kept as the oracle of the integer formula."""
@@ -179,23 +199,19 @@ def mobius_oracle(x, a, b, c, d):
 
 
 _rationals = st.fractions(min_value=-40, max_value=40, max_denominator=12)
-# integer, Fraction and string coefficients; small ones make a*d = b*c common
-_coeffs = st.one_of(
-    st.integers(-5, 5),
-    st.fractions(min_value=-5, max_value=5, max_denominator=6),
-    st.builds(format_rat, st.fractions(min_value=-5, max_value=5, max_denominator=6)),
-)
+# small integer coefficients make a*d = b*c common
+_coeffs = st.integers(-5, 5)
 
 
 @st.composite
 def _maps_and_points(draw):
     a, b, c, d = (draw(_coeffs) for _ in range(4))
-    if draw(st.booleans()):  # degenerate: (c, d) a multiple of (a, b)
-        k = draw(st.fractions(min_value=-3, max_value=3, max_denominator=4))
-        c, d = Fraction(a) * k, Fraction(b) * k
+    if draw(st.booleans()):  # degenerate: n (c, d) = m (a, b)
+        m, n = draw(st.integers(-3, 3)), draw(st.integers(1, 4))
+        a, b, c, d = n * a, n * b, m * a, m * b
     x = draw(st.one_of(st.just(INF), _rationals, st.integers(-40, 40)))
-    if Fraction(c) != 0 and draw(st.booleans()):  # the pole of the map
-        x = -Fraction(d) / Fraction(c)
+    if c != 0 and draw(st.booleans()):  # the pole of the map
+        x = Fraction(-d, c)
     return x, (a, b, c, d)
 
 
@@ -219,8 +235,9 @@ def test_mobius_against_fraction_formula(case):
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.lists(_rationals, min_size=5, max_size=5, unique=True), st.integers(0, 5))
 def test_normalize_finite_against_fraction_formula(finite, slot):
+    # the constructor moves the root at inf
     roots = finite[:slot] + [INF] + finite[slot:]
-    c = next(Fraction(k) for k in itertools.count() if k not in finite)
-    moved = normalize_finite(RootConfig(2, tuple(roots)))
+    c = next(k for k in itertools.count() if k not in finite)
+    moved = RootConfig(2, tuple(roots))
     assert moved.roots == tuple(mobius_oracle(r, 0, 1, 1, -c) for r in roots)
     assert moved.note == f"applied x -> 1/(x - {c})"

@@ -12,7 +12,6 @@ from hypinv.rational import INF
 from hypinv.symroots import (
     RootConfig,
     cross_ratio,
-    normalize_finite,
     pairing_cross_ratio,
     pairing_difference,
     sym_discriminant,
@@ -142,26 +141,56 @@ def test_pairing_cross_ratio_is_difference():
         ) - pairing_difference(cfg, p, i, j, r)
 
 
+WITH_INF = (INF,) + tuple(Fraction(x) for x in range(1, 6))
+
+
 def test_normalize_finite():
-    cfg = RootConfig(2, (INF,) + tuple(Fraction(x) for x in range(1, 6)))
-    norm = normalize_finite(cfg)
-    assert norm.all_finite
-    assert "1/(x - 0)" in norm.note
-    assert normalize_finite(CFG6) is CFG6
+    # the constructor moves a root at inf by x -> 1/(x - c), c the least
+    # non-negative int that is not a root, and names the map in the note
+    cfg = RootConfig(2, WITH_INF)
+    assert cfg.roots == (0, 1) + tuple(Fraction(1, x) for x in range(2, 6))
+    assert cfg.note == "applied x -> 1/(x - 0)"
+    cfg = RootConfig(2, (Fraction(3), 0, 1, INF, 2, Fraction(5)))
+    assert cfg.roots == (-1, Fraction(-1, 4), Fraction(-1, 3), 0, Fraction(-1, 2), 1)
+    assert cfg.note == "applied x -> 1/(x - 4)"
+    assert CFG6.note == "" and CFG6.roots == tuple(range(6))
 
 
 def test_mobius_invariance():
     from hypinv.rational import mobius
 
-    moved = RootConfig(2, tuple(mobius(r, 0, 1, 1, -7) for r in CFG6.roots))
-    for i, j, k in itertools.permutations(range(6), 3):
-        assert symroot_pow(moved, i, j, k) == symroot_pow(CFG6, i, j, k)
+    def by_hand(genus, roots, c):  # x -> 1/(x - c)
+        return RootConfig(genus, tuple(mobius(r, 0, 1, 1, -c) for r in roots))
+
+    # CFG6 moved by c = 7, and a root at inf moved by the constructor (c = 0
+    # and c = 3) and by hand with another c': the same invariants
+    with_inf3 = (Fraction(1, 3), INF, 0, 9, 2, Fraction(-5, 2), 27, 1)
+    pairs = [
+        (CFG6, by_hand(2, CFG6.roots, 7)),
+        (RootConfig(2, WITH_INF), by_hand(2, WITH_INF, 7)),
+        (RootConfig(3, with_inf3), by_hand(3, with_inf3, 4)),
+    ]
+    for cfg, moved in pairs:
+        assert moved.note == ""
+        n = len(cfg.roots)
+        for i, j, k in itertools.permutations(range(n), 3):
+            assert symroot_pow(moved, i, j, k) == symroot_pow(cfg, i, j, k)
+            for p in (3, 5, 7):
+                assert symroot_val(moved, p, i, j, k) == symroot_val(cfg, p, i, j, k)
+        for quad in itertools.permutations(range(n), 4):
+            assert cross_ratio(moved, *quad) == cross_ratio(cfg, *quad)
+        for i, j in itertools.permutations(range(n), 2):
+            assert sym_discriminant(moved, i, j) == sym_discriminant(cfg, i, j)
+    assert RootConfig(3, with_inf3).note == "applied x -> 1/(x - 3)"
 
 
 def test_symroot_requires_finite():
-    cfg = RootConfig(2, (INF,) + tuple(Fraction(x) for x in range(1, 6)))
-    with pytest.raises(ValueError):
-        symroot_pow(cfg, 0, 1, 2)
+    # a root at inf never reaches symroot_pow: it reads the moved roots
+    cfg = RootConfig(2, WITH_INF)
+    by_hand = RootConfig(2, (0, 1) + tuple(Fraction(1, x) for x in range(2, 6)))
+    assert cfg == by_hand
+    for i, j, k in itertools.permutations(range(6), 3):
+        assert symroot_pow(cfg, i, j, k) == symroot_pow(by_hand, i, j, k)
 
 
 # --- seeded random rational configurations of genus 2-6 -------------------

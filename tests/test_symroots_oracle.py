@@ -49,10 +49,10 @@ def configurations():
         unit = Fraction(1, p + 1)
         out.append((RootConfig(g, tuple(x * unit for x in cfg.roots)), p, True))
         out.append((RootConfig(g, _rational_roots(rng, 2 * g + 2, p)), p, False))
-        # moved off infinity by normalize_finite
+        # a root at inf, moved off it by the constructor
         finite = _rational_roots(rng, 2 * g + 1, p)
-        moved = symroots.normalize_finite(RootConfig(g, (INF,) + finite))
-        assert moved.all_finite and moved.note
+        moved = RootConfig(g, (INF,) + finite)
+        assert all(x is not INF for x in moved.roots) and moved.note
         out.append((moved, p, False))
     for g, p, depth in ((2, 3, 40), (3, 5, 40), (2, 3, 500), (2, 3, 800)):
         out.append((chain_config(rng, g, p, depth), p, True))
@@ -244,18 +244,22 @@ def test_errors_match_oracle():
             kinds.add(got[0])
     assert kinds == {"ok", ValueError, TypeError}
     assert refused == set(NOT_INT)
+    # a root at inf is moved by x -> 1/x when the configuration is built,
+    # so every function reads the roots moved by hand
     with_inf = RootConfig(2, (INF,) + tuple(Fraction(x) for x in range(1, 6)))
-    assert _error(lambda: symroots.cross_ratio(with_inf, 0, 1, 2, 3)) == (
-        "roots must be finite; apply normalize_finite first"
-    )
-    cases = [
-        ("symroot_pow", (with_inf, 0, 1, 2)),
-        ("sym_discriminant", (with_inf, 0, 1)),
-        ("symroot_val", (with_inf, 3, 0, 1, 2)),
-        ("pairing_difference", (with_inf, 3, 0, 1, 2)),
-        ("pairing_cross_ratio", (with_inf, 3, 0, 1, 2, 3)),
-        ("symroot_pow", (with_inf, 0, 0, 9)),  # finiteness before indices
-    ]
+    by_hand = RootConfig(2, (Fraction(0),) + tuple(Fraction(1, x) for x in range(1, 6)))
+    assert with_inf == by_hand
+    for name, args in (
+        ("cross_ratio", (0, 1, 2, 3)),
+        ("symroot_pow", (0, 1, 2)),
+        ("sym_discriminant", (0, 1)),
+        ("symroot_val", (3, 0, 1, 2)),
+        ("pairing_difference", (3, 0, 1, 2)),
+        ("pairing_cross_ratio", (3, 0, 1, 2, 3)),
+    ):
+        call = getattr(symroots, name)
+        assert call(with_inf, *args) == call(by_hand, *args)
+    cases = [("symroot_pow", (with_inf, 0, 0, 9))]
     # 3.0 and Fraction(3) hash like 3 and find its table; True hashes like 1
     for bad_p in (2, 9, 3.0, float(p), Fraction(p), True, "3"):
         cases += [
@@ -304,8 +308,8 @@ def test_int_subclass_prime_is_checked_and_reads_the_table(monkeypatch):
 @st.composite
 def configs_and_primes(draw, max_genus=4):
     """A configuration of genus 2 to ``max_genus`` and an odd prime.  Roots
-    may have p or a unit in the denominator, and with one root at inf the
-    configuration is moved by ``normalize_finite``."""
+    may have p or a unit in the denominator, and a root at inf is moved
+    off it by the constructor."""
     g = draw(st.integers(2, max_genus))
     p = draw(st.sampled_from(PRIMES))
     at_inf = draw(st.booleans())
@@ -315,7 +319,7 @@ def configs_and_primes(draw, max_genus=4):
     roots = draw(st.lists(root, min_size=count, max_size=count, unique=True))
     if at_inf:
         roots.insert(draw(st.integers(0, count)), INF)
-    return symroots.normalize_finite(RootConfig(g, tuple(roots))), p
+    return RootConfig(g, tuple(roots)), p
 
 
 @settings(max_examples=80, deadline=None, database=None)
@@ -439,14 +443,16 @@ def test_bad_prime_and_infinite_root_raise_on_every_call():
     # float(p) and Fraction(p) equal p and hash like it, so they would find
     # p's table; True is an int that equals 1
     bad = [(cfg, 2), (cfg, 9), (cfg, float(p)), (cfg, Fraction(p)), (cfg, True)]
-    for c, q in bad + [(with_inf, p)]:
+    for c, q in bad:
         for call in calls * 2:
             with pytest.raises(ValueError) as err:
                 call(c, q)
             assert str(err.value) == (
-                "roots must be finite; apply normalize_finite first"
-                if c is with_inf
-                else "characteristic 2 excluded" if q == 2 else f"not a prime: {q!r}"
+                "characteristic 2 excluded" if q == 2 else f"not a prime: {q!r}"
             )
     assert list(cfg._tables) == [p]
-    assert with_inf._tables == {}
+    # a root at inf raises nothing: the constructor moved it by x -> 1/x
+    by_hand = RootConfig(2, (Fraction(0),) + tuple(Fraction(1, x) for x in range(1, 6)))
+    for call in calls:
+        assert call(with_inf, p) == call(by_hand, p)
+    assert list(with_inf._tables) == [p]

@@ -43,8 +43,9 @@ VALUES = {
     "RootConfig": (
         lambda: RootConfig(2, ROOTS),
         RootConfig(2, ROOTS[::-1]),
+        # the base repr, of the fields the constructor takes: not the derived note
         "RootConfig(genus=2, roots=(Fraction(0, 1), Fraction(9, 1), Fraction(1, 1), "
-        "Fraction(10, 1), Fraction(2, 1), Fraction(11, 1)), note='')",
+        "Fraction(10, 1), Fraction(2, 1), Fraction(11, 1)))",
         "roots",
     ),
     "NodeCounts": (
@@ -190,14 +191,18 @@ def test_a_record_takes_exactly_its_fields(make):
 
 
 def test_root_config_compares_genus_and_roots_only():
-    a = RootConfig(2, ROOTS, note="one")
+    a = RootConfig(2, ROOTS)
     symroots.symroot_val(a, 3, 0, 1, 2)  # fills a's table for 3
-    b = RootConfig(2, list(ROOTS), note="two")
+    b = RootConfig(2, list(ROOTS))
     assert a == b and hash(a) == hash(b)
     assert b.roots == ROOTS and type(b.roots) is tuple
     assert a != RootConfig(3, ROOTS + (F(20), F(21)))
     assert a.__eq__(ROOTS) is NotImplemented
-    assert not RootConfig(2, (INF,) + ROOTS[1:]).all_finite
+    # the notes differ: the constructor moved one root at inf by x -> 1/x
+    moved = RootConfig(2, (INF,) + ROOTS[1:])
+    by_hand = RootConfig(2, (F(0),) + tuple(1 / x for x in ROOTS[1:]))
+    assert (moved.note, by_hand.note) == ("applied x -> 1/(x - 0)", "")
+    assert moved == by_hand and hash(moved) == hash(by_hand)
 
 
 def test_validation_runs_in_the_constructors():
@@ -268,8 +273,12 @@ def test_place_report_stores_every_invariant_as_a_fraction():
 
 
 def test_root_config_accepts_ints_fractions_and_one_inf():
-    roots = (0, F(1, 2), 2, F(3), -4, INF)
-    assert RootConfig(2, roots).roots == roots
+    finite = (0, F(1, 2), 2, F(3), -4, 5)
+    assert RootConfig(2, finite).roots == finite  # kept as given
+    # with a root at inf every root is moved by x -> 1/(x - 1)
+    moved = RootConfig(2, finite[:-1] + (INF,)).roots
+    assert moved == (-1, -2, 1, F(1, 2), F(-1, 5), 0)
+    assert all(type(x) is F for x in moved)
 
 
 def test_place_report_warnings_are_outside_eq_hash_and_repr():
