@@ -134,7 +134,7 @@ def _cmd_cluster(args):
             {
                 "level": n,
                 "members": sorted(node.members),
-                "representative": format_rat(node.representative),
+                "representative": format_rat(cfg.roots[min(node.members)]),
             }
             for n, alive in tree.levels().items()
             for node in alive

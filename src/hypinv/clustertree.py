@@ -15,8 +15,8 @@ All of it reads the table V[r][s] = val(a_r - a_s) that the configuration
 builds once per prime (``symroots._valuations``), as ``symroot_val`` does;
 the ``cluster-vs-symroots`` verify suite also checks ``symroot_val`` against
 ``symroot_pow``, which never reads the table.
-``build_tree`` keeps the table on the tree, where ``mult_x`` and ``v_mult``
-read it, together with the integer matrix 2 * (W_r, V_k), one row per
+``mult_x``, ``mult_y`` and ``v_mult`` read the table through the tree's
+``config``; the tree keeps the integer matrix 2 * (W_r, V_k), one row per
 cluster from ``_twice_v_row``, built when the split finds the cluster's
 first root at its depth.  ``pairing_from_tree`` is the integer
 ``_twice_pairing`` (four lookups in that matrix) over 2: a valid triple
@@ -48,10 +48,10 @@ from .rational import _fraction, _Record
 from .symroots import _check_triple, _valuations
 
 
-class ClusterNode(namedtuple("ClusterNode", "level members representative")):
+class ClusterNode(namedtuple("ClusterNode", "level members")):
     """A proper cluster; ``level`` is its depth, min V[r][s] over its members,
-    ``members`` the frozenset of its root indices and ``representative`` the
-    value of its smallest-index member."""
+    and ``members`` the frozenset of its root indices.  Its smallest-index
+    member stands for it where a formula reads a root of the cluster."""
 
     __slots__ = ()
 
@@ -87,12 +87,11 @@ class ClusterTree(_Record):
     by (level, min member); ``parent`` maps a cluster to the cluster
     enclosing it, absent for the top; ``node_of_root`` maps a root index to
     the smallest cluster containing it; ``depth`` maps a root index r to
-    n_r = max_{s != r} val(a_r - a_s); ``vals[r][s]`` = val(a_r - a_s),
-    ``math.inf`` on the diagonal; ``wv2[r][k]`` = 2 * (W_r, V_k), an int.
-    Mutable and unhashable.
+    n_r = max_{s != r} val(a_r - a_s); ``wv2[r][k]`` = 2 * (W_r, V_k), an
+    int.  A frozen ``_Record``, unhashable as its fields hold lists and dicts.
     """
 
-    _fields = ("config", "prime", "nodes", "parent", "node_of_root", "depth", "vals", "wv2")
+    _fields = ("config", "prime", "nodes", "parent", "node_of_root", "depth", "wv2")
 
     def levels(self):
         """{n: the clusters alive at level n, by min member}: the classes
@@ -168,7 +167,7 @@ def build_tree(cfg, p):
     for members, up in work:
         first = members[0]
         level = min(vals[first][s] for s in members[1:])  # ultrametric
-        node = ClusterNode(level, frozenset(members), Fraction(a[first]))
+        node = ClusterNode(level, frozenset(members))
         nodes.append(node)
         if up is not None:
             parent[node] = up
@@ -185,7 +184,7 @@ def build_tree(cfg, p):
             if len(group) >= 2
         )
     nodes.sort(key=lambda c: (c.level, min(c.members)))
-    return ClusterTree(cfg, p, nodes, parent, node_of_root, depth, vals, wv2)
+    return ClusterTree(cfg, p, nodes, parent, node_of_root, depth, wv2)
 
 
 def mult_x(tree, node, r):
@@ -193,9 +192,9 @@ def mult_x(tree, node, r):
 
     min{n_C, val(a_C - a_r)}; independent of the representative choice.
     """
-    if r not in tree.depth:  # a negative r would read the row from its end
-        raise KeyError(r)
-    return min(node.level, tree.vals[r][min(node.members)])
+    _check_triple(tree.config, r)  # a negative r would read the row from its end
+    vals = _valuations(tree.config, tree.prime)[0]
+    return min(node.level, vals[r][min(node.members)])
 
 
 def _twice_mult_y(vals, node):
@@ -206,7 +205,7 @@ def _twice_mult_y(vals, node):
 
 def mult_y(tree, node):
     """Multiplicity of y along the component: half the sum of mult_x over r."""
-    return _fraction(_twice_mult_y(tree.vals, node), 2)
+    return _fraction(_twice_mult_y(_valuations(tree.config, tree.prime)[0], node), 2)
 
 
 def _twice_v_row(g, vals, sums, depth, node):
@@ -228,9 +227,8 @@ def v_mult(tree, k, node):
     + (1/2)*sum_{r != k} val(a_k - a_r).  Vanishes on the component
     carrying the k-th root.
     """
-    if k not in tree.depth:  # a negative k would read the row from its end
-        raise KeyError(k)
-    vals, sums, _ = _valuations(tree.config, tree.prime)  # tree.vals and its sums
+    _check_triple(tree.config, k)  # a negative k would read the row from its end
+    vals, sums, _ = _valuations(tree.config, tree.prime)
     row = _twice_v_row(tree.config.genus, vals, sums, tree.depth, node)
     return _fraction(row[k], 2)
 

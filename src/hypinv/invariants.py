@@ -15,10 +15,10 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .rational import _Frozen, _fraction, _set, require_genus, require_rational
+from .rational import _fraction, _Record, _set, require_genus, require_rational
 
 
-class NodeCounts(_Frozen):
+class NodeCounts(_Record):
     """Thickness-weighted singular-point counts of a semistable fiber.
 
     xi0: non-separating nodes fixed by the hyperelliptic involution;
@@ -241,7 +241,7 @@ def _graph_counts(graph, g, den):
     return warnings, xi0, delta_i
 
 
-class PlaceReport(_Frozen):
+class PlaceReport(_Record):
     """Invariants (d, eps, delta, phi, chi) of one place, in nu units.
 
     ``log_nv`` is an ``int`` or a ``float`` in (0, ``sys.float_info.max``],

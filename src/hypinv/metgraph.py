@@ -35,7 +35,7 @@ import operator
 from fractions import Fraction
 from types import MappingProxyType
 
-from .rational import _Frozen, _fraction, parse_rat, require_genus, require_int
+from .rational import _fraction, _Record, parse_rat, require_genus, require_int
 from .rational import _set, require_keys, require_rational
 
 #: the most vertices and edges a graph document may hold, and the largest genus
@@ -45,7 +45,7 @@ from .rational import _set, require_keys, require_rational
 MAX_VERTICES, MAX_EDGES, MAX_VERTEX_GENUS = 128, 512, 512
 
 
-class Edge(_Frozen):
+class Edge(_Record):
     _fields = ("eid", "u", "v", "length")
 
     @property
@@ -58,13 +58,13 @@ class MetrizedGraph:
 
     Immutable once built: ``edges`` is a tuple of ``Edge``s, ``genus`` a
     read-only mapping, and assignment raises ``AttributeError`` as on a
-    ``_Frozen`` record; ``==`` and ``hash`` are by identity.  The graph keeps
+    ``_Record``; ``==`` and ``hash`` are by identity.  The graph keeps
     ``total_genus``, the constructor's ``bridge_sides`` (the ``sides`` of
     ``bridge_search``, read-only) and, from the first computation on, its one
     Laplacian solve (``_solve``) and the kernel of the last measure asked
     about (``_kernel``)."""
 
-    __setattr__ = __delattr__ = _Frozen.__setattr__
+    __setattr__ = __delattr__ = _Record.__setattr__
     _res = _ker = None  # the kept solve and kernel, set by ``_solve`` and ``_kernel``
 
     def __init__(self, genus, edges):
@@ -194,9 +194,9 @@ class MetrizedGraph:
         return cls(genus, edges)
 
 
-class Measure(_Frozen):
+class Measure(_Record):
     """Point masses at vertices (vertex id -> mass) plus a constant density
-    per edge (edge id -> density).
+    per edge (edge id -> density), each an int or a Fraction, kept as a Fraction.
 
     Immutable, so that a graph can keep its kernel: both mappings are
     read-only copies and assignment raises ``AttributeError``; ``==`` and
@@ -205,8 +205,11 @@ class Measure(_Frozen):
     _fields = ("vertex_mass", "edge_density")
 
     def __init__(self, vertex_mass, edge_density):  # named, for keyword callers
-        super().__init__(MappingProxyType(dict(vertex_mass)),
-                         MappingProxyType(dict(edge_density)))
+        masses = {v: require_rational(m, f"mass of vertex {v!r}")
+                  for v, m in dict(vertex_mass).items()}
+        densities = {eid: require_rational(d, f"density of edge {eid}")
+                     for eid, d in dict(edge_density).items()}
+        super().__init__(MappingProxyType(masses), MappingProxyType(densities))
 
     def __hash__(self):
         return hash(tuple(frozenset(m.items()) for m in self._values()))
@@ -385,8 +388,9 @@ def _on_edge(m, n, at_u, at_v, bulge, den):
 class _Kernel:
     """Potential computations for one (graph, measure) pair, in integers.
 
-    Built, and its measure checked, once per pair: the graph keeps it
-    (``MetrizedGraph._kernel``), and a ``Measure`` cannot change.
+    Built, and its measure checked against the graph, once per pair: the
+    graph keeps it (``MetrizedGraph._kernel``), and a ``Measure``, whose
+    constructor checked its values, cannot change.
 
     Over one denominator D, the lcm of the vertex-mass denominators and of
     b_e q_e on every edge of length a_e / b_e and density p_e / q_e, the
@@ -411,14 +415,10 @@ class _Kernel:
                 f"{unknown}"
             )
         self.res, det = res, res._det
-        masses = [
-            (v, require_rational(m, f"mass of vertex {v!r}"))
-            for v, m in mu.vertex_mass.items()
-        ]
-        self._d = []  # per edge: (numerator, denominator) of d_e
-        for e in graph.edges:
-            d = require_rational(mu.edge_density.get(e.eid, 0), f"density of edge {e.eid}")
-            self._d.append((d.numerator, d.denominator))
+        masses, density = mu.vertex_mass.items(), mu.edge_density
+        # per edge: (numerator, denominator) of d_e, (0, 1) where mu has none
+        self._d = [density[e.eid].as_integer_ratio() if e.eid in density else (0, 1)
+                   for e in graph.edges]
         # *list, not *generator: a resized argument tuple stays on CPython's free list
         den = self._den = math.lcm(
             *[m.denominator for _, m in masses],

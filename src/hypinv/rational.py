@@ -25,8 +25,8 @@ one ``gcd`` (a parity test for 2).  All three rely on ``Fraction.__slots__
 == ('_numerator', '_denominator')``, which a test pins.
 
 ``require_int``, ``require_rational`` and ``require_genus`` are the one
-statement of which inputs are exact, and ``_Record`` (with its frozen
-``_Frozen``) is the one record base; every layer reads them here.
+statement of which inputs are exact, and the frozen ``_Record`` is the one
+record base; every layer reads them here.
 """
 
 from __future__ import annotations
@@ -229,9 +229,9 @@ _set = object.__setattr__  # how a record sets its fields past a frozen block
 
 
 class _Record:
-    """A value type with its field names in ``_fields``: ``__init__`` takes
-    the fields positionally in that order, and ``==`` and ``repr`` read them
-    in that order.  Unhashable, as a record may change."""
+    """A frozen value type with its field names in ``_fields``: ``__init__``
+    takes the fields positionally in that order, ``==``, ``hash`` and ``repr``
+    read them in that order, and assignment raises ``AttributeError``."""
 
     def __init__(self, *values):
         if len(values) != len(self._fields):
@@ -250,23 +250,17 @@ class _Record:
             return NotImplemented
         return self._values() == other._values()
 
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
-        return f"{type(self).__qualname__}({fields})"
-
-
-class _Frozen(_Record):
-    """A ``_Record`` that refuses assignment after ``__init__`` and hashes."""
+    def __hash__(self):
+        return hash(self._values())
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     __delattr__ = __setattr__
 
-    def __hash__(self):
-        return hash(self._values())
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
 
 
 def mobius(x, a, b, c, d):

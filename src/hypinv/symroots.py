@@ -50,11 +50,11 @@ import itertools
 from fractions import Fraction
 from math import gcd
 
-from .rational import INF, _fraction, _Frozen, _set, mobius, require_genus
+from .rational import INF, _fraction, _Record, _set, mobius, require_genus
 from .rational import require_odd_prime, valuation_table
 
 
-class RootConfig(_Frozen):
+class RootConfig(_Record):
     """Genus plus the 2g+2 pairwise-distinct branch points, each an ``int``,
     a ``Fraction`` or ``INF`` (at most one); a float or a bool is refused.
 
@@ -121,14 +121,15 @@ def _valuations(cfg, p):
 
 
 def _check_triple(cfg, *indices):
-    n = len(cfg.roots)
+    """Each index an ``int``, then pairwise distinct, then in range; else ValueError."""
+    for i in indices:
+        if not isinstance(i, int):  # 1.0 and Fraction(1) would pass the others
+            raise ValueError(f"root index is not an int: {i!r}")
     if len(set(indices)) != len(indices):
         raise ValueError(f"indices must be pairwise distinct: {indices}")
     for i in indices:
-        if not 0 <= i < n:
+        if not 0 <= i < len(cfg.roots):
             raise ValueError(f"root index out of range: {i}")
-        if not isinstance(i, int):  # 1.0 and Fraction(1) pass the range test
-            raise ValueError(f"root index is not an int: {i!r}")
 
 
 def _pairs(cfg):

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
-from hypinv.clustertree import ClusterNode, NormalFormReport
+from hypinv.clustertree import NormalFormReport
 from hypinv.rational import require_odd_prime, require_prime
 from hypinv.symroots import _check_triple, cross_ratio
 
@@ -61,6 +62,11 @@ def pairing_cross_ratio(cfg, p, i, j, k, r):
     require_odd_prime(p)
     mu = cross_ratio(cfg, i, j, k, r)
     return Fraction(val(mu, p), 2)
+
+
+#: a proper cluster as hypinv built it before the table: ``representative``
+#: is the value of its smallest-index member, which the formulas below read
+ClusterNode = namedtuple("ClusterNode", "level members representative")
 
 
 @dataclass

@@ -5,8 +5,8 @@ rewrite, kept verbatim as a test oracle.
 difference, ``sym_discriminant`` multiplies over all ordered pairs of the
 other roots, ``symroot_val`` and ``pairing_cross_ratio`` take one
 ``val_diff`` per root, and ``pairing_from_tree`` reads a matrix of
-``Fraction`` values (W_r, V_k) built by ``wv_matrix`` from the tree's
-valuation table.  The tests compare these with the library on seeded
+``Fraction`` values (W_r, V_k) built by ``wv_matrix`` from the valuation
+table that the tree's configuration keeps.  The tests compare these with the library on seeded
 configurations and require exactly equal results.
 """
 
@@ -16,11 +16,13 @@ import itertools
 from fractions import Fraction
 
 from hypinv.rational import _int_val, require_odd_prime
+from hypinv.symroots import _valuations
 
 
 def _check_triple(cfg, *indices):
-    """The index rule of ``hypinv.symroots._check_triple``, kept apart from
-    it: pairwise distinct, then each in range."""
+    """The index rule of ``hypinv.symroots._check_triple`` before it tested
+    the type first, kept apart from it: pairwise distinct, then each in
+    range."""
     n = len(cfg.roots)
     if len(set(indices)) != len(indices):
         raise ValueError(f"indices must be pairwise distinct: {indices}")
@@ -126,7 +128,8 @@ def pairing_cross_ratio(cfg, p, i, j, k, r):
 def mult_y(tree, node):
     """Multiplicity of y along the component: half the sum of mult_x over r."""
     level = node.level
-    total = sum(min(level, v) for v in tree.vals[min(node.members)])
+    row = _valuations(tree.config, tree.prime)[0][min(node.members)]
+    total = sum(min(level, v) for v in row)
     return Fraction(total, 2)
 
 
@@ -138,7 +141,7 @@ def v_mult(tree, k, node):
     carrying the k-th root.
     """
     g = tree.config.genus
-    vals_k = tree.vals[k]
+    vals_k = _valuations(tree.config, tree.prime)[0][k]
     n_c = node.level
     n_k = tree.depth[k]
     m = min(n_c, vals_k[min(node.members)])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hypinv.clustertree import (
     v_mult,
 )
 from hypinv.symroots import RootConfig, symroot_val
+from test_symroots import _trap_fraction
 
 CFG3 = RootConfig(2, tuple(Fraction(x) for x in (0, 9, 1, 10, 2, 11)))
 
@@ -104,14 +106,28 @@ def test_mult_x_representative_independent():
                 assert mult_x(tree, node, r) == min(node.level, d)
 
 
-@pytest.mark.parametrize("r", [-1, 6, 10])
-def test_root_index_outside_the_configuration_is_refused(r):
-    # a negative index would silently read the last roots' rows
+@pytest.mark.parametrize(
+    "r,message",
+    [
+        (-1, "root index out of range: -1"),
+        (6, "root index out of range: 6"),
+        (10, "root index out of range: 10"),
+        (1.0, "root index is not an int: 1.0"),
+        (Fraction(1), "root index is not an int: Fraction(1, 1)"),
+        ("1", "root index is not an int: '1'"),
+    ],
+    ids=["-1", "6", "10", "1.0", "Fraction(1)", "'1'"],
+)
+def test_root_index_outside_the_configuration_is_refused(r, message):
+    # a negative index would silently read the last roots' rows; the index
+    # rule of every other function refuses it, and 1.0, Fraction(1) and "1",
+    # with a ValueError (they once raised KeyError or the interpreter's
+    # TypeError)
     tree = build_tree(CFG3, 3)
     node = tree.node_of_root[0]
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         mult_x(tree, node, r)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         v_mult(tree, r, node)
 
 
@@ -163,8 +179,8 @@ def test_deeper_tree():
 )
 def test_build_tree_builds_one_row_per_cluster_and_hashes_only_parents(cfg, monkeypatch):
     # each row of 2 (W_r, V_k) is built once, for the cluster's first root at
-    # its depth, and a ClusterNode (whose representative is a Fraction) is
-    # hashed only to key ``parent``
+    # its depth, and a ClusterNode, (level, members), is hashed only to key
+    # ``parent``: no Fraction is built or hashed
     build_tree(cfg, 3)  # the table is kept before counting
     row_nodes, hashes = [], []
     real_row, real_hash = clustertree._twice_v_row, Fraction.__hash__
@@ -175,12 +191,13 @@ def test_build_tree_builds_one_row_per_cluster_and_hashes_only_parents(cfg, monk
 
     monkeypatch.setattr(clustertree, "_twice_v_row", twice_v_row)
     monkeypatch.setattr(Fraction, "__hash__", lambda q: hashes.append(q) or real_hash(q))
+    ran = _trap_fraction(monkeypatch)
     tree = build_tree(cfg, 3)
     monkeypatch.undo()
     # the distinct node_of_root values, compared by identity: no hash
     owners = list({id(node): node for node in tree.node_of_root.values()}.values())
     assert sorted(map(id, row_nodes)) == sorted(map(id, owners))
-    assert len(hashes) <= len(tree.nodes) - 1
+    assert hashes == [] and ran == []
     assert len(tree.nodes) > 2
     # roots of one cluster share its row, which is the cluster's own
     assert len({id(row) for row in tree.wv2}) == len(owners)

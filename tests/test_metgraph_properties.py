@@ -184,11 +184,12 @@ VALUES = st.one_of(
 
 
 @st.composite
-def measures(draw, graph):
-    """A total-mass-1 measure on ``graph``, not only mu_ad: each edge has
-    no density, a zero one or a nonzero int or Fraction; some vertices carry
-    a mass; the total is made 1 on one vertex or, when no vertex carries a
-    mass, by scaling the densities (a unit point mass if they total 0)."""
+def measure_values(draw, graph):
+    """The masses and densities of a total-mass-1 measure on ``graph``, not
+    only mu_ad, as drawn: each edge has no density, a zero one or a nonzero
+    int or Fraction; some vertices carry a mass; the total is made 1 on one
+    vertex or, when no vertex carries a mass, by scaling the densities (a
+    unit point mass if they total 0)."""
     densities = {}
     for e in graph.edges:
         kind = draw(st.sampled_from(["none", "zero", "value"]))
@@ -204,8 +205,19 @@ def measures(draw, graph):
         densities = {eid: d / spread for eid, d in densities.items()}
     else:
         densities, masses = {}, {graph.vertices[0]: 1}
-    mu = metgraph.Measure(masses, densities)
-    assert mu.total_mass(graph) == 1
+    return masses, densities
+
+
+def _values(mu):
+    return [*mu.vertex_mass.values(), *mu.edge_density.values()]
+
+
+@st.composite
+def measures(draw, graph):
+    """The ``Measure`` of ``measure_values``: total mass 1, each value kept
+    as a ``Fraction``."""
+    mu = metgraph.Measure(*draw(measure_values(graph)))
+    assert mu.total_mass(graph) == 1 and all(type(x) is F for x in _values(mu))
     return mu
 
 
@@ -215,21 +227,26 @@ def graphs_with_measures(draw):
     return graph, draw(measures(graph))
 
 
-def _values(mu):
-    return [*mu.vertex_mass.values(), *mu.edge_density.values()]
+@st.composite
+def graphs_with_drawn_measures(draw):
+    """(graph, measure, the masses and densities drawn for it): a ``Measure``
+    keeps every value as a ``Fraction``, so an int shows only as drawn."""
+    graph = draw(graphs())
+    masses, densities = draw(measure_values(graph))
+    return graph, metgraph.Measure(masses, densities), [*masses.values(), *densities.values()]
 
 
 @pytest.mark.parametrize(
     "shape",
     [
-        lambda g, mu: len({F(x).denominator for x in _values(mu) if x}) >= 3,
-        lambda g, mu: 0 in mu.edge_density.values(),
-        lambda g, mu: len(mu.edge_density) < len(g.edges),
-        lambda g, mu: any(type(x) is int and x for x in _values(mu)),
-        lambda g, mu: 0 < len(mu.vertex_mass) < len(g.genus),
-        lambda g, mu: not mu.vertex_mass and any(mu.edge_density.values()),
-        lambda g, mu: any(x < 0 for x in _values(mu)),
-        lambda g, mu: any(e.is_loop and mu.density(e.eid) for e in g.edges)
+        lambda g, mu, drawn: len({x.denominator for x in _values(mu) if x}) >= 3,
+        lambda g, mu, drawn: 0 in mu.edge_density.values(),
+        lambda g, mu, drawn: len(mu.edge_density) < len(g.edges),
+        lambda g, mu, drawn: any(type(x) is int and x for x in drawn),
+        lambda g, mu, drawn: 0 < len(mu.vertex_mass) < len(g.genus),
+        lambda g, mu, drawn: not mu.vertex_mass and any(mu.edge_density.values()),
+        lambda g, mu, drawn: any(x < 0 for x in _values(mu)),
+        lambda g, mu, drawn: any(e.is_loop and mu.density(e.eid) for e in g.edges)
         and any(is_bridge(g, e.eid) and mu.density(e.eid) for e in g.edges),
     ],
     ids=["mixed-denominators", "zero-density", "no-density", "int", "some-vertices",
@@ -239,7 +256,7 @@ def test_measure_strategy_reaches_every_shape(shape):
     search = settings(
         database=None, derandomize=True, max_examples=1000, phases=[Phase.generate]
     )
-    find(graphs_with_measures(), lambda case: shape(*case), settings=search)
+    find(graphs_with_drawn_measures(), lambda case: shape(*case), settings=search)
 
 
 def interior_point(draw, graph, eid):

@@ -74,9 +74,11 @@ def test_generated_configs_are_normal_form():
 
 
 def flat_levels(tree):
-    """The leveled list, one (level, members, representative) per class."""
+    """The leveled list, one (level, members, representative) per class: the
+    representative is the value of the smallest-index member, as ``hypinv
+    cluster`` prints it."""
     return [
-        (n, c.members, c.representative)
+        (n, c.members, tree.config.roots[min(c.members)])
         for n, alive in tree.levels().items()
         for c in alive
     ]
@@ -96,8 +98,9 @@ def test_tree_matches_oracle(cfg, p):
         up = oracle_node[node.level, node.members]
         while up is not None and up.members == node.members:
             up = old_tree.parent.get(up)
-        assert new_tree.parent.get(node) == up
-    assert new_tree.node_of_root == old_tree.node_of_root
+        # an oracle node also holds its representative: compare (level, members)
+        assert new_tree.parent.get(node) == (None if up is None else up[:2])
+    assert new_tree.node_of_root == {r: c[:2] for r, c in old_tree.node_of_root.items()}
     assert new_tree.depth == old_tree.depth
     n = len(cfg.roots)
     for node in old_tree.nodes:
@@ -277,7 +280,7 @@ def test_levels_against_brute_force_congruence(cfg, p):
             for key, m in sorted(classes.items())
             if len(m) >= 2
         ]
-        assert [(c.members, c.representative) for c in nodes] == expected
+        assert [(c.members, cfg.roots[min(c.members)]) for c in nodes] == expected
 
 
 def _count_is_prime(monkeypatch):

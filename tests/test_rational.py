@@ -234,7 +234,7 @@ def test_mobius_against_fraction_formula(case):
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(st.lists(_rationals, min_size=5, max_size=5, unique=True), st.integers(0, 5))
-def test_normalize_finite_against_fraction_formula(finite, slot):
+def test_constructor_moves_a_root_at_inf_against_fraction_formula(finite, slot):
     # the constructor moves the root at inf
     roots = finite[:slot] + [INF] + finite[slot:]
     c = next(k for k in itertools.count() if k not in finite)

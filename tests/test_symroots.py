@@ -144,7 +144,7 @@ def test_pairing_cross_ratio_is_difference():
 WITH_INF = (INF,) + tuple(Fraction(x) for x in range(1, 6))
 
 
-def test_normalize_finite():
+def test_constructor_moves_a_root_at_inf():
     # the constructor moves a root at inf by x -> 1/(x - c), c the least
     # non-negative int that is not a root, and names the map in the note
     cfg = RootConfig(2, WITH_INF)
@@ -373,9 +373,9 @@ def test_per_triple_queries_build_one_fraction_without_the_constructor(monkeypat
     tree = clustertree.build_tree(cfg, 3)
     twice_g = symroots._valuations(cfg, 3)[2]  # the table is kept before counting
     # 2 (W_0, V_1) off by one: a tree whose pairings are not all integers
-    odd = clustertree.ClusterTree(*tree._values())
-    odd.wv2 = [list(row) for row in tree.wv2]
-    odd.wv2[0][1] += 1
+    wv2 = [list(row) for row in tree.wv2]
+    wv2[0][1] += 1
+    odd = clustertree.ClusterTree(*tree._values()[:-1], wv2)
     g21, n = 2 * cfg.genus - 1, len(cfg.roots)
     made, real = [], rational._fraction
 

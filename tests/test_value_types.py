@@ -1,8 +1,8 @@
 """Value semantics of the records, which are ``rational._Record`` classes
 and namedtuples rather than dataclasses (``PiecewisePoly`` aside): equal
-values are ``==`` and hash alike, or are unhashable where mutable, the
-frozen ones refuse assignment with ``AttributeError``, and each ``repr`` is
-the one the dataclass gave.  The exact-value boundary: a root,
+values are ``==`` and hash alike, or are unhashable where a field is a list
+or a dict, every record refuses assignment with ``AttributeError``, and
+each ``repr`` is the one the dataclass gave.  The exact-value boundary: a root,
 an edge length, a scale factor, a subdivision point, or a measure's vertex
 mass or edge density that is not an ``int`` or a ``Fraction`` is refused,
 not coerced."""
@@ -31,7 +31,7 @@ ROOTS = tuple(map(F, (0, 9, 1, 10, 2, 11)))  # in normal form at 3
 
 
 def _node():
-    return ClusterNode(2, frozenset({0, 1}), F(0))
+    return ClusterNode(2, frozenset({0, 1}))
 
 
 def _place(label="p"):
@@ -78,7 +78,7 @@ VALUES = {
         "violations",
     ),
     "ClusterNode": (
-        _node, ClusterNode(4, frozenset({0, 1}), F(0)), "ClusterNode(level=2, members={0,1})",
+        _node, ClusterNode(4, frozenset({0, 1})), "ClusterNode(level=2, members={0,1})",
         "level",
     ),
     "Edge": (
@@ -95,13 +95,13 @@ VALUES = {
     ),
 }
 
-#: the mutable records, in the form of VALUES
+#: the records whose fields are lists and dicts, so unhashable, in the form of VALUES
 MUTABLE = {
     "ClusterTree": (
-        lambda: ClusterTree(None, 3, (), {}, {}, {}, [], []),
-        ClusterTree(None, 5, (), {}, {}, {}, [], []),
+        lambda: ClusterTree(None, 3, (), {}, {}, {}, []),
+        ClusterTree(None, 5, (), {}, {}, {}, []),
         "ClusterTree(config=None, prime=3, nodes=(), parent={}, node_of_root={}, "
-        "depth={}, vals=[], wv2=[])",
+        "depth={}, wv2=[])",
         "prime",
     ),
 }
@@ -139,14 +139,19 @@ def test_assignment_to_a_frozen_type_raises_attribute_error(name):
 
 @pytest.mark.parametrize("name", MUTABLE)
 def test_a_mutable_record_compares_by_value_and_is_unhashable(name):
+    # "mutable" names the fields, lists and dicts; the record itself is frozen
     make, other, expected, field = MUTABLE[name]
     a, b = make(), make()
     assert a is not b and a == b and a != other
     assert a.__eq__(expected) is NotImplemented
     assert repr(a) == expected
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
         hash(a)
-    setattr(b, field, getattr(other, field))
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+        setattr(b, field, getattr(other, field))
+    assert b == a != other
+    cls = type(a)
+    b = cls(*(getattr(other if f == field else a, f) for f in cls._fields))
     assert b == other and a != b
 
 
@@ -180,10 +185,10 @@ def test_a_measure_keeps_read_only_copies_of_its_mappings():
         lambda: Edge(0, "a", "b"),
         lambda: Edge(0, "a", "b", F(1), F(1)),
         lambda: Measure({}),
-        lambda: ClusterTree(*range(7)),
+        lambda: ClusterTree(*range(6)),
         lambda: ClusterTree(*range(9)),
     ],
-    ids=["Edge 3", "Edge 5", "Measure 1", "ClusterTree 7", "ClusterTree 9"],
+    ids=["Edge 3", "Edge 5", "Measure 1", "ClusterTree 6", "ClusterTree 9"],
 )
 def test_a_record_takes_exactly_its_fields(make):
     with pytest.raises(TypeError):
@@ -219,6 +224,13 @@ def test_validation_runs_in_the_constructors():
         PlaceReport("p", 2, 0.0, F(0), F(0), F(0), F(0))
     counts = NodeCounts(genus=5, delta_i=(1,))
     assert counts.xi == (F(0), F(0)) and counts.delta_i == (F(1), F(0))
+    # a Measure checks its values itself, with the messages its kernel gave
+    with pytest.raises(ValueError, match="^mass of vertex 'v' is not an int or a Fraction: 0.5$"):
+        Measure({"v": 0.5}, {})
+    with pytest.raises(ValueError, match="^density of edge 0 is not an int or a Fraction: '1'$"):
+        Measure({}, {0: "1"})
+    mu = Measure({"v": 1}, {0: F(1, 2), 1: -2})
+    assert [type(x) for x in (*mu.vertex_mass.values(), *mu.edge_density.values())] == [F] * 3
 
 
 @pytest.mark.parametrize(
@@ -326,7 +338,8 @@ KERNEL_CALLS = [
 @pytest.mark.parametrize("bad", NOT_RATIONAL, ids=repr)
 def test_the_kernel_refuses_a_mass_or_density_that_is_not_rational(call, bad):
     # a float mass once ended in AttributeError, a string mass in TypeError,
-    # and True was read as 1
+    # and True was read as 1; the Measure constructor now refuses it, so no
+    # kernel is handed such a measure
     graph = MetrizedGraph({"v": 1, "w": 1}, [("v", "w", F(2)), ("w", "w", 1)])
     with pytest.raises(ValueError, match="mass of vertex 'v' is not an int or a Fraction"):
         call(graph, metgraph.Measure({"v": bad, "w": F(1, 2)}, {0: F(1, 4)}))
@@ -388,22 +401,30 @@ def test_the_records_are_also_tuples():
     assert row == Genus2Row(F(2), F(1), F(1), F(1)) == (F(2), F(1), F(1), F(1))
     assert row.chi == row[3]
     assert clustertree.check_normal_form(RootConfig(2, ROOTS), 3) == ((),)
-    assert tuple(_node()) == (2, frozenset({0, 1}), F(0))
+    assert tuple(_node()) == (2, frozenset({0, 1}))
     assert NormalFormReport(()).ok
 
 
 def test_cluster_tree_is_mutable_and_unhashable():
+    # a tree's fields are lists and dicts, so it is unhashable; the record
+    # itself is frozen, as every record is
     tree = clustertree.build_tree(RootConfig(2, ROOTS), 3)
     again = clustertree.build_tree(RootConfig(2, ROOTS), 3)
-    assert tree == again and tree != tree.nodes
-    with pytest.raises(TypeError):
+    assert tree == again and tree != tree.nodes and tree.__eq__(tree.nodes) is NotImplemented
+    with pytest.raises(TypeError, match="unhashable type: 'list'"):  # from its nodes
         hash(tree)
     assert repr(tree).startswith("ClusterTree(config=RootConfig(genus=2, ")
-    fields = ("config", "prime", "nodes", "parent", "node_of_root", "depth", "vals", "wv2")
-    assert list(vars(tree)) == list(fields)
+    fields = ("config", "prime", "nodes", "parent", "node_of_root", "depth", "wv2")
+    assert ClusterTree._fields == fields and list(vars(tree)) == list(fields)
+    assert ClusterNode._fields == ("level", "members")
     assert ClusterTree(*(getattr(tree, name) for name in fields)) == tree
-    again.prime = 5
-    assert tree != again
+    assert ClusterTree(*(getattr(tree, name) for name in fields[:-1]), []) != tree
+    # each field refuses assignment (test_every_record_refuses_assignment_and_deletion),
+    # and the retired copy of the table cannot come back as an attribute
+    for name in ("prime", "wv2", "vals"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+            setattr(again, name, [])
+    assert tree == again
 
 
 def _fields_set_outside_the_base(cls, body):
@@ -445,3 +466,38 @@ def test_every_record_sets_its_fields_through_the_base():
                     records[cls.__qualname__] = _fields_set_outside_the_base(cls, node)
     assert {"NodeCounts", "PlaceReport", "RootConfig", "ClusterTree", "Edge", "Measure"} <= set(records)
     assert records == dict.fromkeys(records, [])
+
+
+def _records():
+    """Every ``_Record`` subclass defined in a module of ``hypinv``."""
+    found = set()
+    for path in sorted(Path(hypinv.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"hypinv.{path.stem}")
+        for cls in vars(module).values():
+            if isinstance(cls, type) and issubclass(cls, _Record) and cls is not _Record:
+                found.add(cls)
+    return found
+
+
+def _make(cls):
+    """An instance of the record ``cls``, from VALUES or built here."""
+    if cls.__name__ in VALUES:
+        return VALUES[cls.__name__][0]()
+    assert cls is ClusterTree, f"no instance of {cls.__qualname__} to check"
+    return clustertree.build_tree(RootConfig(2, ROOTS), 3)
+
+
+def test_every_record_refuses_assignment_and_deletion():
+    # _Record is the one base and is frozen: no record can become mutable
+    # again without failing here, whatever fields it has
+    records = _records()
+    assert {RootConfig, NodeCounts, PlaceReport, ClusterTree, Edge, Measure} <= records
+    for cls in records:
+        obj = _make(cls)
+        before = obj._values()
+        for name in (*cls._fields, "no_such_field"):
+            with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
+                setattr(obj, name, 7)
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        assert obj._values() == before, cls.__qualname__

@@ -74,8 +74,9 @@ def test_cluster_suite_catches_a_wrong_tree_entry(monkeypatch):
     def build_tree(cfg, p):
         tree = real(cfg, p)
         if p == 5 and cfg.genus == 3:
-            tree.wv2 = [list(row) for row in tree.wv2]
-            tree.wv2[0][1] += 1  # 2 (W_0, V_1) off by one
+            wv2 = [list(row) for row in tree.wv2]
+            wv2[0][1] += 1  # 2 (W_0, V_1) off by one
+            tree = clustertree.ClusterTree(*tree._values()[:-1], wv2)
         return tree
 
     monkeypatch.setattr(clustertree, "build_tree", build_tree)
